@@ -44,12 +44,9 @@ from .policies import (
     SNPlan,
     belief_notify,
     belief_step,
-    heuristic_decide,
     make_policy,
     parse_policy_spec,
-    sdn_decide,
     sdn_offline,
-    sn_decide,
     sn_offline,
 )
 from .sim import (
@@ -74,6 +71,5 @@ from .bounds import (
     sn_guarantee,
     verify_dual_certificate,
 )
-from .cli import ExperimentConfig, PerturbationSpec, perturb_instance, run_compare, run_robustness
 
 __version__ = "0.1.0"

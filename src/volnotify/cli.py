@@ -32,7 +32,7 @@ import numpy as np
 from .bounds import kappa_grid, make_instance, parse_canonical_spec
 from .core import Instance, ValidationError, instance_from_json, instance_to_json
 from .exante import LpError, benchmark_lp, select_ex_ante, solution_to_triples
-from .policies import make_policy, parse_policy_spec
+from .policies import PLAN_POLICIES, make_policy, parse_policy_spec
 from .sim import CapacityError, simulate, simulate_batched
 
 __all__ = [
@@ -51,8 +51,6 @@ SIMULATE_COLUMNS = ["policy", "instance_id", "episodes", "seed",
 ROBUSTNESS_COLUMNS = ["policy", "target", "replicate",
                       "baseline_mean", "perturbed_mean", "pct_change"]
 BOUNDS_COLUMNS = ["q", "sn_lower", "kappa"]
-
-_PLAN_POLICIES = ("sn", "sdn", "exante")
 
 
 def _fmt(value) -> str:
@@ -219,7 +217,7 @@ def perturb_instance(instance: Instance, spec: PerturbationSpec, replicate: int)
 def _build_policies(config: ExperimentConfig, instance: Instance):
     """Instantiate the configured policies, sharing one ex-ante solve."""
     x_star = None
-    if any(parse_policy_spec(p)[0] in _PLAN_POLICIES for p in config.policies):
+    if any(parse_policy_spec(p)[0] in PLAN_POLICIES for p in config.policies):
         x_star = select_ex_ante(instance, config.m).solution
     return [make_policy(text, instance, x_star=x_star, m=config.m, theta=config.theta)
             for text in config.policies]
@@ -341,10 +339,7 @@ def _cmd_exante(args) -> None:
 
 def _cmd_simulate(args) -> None:
     instance, instance_id = load_instance(args.instance)
-    x_star = None
-    if parse_policy_spec(args.policy)[0] in _PLAN_POLICIES:
-        x_star = select_ex_ante(instance, args.m).solution
-    policy = make_policy(args.policy, instance, x_star=x_star, m=args.m, theta=args.theta)
+    policy = make_policy(args.policy, instance, m=args.m, theta=args.theta)
     lp_value = benchmark_lp(instance).lp_value
     stats = simulate(instance, policy, args.episodes, args.seed, lp_value=lp_value)
     row = {

@@ -217,7 +217,7 @@ class Tabulated(InterActivityDistribution):
 
     @property
     def support_max(self) -> int | None:
-        return len(self.probs)
+        return max(tau for tau, p in enumerate(self.probs, start=1) if p > 0.0)
 
     def sample(self, rng) -> int:
         u = rng.random()

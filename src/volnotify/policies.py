@@ -3,14 +3,15 @@
 The sparse-notification policy prunes an ex-ante solution with one backward
 dynamic program per volunteer, processed in priority order; the scaled-down
 policy divides the ex-ante probabilities by the exact activity probability it
-induces. Both are non-adaptive: their plans are computed offline, are
-immutable, and can be shared across concurrent simulation workers. Heuristic
-policies are adaptive through an exact per-episode belief filter over each
-volunteer's hidden active/inactive state.
+induces. Both are non-adaptive: each is one (V, S, T) tensor of notification
+probabilities computed offline, immutable, and shareable across concurrent
+simulation workers. Heuristic policies are adaptive through an exact
+per-episode belief filter over each volunteer's hidden active/inactive state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,22 +27,23 @@ from . import exante
 __all__ = [
     "SNPlan",
     "sn_offline",
-    "sn_decide",
     "SDNPlan",
     "sdn_offline",
-    "sdn_decide",
     "BeliefState",
     "belief_step",
     "belief_notify",
     "eligible_volunteers",
-    "heuristic_decide",
     "Policy",
     "StaticPlanPolicy",
-    "HeuristicPolicy",
+    "BeliefPolicy",
+    "RandomNPolicy",
+    "BestNPolicy",
+    "UpToRhoPolicy",
     "RollingHorizonPolicy",
     "parse_policy_spec",
     "make_policy",
     "POLICY_GRAMMAR",
+    "PLAN_POLICIES",
 ]
 
 
@@ -72,14 +74,6 @@ class SNPlan:
     x_tilde: np.ndarray
     J: np.ndarray
     r: np.ndarray
-
-    @property
-    def V(self) -> int:
-        return self.x_tilde.shape[0]
-
-    @property
-    def T(self) -> int:
-        return self.x_tilde.shape[2]
 
 
 def sn_offline(instance: Instance, x_star: FractionalSolution) -> SNPlan:
@@ -122,17 +116,6 @@ def sn_offline(instance: Instance, x_star: FractionalSolution) -> SNPlan:
     return SNPlan(x_tilde=x_tilde, J=J, r=r)
 
 
-def sn_decide(plan: SNPlan, t: int, s: int | None) -> np.ndarray:
-    """Notification probabilities for an arrival of type s at period t (1-based); stateless."""
-    if s is None:
-        return np.zeros(0)
-    if not 1 <= t <= plan.T:
-        raise ValidationError(f"period {t} out of range 1..{plan.T}")
-    if not 1 <= s <= plan.x_tilde.shape[1]:
-        raise ValidationError(f"task type {s} out of range 1..{plan.x_tilde.shape[1]}")
-    return plan.x_tilde[:, s - 1, t - 1].copy()
-
-
 # ---------------------------------------------------------------------------
 # Scaled-down notification policy
 # ---------------------------------------------------------------------------
@@ -140,15 +123,10 @@ def sn_decide(plan: SNPlan, t: int, s: int | None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SDNPlan:
-    """Activity probabilities and scale data for the scaled-down policy."""
+    """Activity probabilities and notification tensor of the scaled-down policy."""
 
     beta: np.ndarray  # (V, T); beta[v, 0] == 1
-    q: float
-    x_star: np.ndarray
-
-    @property
-    def T(self) -> int:
-        return self.beta.shape[1]
+    probs: np.ndarray  # (V, S, T) notification probabilities
 
 
 def sdn_offline(instance: Instance, x_star: FractionalSolution) -> SDNPlan:
@@ -156,7 +134,10 @@ def sdn_offline(instance: Instance, x_star: FractionalSolution) -> SDNPlan:
 
     beta[v, t] discounts 1 by the chance an earlier scaled-down notification
     still keeps v inactive at t. Feasibility of x_star guarantees
-    beta >= 1/(2 - q); a violation beyond 1e-9 is reported as an error.
+    beta >= 1/(2 - q); a violation beyond 1e-9 is reported as an error. Each
+    notification probability is the ex-ante entry divided by the factor 2 - q
+    and by beta, clipped to [0, 1] after a check that none exceeds 1 by more
+    than 1e-9.
     """
     x = _require_feasible(instance, x_star)
     V, T = instance.V, instance.T
@@ -177,19 +158,8 @@ def sdn_offline(instance: Instance, x_star: FractionalSolution) -> SDNPlan:
     probs = np.divide(x, (2.0 - q) * beta[:, None, :])
     if np.any(probs > 1.0 + 1e-9):
         raise ValidationError("scaled-down notification probability exceeded 1")
-    return SDNPlan(beta=beta, q=q, x_star=x)
+    return SDNPlan(beta=beta, probs=np.clip(probs, 0.0, 1.0))
 
-
-def sdn_decide(plan: SDNPlan, t: int, s: int | None) -> np.ndarray:
-    """Notification probabilities x*[v, s, t] / ((2-q) beta[v, t]); non-adaptive."""
-    if s is None:
-        return np.zeros(0)
-    if not 1 <= t <= plan.T:
-        raise ValidationError(f"period {t} out of range 1..{plan.T}")
-    if not 1 <= s <= plan.x_star.shape[1]:
-        raise ValidationError(f"task type {s} out of range 1..{plan.x_star.shape[1]}")
-    raw = plan.x_star[:, s - 1, t - 1] / ((2.0 - plan.q) * plan.beta[:, t - 1])
-    return np.clip(raw, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -273,108 +243,6 @@ def eligible_volunteers(state: BeliefState, theta: float = 1.0) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Heuristic decisions
-# ---------------------------------------------------------------------------
-
-HEURISTIC_KINDS = (
-    "notify_all",
-    "notify_random_n",
-    "notify_best_n",
-    "notify_upto_rho",
-    "rolling_horizon",
-    "follow_ex_ante",
-)
-
-
-def _by_descending_match(instance: Instance, s: int, candidates) -> list[int]:
-    # ties go to the lower index
-    return sorted(candidates, key=lambda v: (-instance.match_probs[v, s], v))
-
-
-def _rolling_horizon_probs(instance: Instance, eligible0: list[int], t: int, s: int,
-                           horizon: int) -> np.ndarray:
-    """First-period notification probabilities of a truncated benchmark LP.
-
-    The program covers periods t .. min(t + horizon - 1, T) with only the
-    eligible volunteers, all treated as active at the start of the window.
-    """
-    probs = np.zeros(instance.V)
-    if not eligible0 or instance.arrival_rates[t - 1, s - 1] <= 0.0:
-        return probs
-    t_end = min(t + horizon - 1, instance.T)
-    sub = Instance(
-        arrival_rates=instance.arrival_rates[t - 1:t_end],
-        match_probs=instance.match_probs[eligible0],
-        dist=instance.dist,
-    )
-    x_sub = exante.benchmark_lp(sub).x_lp.x
-    for row, v in enumerate(eligible0):
-        probs[v] = x_sub[row, s - 1, 0]
-    return probs
-
-
-def heuristic_decide(kind: str, params: dict, beliefs: BeliefState, instance: Instance,
-                     t: int, s: int | None, rng) -> np.ndarray:
-    """Per-volunteer notification probabilities for one arrival (t, s 1-based).
-
-    Eligibility means a belief of being active of at least theta
-    (params["theta"], default 1). Random draws consume the caller's stream
-    before any downstream response coins: subset sampling happens here.
-    """
-    if kind not in HEURISTIC_KINDS:
-        raise ValidationError(f"unknown heuristic kind {kind!r}")
-    if s is None:
-        return np.zeros(0)
-    V = instance.V
-    if not (1 <= t <= instance.T and 1 <= s <= instance.S):
-        raise ValidationError(f"indices (t={t}, s={s}) out of range")
-    theta = params.get("theta", 1.0)
-    probs = np.zeros(V)
-
-    if kind == "notify_all":
-        probs[:] = 1.0
-        return probs
-
-    if kind == "follow_ex_ante":
-        x_star = params["x_star"]
-        x = x_star.x if isinstance(x_star, FractionalSolution) else np.asarray(x_star)
-        return np.array(x[:, s - 1, t - 1], dtype=float)
-
-    eligible0 = [v - 1 for v in eligible_volunteers(beliefs, theta)]
-
-    if kind == "notify_random_n":
-        n = int(params["n"])
-        chosen = eligible0 if len(eligible0) <= n else rng.sample(eligible0, n)
-        probs[list(chosen)] = 1.0
-        return probs
-
-    if kind == "notify_best_n":
-        n = int(params["n"])
-        top = _by_descending_match(instance, s - 1, eligible0)[:n]
-        probs[top] = 1.0
-        return probs
-
-    if kind == "notify_upto_rho":
-        rho = float(params["rho"])
-        surviving = 1.0
-        for v in _by_descending_match(instance, s - 1, range(V)):
-            if 1.0 - surviving >= rho:
-                break
-            pa = instance.match_probs[v, s - 1] * beliefs.active[v]
-            if pa <= 0.0:
-                continue
-            probs[v] = 1.0
-            surviving *= 1.0 - pa
-        return probs
-
-    # rolling_horizon
-    horizon = int(params["horizon"])
-    if horizon < 1:
-        raise ValidationError(f"rolling horizon must be >= 1, got {horizon}")
-    return _rolling_horizon_probs(instance, eligible0, t, s, horizon)
-
-
-# ---------------------------------------------------------------------------
 # Policy objects for the simulator
 # ---------------------------------------------------------------------------
 
@@ -408,24 +276,24 @@ class StaticPlanPolicy(Policy):
 
     def __init__(self, name: str, probs: np.ndarray):
         self.name = name
-        V, S, T = probs.shape
-        self._V = V
+        _, S, T = probs.shape
         self._probs = [[probs[:, s, t].tolist() for s in range(S)] for t in range(T)]
 
     def decide(self, state, t: int, s: int, rng):
         return self._probs[t - 1][s - 1]
 
 
-class HeuristicPolicy(Policy):
-    """Belief-tracking wrapper around heuristic_decide."""
+class BeliefPolicy(Policy):
+    """Adaptive policy over the exact belief filter; subclasses supply decide.
 
-    def __init__(self, name: str, kind: str, params: dict, instance: Instance):
-        if kind not in HEURISTIC_KINDS:
-            raise ValidationError(f"unknown heuristic kind {kind!r}")
+    The per-episode state is a BeliefState. A volunteer is eligible when
+    believed active with probability at least theta.
+    """
+
+    def __init__(self, name: str, instance: Instance, theta: float = 1.0):
         self.name = name
-        self.kind = kind
-        self.params = dict(params)
         self.instance = instance
+        self.theta = theta
 
     def new_state(self):
         return BeliefState.all_active(self.instance.V)
@@ -433,50 +301,104 @@ class HeuristicPolicy(Policy):
     def advance(self, state, t: int):
         return belief_step(state, self.instance, t)
 
-    def decide(self, state, t: int, s: int, rng):
-        return heuristic_decide(self.kind, self.params, state, self.instance, t, s, rng)
-
     def record(self, state, t: int, notified0):
         for v in notified0:
             state = belief_notify(state, v + 1, t)
         return state
 
+    def _eligible0(self, state) -> list[int]:
+        """0-based indices of the eligible volunteers."""
+        return [v - 1 for v in eligible_volunteers(state, self.theta)]
 
-class RollingHorizonPolicy(HeuristicPolicy):
-    """Rolling-horizon heuristic with memoized window programs.
+    def _by_descending_match(self, s: int, candidates) -> list[int]:
+        """Candidates (0-based) ordered by match probability for type s; ties to the lower index."""
+        return sorted(candidates, key=lambda v: (-self.instance.match_probs[v, s - 1], v))
 
-    The truncated program depends only on the period and the eligible set, so
-    repeat arrivals reuse the solved plan.
+
+class RandomNPolicy(BeliefPolicy):
+    """Notifies n eligible volunteers sampled from the episode stream, or all when fewer."""
+
+    def __init__(self, name: str, instance: Instance, n: int, theta: float = 1.0):
+        super().__init__(name, instance, theta)
+        self.n = n
+
+    def decide(self, state, t: int, s: int, rng):
+        eligible0 = self._eligible0(state)
+        probs = np.zeros(self.instance.V)
+        probs[eligible0 if len(eligible0) <= self.n else rng.sample(eligible0, self.n)] = 1.0
+        return probs
+
+
+class BestNPolicy(BeliefPolicy):
+    """Notifies the n eligible volunteers with the largest match probability."""
+
+    def __init__(self, name: str, instance: Instance, n: int, theta: float = 1.0):
+        super().__init__(name, instance, theta)
+        self.n = n
+
+    def decide(self, state, t: int, s: int, rng):
+        probs = np.zeros(self.instance.V)
+        probs[self._by_descending_match(s, self._eligible0(state))[:self.n]] = 1.0
+        return probs
+
+
+class UpToRhoPolicy(BeliefPolicy):
+    """Notifies by descending match until the believed chance of a response reaches rho.
+
+    Every volunteer with a positive believed response probability counts,
+    whatever theta is.
+    """
+
+    def __init__(self, name: str, instance: Instance, rho: float, theta: float = 1.0):
+        super().__init__(name, instance, theta)
+        self.rho = rho
+
+    def decide(self, state, t: int, s: int, rng):
+        probs = np.zeros(self.instance.V)
+        surviving = 1.0
+        for v in self._by_descending_match(s, range(self.instance.V)):
+            if 1.0 - surviving >= self.rho:
+                break
+            pa = self.instance.match_probs[v, s - 1] * state.active[v]
+            if pa <= 0.0:
+                continue
+            probs[v] = 1.0
+            surviving *= 1.0 - pa
+        return probs
+
+
+class RollingHorizonPolicy(BeliefPolicy):
+    """Notifies with the first-period probabilities of a truncated benchmark program.
+
+    The program covers periods t .. min(t + horizon - 1, T) with only the
+    eligible volunteers, all treated as active at the start of the window. It
+    depends only on the period and the eligible set, so repeat arrivals reuse
+    the solved plan.
     """
 
     def __init__(self, name: str, instance: Instance, horizon: int, theta: float = 1.0):
-        super().__init__(name, "rolling_horizon", {"horizon": horizon, "theta": theta}, instance)
+        super().__init__(name, instance, theta)
+        self.horizon = horizon
         self._cache: dict = {}
 
     def decide(self, state, t: int, s: int, rng):
-        theta = self.params["theta"]
-        eligible0 = tuple(v - 1 for v in eligible_volunteers(state, theta))
+        eligible0 = tuple(self._eligible0(state))
         key = (t, eligible0)
-        plan = self._cache.get(key)
-        if plan is None:
+        if key not in self._cache:
             # solve once per (t, eligible) and keep all first-period columns
-            plan = {}
-            t_end = min(t + self.params["horizon"] - 1, self.instance.T)
+            x_sub = None
             if eligible0:
                 sub = Instance(
-                    arrival_rates=self.instance.arrival_rates[t - 1:t_end],
+                    arrival_rates=self.instance.arrival_rates[t - 1:t + self.horizon - 1],
                     match_probs=self.instance.match_probs[list(eligible0)],
                     dist=self.instance.dist,
                 )
                 x_sub = exante.benchmark_lp(sub).x_lp.x
-            else:
-                x_sub = None
-            plan["x"] = x_sub
-            self._cache[key] = plan
+            self._cache[key] = x_sub
+        x_sub = self._cache[key]
         probs = np.zeros(self.instance.V)
-        if plan["x"] is not None:
-            for row, v in enumerate(eligible0):
-                probs[v] = plan["x"][row, s - 1, 0]
+        if x_sub is not None:
+            probs[list(eligible0)] = x_sub[:, s - 1, 0]
         return probs
 
 
@@ -485,28 +407,41 @@ class RollingHorizonPolicy(HeuristicPolicy):
 # ---------------------------------------------------------------------------
 
 POLICY_GRAMMAR = "sn | sdn | exante | all | random:n | best:n | upto:rho | rolling:H"
+PLAN_POLICIES = ("sn", "sdn", "exante")  # built from the ex-ante solution
+# parameterized kind -> (parameter, type, least value, greatest value)
+_PARAMETERS = {
+    "random": ("n", int, 1, math.inf),
+    "best": ("n", int, 1, math.inf),
+    "upto": ("rho", float, 0.0, 1.0),
+    "rolling": ("horizon", int, 1, math.inf),
+}
 
 
 def parse_policy_spec(text: str) -> tuple[str, dict]:
-    """Parse a policy spec string into (kind, params); see POLICY_GRAMMAR."""
+    """Parse a policy spec string into (kind, params); see POLICY_GRAMMAR.
+
+    n and H must be at least 1 and rho must lie in [0, 1]; a bare "rolling"
+    leaves the horizon to make_policy.
+    """
     head, _, arg = text.strip().partition(":")
     head = head.lower()
+    if head in PLAN_POLICIES or head == "all":
+        if arg:
+            raise ValidationError(f"policy {head!r} takes no parameter")
+        return head, {}
+    if head not in _PARAMETERS:
+        raise ValidationError(f"unknown policy spec {text!r}; grammar: {POLICY_GRAMMAR}")
+    if head == "rolling" and not arg:
+        return head, {}
+    key, convert, least, greatest = _PARAMETERS[head]
     try:
-        if head in ("sn", "sdn", "exante", "all"):
-            if arg:
-                raise ValidationError(f"policy {head!r} takes no parameter")
-            return head, {}
-        if head == "random":
-            return head, {"n": int(arg)}
-        if head == "best":
-            return head, {"n": int(arg)}
-        if head == "upto":
-            return head, {"rho": float(arg)}
-        if head == "rolling":
-            return head, {"horizon": int(arg)} if arg else {}
+        value = convert(arg)
     except ValueError:
         raise ValidationError(f"bad parameter in policy spec {text!r}") from None
-    raise ValidationError(f"unknown policy spec {text!r}; grammar: {POLICY_GRAMMAR}")
+    if not least <= value <= greatest:
+        raise ValidationError(
+            f"policy {head!r} needs {key} in [{least}, {greatest}], got {arg.strip()}")
+    return head, {key: value}
 
 
 def default_rolling_horizon(instance: Instance) -> int:
@@ -522,27 +457,22 @@ def make_policy(text: str, instance: Instance, x_star: FractionalSolution | None
     x_star is not supplied it is computed here with step count m.
     """
     kind, params = parse_policy_spec(text)
-    if kind in ("sn", "sdn", "exante"):
+    if kind in PLAN_POLICIES:
         if x_star is None:
             x_star = exante.select_ex_ante(instance, m).solution
         if kind == "sn":
             return StaticPlanPolicy(text, sn_offline(instance, x_star).x_tilde)
         if kind == "sdn":
-            plan = sdn_offline(instance, x_star)
-            probs = np.clip(plan.x_star / ((2.0 - plan.q) * plan.beta[:, None, :]), 0.0, 1.0)
-            return StaticPlanPolicy(text, probs)
+            return StaticPlanPolicy(text, sdn_offline(instance, x_star).probs)
         return StaticPlanPolicy(text, np.asarray(x_star.x))
     if kind == "all":
         # notification probability 1 everywhere; no belief tracking needed
         return StaticPlanPolicy(text, np.ones((instance.V, instance.S, instance.T)))
     if kind == "random":
-        return HeuristicPolicy(text, "notify_random_n", {"n": params["n"], "theta": theta},
-                               instance)
+        return RandomNPolicy(text, instance, params["n"], theta)
     if kind == "best":
-        return HeuristicPolicy(text, "notify_best_n", {"n": params["n"], "theta": theta},
-                               instance)
+        return BestNPolicy(text, instance, params["n"], theta)
     if kind == "upto":
-        return HeuristicPolicy(text, "notify_upto_rho", {"rho": params["rho"], "theta": theta},
-                               instance)
+        return UpToRhoPolicy(text, instance, params["rho"], theta)
     horizon = params.get("horizon", default_rolling_horizon(instance))
     return RollingHorizonPolicy(text, instance, horizon, theta)

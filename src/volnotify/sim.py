@@ -158,8 +158,41 @@ def run_episode(instance: Instance, policy: Policy, rng: random.Random) -> Episo
     return EpisodeLog(completed=completed, periods=tuple(records))
 
 
-def _aggregate(episodes, seed, total, total_sq, attr, lp_value) -> SimStats:
-    mean = total / episodes
+def _drive(instance: Instance, policy: Policy, episodes: int, seed: int, nbatches: int = 1,
+           active_counts=None):
+    """The one episode loop: episode ep plays on the stream seeded (seed << 64) | ep.
+
+    Episodes run in order, split into min(nbatches, episodes) contiguous
+    batches whose sizes differ by at most one. Returns (batch sizes, batch
+    completion totals, sum of squared completions, per-volunteer completions).
+    """
+    if episodes < 1:
+        raise ValidationError(f"episode count must be >= 1, got {episodes}")
+    nb = min(nbatches, episodes)
+    sizes = [episodes // nb + (1 if b < episodes % nb else 0) for b in range(nb)]
+    ctx = _Ctx(instance)
+    rng = random.Random()
+    totals = []
+    total_sq = 0
+    attr = [0] * ctx.V
+    start = 0
+    for size in sizes:
+        batch_total = 0
+        for ep in range(start, start + size):
+            rng.seed((seed << 64) | ep)
+            completed, a, _ = _play(ctx, policy, rng, active_counts=active_counts)
+            batch_total += completed
+            total_sq += completed * completed
+            for v in range(ctx.V):
+                attr[v] += a[v]
+        start += size
+        totals.append(batch_total)
+    return sizes, totals, total_sq, attr
+
+
+def _aggregate(seed, lp_value, sizes, totals, total_sq, attr) -> SimStats:
+    episodes = sum(sizes)
+    mean = sum(totals) / episodes
     if episodes > 1:
         var = (total_sq - episodes * mean * mean) / (episodes - 1)
         se = math.sqrt(max(var, 0.0) / episodes)
@@ -187,21 +220,7 @@ def simulate(instance: Instance, policy: Policy, episodes: int, seed: int,
     a commutative sum, so splitting the episode range across workers cannot
     change the outcome.
     """
-    if episodes < 1:
-        raise ValidationError(f"episode count must be >= 1, got {episodes}")
-    ctx = _Ctx(instance)
-    rng = random.Random()
-    total = 0
-    total_sq = 0
-    attr = [0] * ctx.V
-    for ep in range(episodes):
-        rng.seed((seed << 64) | ep)
-        completed, a, _ = _play(ctx, policy, rng)
-        total += completed
-        total_sq += completed * completed
-        for v in range(ctx.V):
-            attr[v] += a[v]
-    return _aggregate(episodes, seed, total, total_sq, attr, lp_value)
+    return _aggregate(seed, lp_value, *_drive(instance, policy, episodes, seed))
 
 
 def simulate_batched(instance: Instance, policy: Policy, episodes: int, seed: int,
@@ -211,49 +230,24 @@ def simulate_batched(instance: Instance, policy: Policy, episodes: int, seed: in
     Returns (SimStats, rows) where each row carries the batch index (1-based),
     its episode count, its mean completions, and its ratio to lp_value.
     """
-    if episodes < 1:
-        raise ValidationError(f"episode count must be >= 1, got {episodes}")
-    nb = min(nbatches, episodes)
-    sizes = [episodes // nb + (1 if b < episodes % nb else 0) for b in range(nb)]
-    ctx = _Ctx(instance)
-    rng = random.Random()
-    total = 0
-    total_sq = 0
-    attr = [0] * ctx.V
+    sizes, totals, total_sq, attr = _drive(instance, policy, episodes, seed, nbatches)
     rows = []
-    ep = 0
-    for b, size in enumerate(sizes):
-        batch_total = 0
-        for _ in range(size):
-            rng.seed((seed << 64) | ep)
-            completed, a, _ = _play(ctx, policy, rng)
-            batch_total += completed
-            total += completed
-            total_sq += completed * completed
-            for v in range(ctx.V):
-                attr[v] += a[v]
-            ep += 1
-        mean = batch_total / size
+    for b, (size, total) in enumerate(zip(sizes, totals)):
+        mean = total / size
         rows.append({
             "batch": b + 1,
             "episodes": size,
             "mean_completed": mean,
             "ratio": mean / lp_value if lp_value else None,
         })
-    return _aggregate(episodes, seed, total, total_sq, attr, lp_value), rows
+    return _aggregate(seed, lp_value, sizes, totals, total_sq, attr), rows
 
 
 def empirical_active_prob(instance: Instance, policy: Policy, episodes: int,
                           seed: int) -> np.ndarray:
     """Fraction of episodes with each volunteer active just before each period's arrival draw."""
-    if episodes < 1:
-        raise ValidationError(f"episode count must be >= 1, got {episodes}")
-    ctx = _Ctx(instance)
-    counts = [[0] * ctx.T for _ in range(ctx.V)]
-    rng = random.Random()
-    for ep in range(episodes):
-        rng.seed((seed << 64) | ep)
-        _play(ctx, policy, rng, active_counts=counts)
+    counts = [[0] * instance.T for _ in range(instance.V)]
+    _drive(instance, policy, episodes, seed, active_counts=counts)
     return np.array(counts, dtype=float) / episodes
 
 

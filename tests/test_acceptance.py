@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import random_instance
 from volnotify.bounds import (
     CanonicalInstanceSpec,
     closed_form_value,
@@ -26,9 +27,7 @@ from volnotify.bounds import (
 from volnotify.cli import main
 from volnotify.core import (
     Deterministic,
-    Geometric,
     Instance,
-    Tabulated,
     check_feasible,
     evaluate_f,
     evaluate_fv,
@@ -44,29 +43,6 @@ def _report(number, name):
     print(f"ACCEPTANCE {number:02d} {name}: PASS")
 
 
-def _random_dist(rng, variant):
-    if variant == "geometric":
-        return Geometric(rng.uniform(0.05, 1.0))
-    if variant == "deterministic":
-        return Deterministic(rng.randint(1, 4))
-    k = rng.randint(1, 4)
-    raw = np.array([rng.uniform(0.05, 1.0) for _ in range(k)])
-    return Tabulated(tuple(raw / raw.sum()))
-
-
-def _random_instance(rng, variant, max_v=5, max_s=4, max_t=10):
-    V = rng.randint(1, max_v)
-    S = rng.randint(1, max_s)
-    T = rng.randint(1, max_t)
-    lam = np.zeros((T, S))
-    for t in range(T):
-        raw = np.array([rng.random() for _ in range(S)])
-        scale = rng.random() / max(raw.sum(), 1e-12)
-        lam[t] = raw * min(scale, 1.0 / max(raw.sum(), 1e-12))
-    p = np.array([[rng.random() for _ in range(S)] for _ in range(V)])
-    return Instance(arrival_rates=lam, match_probs=p, dist=_random_dist(rng, variant))
-
-
 @pytest.fixture(scope="session")
 def prop_set():
     """100 random instances with their benchmark and all ex-ante candidates."""
@@ -75,7 +51,7 @@ def prop_set():
     items = []
     start = time.perf_counter()
     for i in range(PROP_COUNT):
-        inst = _random_instance(rng, variants[i % 3])
+        inst = random_instance(rng, variant=variants[i % 3])
         bench = benchmark_lp(inst)
         x_aa = frank_wolfe_aa(inst, m=6)
         x_sq = sequential_sq(inst)
@@ -262,7 +238,7 @@ def test_criterion_06_activity_probabilities_match_plan():
     rng = random.Random(606)
     variants = ("geometric", "deterministic", "tabulated")
     for i in range(10):
-        inst = _random_instance(rng, variants[i % 3], max_v=4, max_s=3, max_t=8)
+        inst = random_instance(rng, max_v=4, max_s=3, max_t=8, variant=variants[i % 3])
         x_star = select_ex_ante(inst, m=4).solution
         plan = sdn_offline(inst, x_star)
         q = inst.dist.mdhr()

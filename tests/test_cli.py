@@ -1,11 +1,15 @@
 import csv
 import math
 import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import volnotify
 from conftest import random_instance
 from volnotify.bounds import make_instance, parse_canonical_spec
 from volnotify.cli import (
@@ -55,6 +59,8 @@ class TestConfig:
             ExperimentConfig(instance="I6", policies=("nope",), episodes=10, seed=1)
         with pytest.raises(ValidationError):
             ExperimentConfig(instance="I6", policies=("sn",), episodes=0, seed=1)
+        with pytest.raises(ValidationError):
+            ExperimentConfig(instance="I6", policies=("sn", "rolling:0"), episodes=10, seed=1)
         with pytest.raises(ValidationError):
             ExperimentConfig.from_json('{"instance": "I6", "policies": ["sn"], '
                                        '"episodes": 5, "seed": 1, "bogus": true}')
@@ -280,10 +286,24 @@ class TestMain:
         assert loaded.match_probs[3, 1] == 11.0 / 18.0
 
     def test_validation_exit_code(self, tmp_path, capsys):
-        assert main(["simulate", "I4:q=0.1,eps=1e-3", "--policy", "prioritize",
-                     "--episodes", "10", "--seed", "1"]) == 1
+        for policy in ("prioritize", "random:-1", "best:-1", "upto:2", "rolling:0"):
+            assert main(["simulate", "I4:q=0.1,eps=1e-3", "--policy", policy,
+                         "--episodes", "10", "--seed", "1"]) == 1
         assert main(["bench", "I9"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_module_entry_points(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(volnotify.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for module in (["-W", "error", "-m", "volnotify.cli"], ["-m", "volnotify"]):
+            proc = subprocess.run([sys.executable, *module, "bounds", "--grid", "0.5"],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[0] == "q,sn_lower,kappa"
 
     def test_missing_out_for_compare(self, tmp_path):
         cfg_path = write_config(tmp_path / "config.json", out=None)

@@ -15,22 +15,23 @@ from volnotify.core import (
 )
 from volnotify.exante import select_ex_ante
 from volnotify.policies import (
+    BeliefPolicy,
     BeliefState,
-    HeuristicPolicy,
+    BestNPolicy,
+    RandomNPolicy,
     RollingHorizonPolicy,
     StaticPlanPolicy,
+    UpToRhoPolicy,
     belief_notify,
     belief_step,
     default_rolling_horizon,
     eligible_volunteers,
-    heuristic_decide,
     make_policy,
     parse_policy_spec,
-    sdn_decide,
     sdn_offline,
-    sn_decide,
     sn_offline,
 )
+from volnotify.sim import episode_rng, run_episode
 
 
 def make_i4(q=0.1, eps=1e-3):
@@ -83,16 +84,21 @@ class TestSparseNotification:
     def test_decide_examples(self):
         inst = make_i4()
         plan = sn_offline(inst, i4_ones())
-        assert sn_decide(plan, 1, 1)[0] == 0.0
-        assert sn_decide(plan, 2, 2)[0] == 1.0
-        assert sn_decide(plan, 1, None).size == 0
+        assert plan.x_tilde[0, 0, 0] == 0.0
+        assert plan.x_tilde[0, 1, 1] == 1.0
+        # the policy is asked only on an arrival, so a period without one notifies nobody
+        policy = make_policy("sn", inst, x_star=i4_ones())
+        quiet = [period for ep in range(20)
+                 for period in run_episode(inst, policy, episode_rng(1, ep)).periods
+                 if period.arrival is None]
+        assert quiet and all(period.notified == () for period in quiet)
 
     def test_decide_index_errors(self):
-        plan = sn_offline(make_i4(), i4_ones())
-        with pytest.raises(ValidationError):
-            sn_decide(plan, 3, 1)
-        with pytest.raises(ValidationError):
-            sn_decide(plan, 1, 5)
+        policy = make_policy("sn", make_i4(), x_star=i4_ones())
+        with pytest.raises(IndexError):
+            policy.decide(None, 3, 1, random.Random(1))
+        with pytest.raises(IndexError):
+            policy.decide(None, 1, 5, random.Random(1))
 
     def test_requires_feasible_input(self):
         inst = make_i4()
@@ -166,8 +172,7 @@ class TestScaledDown:
         q = 0.1
         inst = make_i4(q)
         plan = sdn_offline(inst, i4_ones())
-        probs = sdn_decide(plan, 1, 1)
-        assert probs[0] == pytest.approx(1.0 / (2.0 - q), abs=1e-12)
+        assert plan.probs[0, 0, 0] == pytest.approx(1.0 / (2.0 - q), abs=1e-12)
 
     def test_i4_second_period_probability(self):
         q = 0.1
@@ -176,12 +181,12 @@ class TestScaledDown:
         # beta at period 2 equals 1 - (1-q)/(2-q) = 1/(2-q), so the scaled
         # probability is exactly 1.
         assert plan.beta[0, 1] == pytest.approx(1.0 / (2.0 - q), abs=1e-12)
-        assert sdn_decide(plan, 2, 2)[0] == pytest.approx(1.0, abs=1e-12)
+        assert plan.probs[0, 1, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_entries_give_zero_probability(self):
         inst = make_i4()
         plan = sdn_offline(inst, i4_ones())
-        assert sdn_decide(plan, 2, 1)[0] == 0.0
+        assert plan.probs[0, 0, 1] == 0.0
 
     def test_beta_floor_and_valid_probabilities(self):
         rng = random.Random(107)
@@ -190,10 +195,8 @@ class TestScaledDown:
             plan = sdn_offline(inst, select_ex_ante(inst, m=3).solution)
             q = inst.dist.mdhr()
             assert np.all(plan.beta >= 1.0 / (2.0 - q) - 1e-9)
-            for t in range(1, inst.T + 1):
-                for s in range(1, inst.S + 1):
-                    probs = sdn_decide(plan, t, s)
-                    assert np.all((probs >= 0.0) & (probs <= 1.0))
+            assert plan.probs.shape == (inst.V, inst.S, inst.T)
+            assert np.all((plan.probs >= 0.0) & (plan.probs <= 1.0))
 
 
 class TestBeliefFilter:
@@ -270,79 +273,72 @@ class TestHeuristics:
         p = np.array([[0.3, 0.3], [0.6, 0.6]])
         self.inst = Instance(arrival_rates=lam, match_probs=p, dist=Deterministic(2))
 
+    def decide(self, text, beliefs, t, s, rng, inst=None, x_star=None):
+        policy = make_policy(text, inst or self.inst, x_star=x_star)
+        return list(policy.decide(beliefs, t, s, rng))
+
     def test_notify_all(self):
-        probs = heuristic_decide("notify_all", {}, BeliefState.all_active(2),
-                                 self.inst, 1, 1, random.Random(1))
-        assert probs.tolist() == [1.0, 1.0]
+        probs = self.decide("all", None, 1, 1, random.Random(1))
+        assert probs == [1.0, 1.0]
 
     def test_upto_rho_stops_at_threshold(self):
-        probs = heuristic_decide("notify_upto_rho", {"rho": 0.5}, BeliefState.all_active(2),
-                                 self.inst, 1, 2, random.Random(1))
-        assert probs.tolist() == [0.0, 1.0]  # 0.6 already clears the bar
+        probs = self.decide("upto:0.5", BeliefState.all_active(2), 1, 2, random.Random(1))
+        assert probs == [0.0, 1.0]  # 0.6 already clears the bar
 
     def test_upto_rho_unreachable_notifies_all_positive(self):
-        probs = heuristic_decide("notify_upto_rho", {"rho": 0.99}, BeliefState.all_active(2),
-                                 self.inst, 1, 1, random.Random(1))
-        assert probs.tolist() == [1.0, 1.0]
+        probs = self.decide("upto:0.99", BeliefState.all_active(2), 1, 1, random.Random(1))
+        assert probs == [1.0, 1.0]
 
     def test_upto_rho_all_zero_notifies_nobody(self):
         inst = Instance(arrival_rates=np.array([[0.5]]), match_probs=np.zeros((2, 1)),
                         dist=Deterministic(2))
-        probs = heuristic_decide("notify_upto_rho", {"rho": 0.5}, BeliefState.all_active(2),
-                                 inst, 1, 1, random.Random(1))
-        assert probs.tolist() == [0.0, 0.0]
+        probs = self.decide("upto:0.5", BeliefState.all_active(2), 1, 1, random.Random(1), inst)
+        assert probs == [0.0, 0.0]
 
     def test_best_n_picks_largest_match(self):
-        probs = heuristic_decide("notify_best_n", {"n": 1}, BeliefState.all_active(2),
-                                 self.inst, 1, 1, random.Random(1))
-        assert probs.tolist() == [0.0, 1.0]
+        probs = self.decide("best:1", BeliefState.all_active(2), 1, 1, random.Random(1))
+        assert probs == [0.0, 1.0]
 
     def test_best_n_tie_goes_to_lower_index(self):
         inst = Instance(arrival_rates=np.array([[0.5]]), match_probs=np.array([[0.4], [0.4]]),
                         dist=Deterministic(2))
-        probs = heuristic_decide("notify_best_n", {"n": 1}, BeliefState.all_active(2),
-                                 inst, 1, 1, random.Random(1))
-        assert probs.tolist() == [1.0, 0.0]
+        probs = self.decide("best:1", BeliefState.all_active(2), 1, 1, random.Random(1), inst)
+        assert probs == [1.0, 0.0]
 
     def test_random_n_with_few_eligible(self):
         beliefs = BeliefState(active=[1.0, 0.2], pending=[{}, {1: 0.8}])
-        probs = heuristic_decide("notify_random_n", {"n": 3}, beliefs,
-                                 self.inst, 1, 1, random.Random(1))
-        assert probs.tolist() == [1.0, 0.0]
+        probs = self.decide("random:3", beliefs, 1, 1, random.Random(1))
+        assert probs == [1.0, 0.0]
 
     def test_random_n_uniform_subset(self):
         rng = random.Random(5)
         counts = [0, 0]
         for _ in range(4000):
-            probs = heuristic_decide("notify_random_n", {"n": 1}, BeliefState.all_active(2),
-                                     self.inst, 1, 1, rng)
+            probs = self.decide("random:1", BeliefState.all_active(2), 1, 1, rng)
             counts[int(np.argmax(probs))] += 1
         assert abs(counts[0] / 4000 - 0.5) < 0.05
 
-    def test_follow_ex_ante(self):
+    def test_exante_plan_follows_x_star(self):
         x = np.zeros((2, 2, 1))
         x[0, 1, 0] = 0.25
-        probs = heuristic_decide("follow_ex_ante", {"x_star": FractionalSolution(x)},
-                                 BeliefState.all_active(2), self.inst, 1, 2, random.Random(1))
-        assert probs.tolist() == [0.25, 0.0]
+        probs = self.decide("exante", None, 1, 2, random.Random(1),
+                            x_star=FractionalSolution(x))
+        assert probs == [0.25, 0.0]
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
-            heuristic_decide("notify_everyone_twice", {}, BeliefState.all_active(2),
-                             self.inst, 1, 1, random.Random(1))
+            make_policy("notify_everyone_twice", self.inst)
 
     def test_rolling_horizon_validates(self):
         with pytest.raises(ValidationError):
-            heuristic_decide("rolling_horizon", {"horizon": 0}, BeliefState.all_active(2),
-                             self.inst, 1, 1, random.Random(1))
+            make_policy("rolling:0", self.inst)
 
     def test_rolling_horizon_smoke(self):
         lam = np.array([[1.0, 0.0], [0.0, 1.0]])
         p = np.array([[0.5, 0.0], [0.5, 0.4]])
         inst = Instance(arrival_rates=lam, match_probs=p, dist=Deterministic(2))
-        probs = heuristic_decide("rolling_horizon", {"horizon": 2}, BeliefState.all_active(2),
-                                 inst, 1, 1, random.Random(1))
-        assert probs.tolist() == [1.0, 1.0]  # window benchmark notifies both for task 1
+        probs = self.decide("rolling:2", BeliefState.all_active(2), 1, 1, random.Random(1), inst)
+        assert probs == [1.0, 1.0]  # window benchmark notifies both for task 1
 
 
 class TestPolicyFactory:
@@ -352,9 +348,14 @@ class TestPolicyFactory:
         assert parse_policy_spec("upto:0.25") == ("upto", {"rho": 0.25})
         assert parse_policy_spec("rolling:7") == ("rolling", {"horizon": 7})
         assert parse_policy_spec("rolling") == ("rolling", {})
-        for bad in ("prioritize", "random:x", "sn:3", "best:"):
+        for bad in ("prioritize", "random:x", "sn:3", "best:", "random:0", "random:-1",
+                    "best:-1", "upto:-0.1", "upto:1.5", "upto:nan", "rolling:0", "rolling:-2"):
             with pytest.raises(ValidationError):
                 parse_policy_spec(bad)
+            with pytest.raises(ValidationError):
+                make_policy(bad, make_i4(), x_star=i4_ones())
+        assert parse_policy_spec("upto:0") == ("upto", {"rho": 0.0})
+        assert parse_policy_spec("upto:1") == ("upto", {"rho": 1.0})
 
     def test_default_rolling_horizon_is_mean_duration(self):
         inst = Instance(arrival_rates=np.zeros((3, 1)), match_probs=np.full((1, 1), 0.5),
@@ -369,10 +370,11 @@ class TestPolicyFactory:
         x_star = i4_ones()
         for text, cls in [("sn", StaticPlanPolicy), ("sdn", StaticPlanPolicy),
                           ("exante", StaticPlanPolicy), ("all", StaticPlanPolicy),
-                          ("random:1", HeuristicPolicy), ("best:2", HeuristicPolicy),
-                          ("upto:0.5", HeuristicPolicy), ("rolling:2", RollingHorizonPolicy)]:
+                          ("random:1", RandomNPolicy), ("best:2", BestNPolicy),
+                          ("upto:0.5", UpToRhoPolicy), ("rolling:2", RollingHorizonPolicy)]:
             policy = make_policy(text, inst, x_star=x_star)
             assert isinstance(policy, cls)
+            assert isinstance(policy, BeliefPolicy) == (cls is not StaticPlanPolicy)
             assert policy.name == text
 
     def test_sn_policy_probabilities_match_plan(self):
@@ -380,3 +382,11 @@ class TestPolicyFactory:
         policy = make_policy("sn", inst, x_star=i4_ones())
         assert policy.decide(None, 1, 1, random.Random(1)) == [0.0]
         assert policy.decide(None, 2, 2, random.Random(1)) == [1.0]
+
+    def test_sdn_policy_probabilities_match_plan(self):
+        inst = make_i4()
+        plan = sdn_offline(inst, i4_ones())
+        policy = make_policy("sdn", inst, x_star=i4_ones())
+        for t, s in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            probs = policy.decide(None, t, s, random.Random(1))
+            assert probs == plan.probs[:, s - 1, t - 1].tolist()

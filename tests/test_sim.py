@@ -10,6 +10,7 @@ from volnotify.core import (
     FractionalSolution,
     Geometric,
     Instance,
+    Tabulated,
     ValidationError,
     evaluate_fv,
 )
@@ -125,7 +126,7 @@ class TestSimulate:
         stats = simulate(inst, make_policy("all", inst), 100, seed=1, lp_value=0.0)
         assert stats.ratio is None
 
-    def test_i4_follow_ex_ante_moments(self):
+    def test_i4_exante_plan_moments(self):
         q, eps = 0.1, 1e-3
         inst = make_i4(q, eps)
         policy = make_policy("exante", inst, x_star=i4_ones())
@@ -277,6 +278,18 @@ class TestBruteForce:
     def test_unbounded_support_rejected(self):
         with pytest.raises(CapacityError):
             brute_force_optimal_online(make_i4())
+
+    def test_trailing_zero_masses_leave_the_state_space_unchanged(self):
+        rng = random.Random(47)
+        inst = tiny_deterministic_instance(rng)
+        plain = Instance(arrival_rates=inst.arrival_rates, match_probs=inst.match_probs,
+                         dist=Tabulated((0.5, 0.5)))
+        padded = Instance(arrival_rates=inst.arrival_rates, match_probs=inst.match_probs,
+                          dist=Tabulated((0.5, 0.5, 0.0, 0.0, 0.0, 0.0)))
+        assert padded.dist.support_max == 2
+        # 2^2 joint states either way; counting the zero masses would need 6^2
+        assert brute_force_optimal_online(padded, max_states=4) == \
+            brute_force_optimal_online(plain, max_states=4)
 
     def test_state_cap_enforced(self):
         inst = Instance(arrival_rates=np.full((2, 1), 0.5),
