@@ -28,8 +28,6 @@ from .exante import (
     ExAnteSolution,
     LpError,
     LpInfeasibleError,
-    LpProblem,
-    LpUnboundedError,
     benchmark_lp,
     frank_wolfe_aa,
     select_ex_ante,

@@ -107,6 +107,8 @@ class ExperimentConfig:
             raise ValidationError("seed must be an unsigned 64-bit integer")
         if self.m < 1:
             raise ValidationError(f"ex-ante step count must be >= 1, got {self.m}")
+        if not 0.0 <= self.theta <= 1.0:
+            raise ValidationError(f"theta must be in [0, 1], got {self.theta}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from .core import (
     FractionalSolution,
@@ -26,8 +27,6 @@ from .core import (
 __all__ = [
     "LpError",
     "LpInfeasibleError",
-    "LpUnboundedError",
-    "LpProblem",
     "solve_lp",
     "BenchmarkResult",
     "benchmark_lp",
@@ -49,94 +48,58 @@ class LpInfeasibleError(LpError):
     pass
 
 
-class LpUnboundedError(LpError):
-    pass
+def solve_lp(objective, A_ub, b_ub) -> tuple[np.ndarray, float]:
+    """Maximize objective @ x subject to A_ub @ x <= b_ub and 0 <= x <= 1.
 
-
-@dataclass(frozen=True)
-class LpProblem:
-    """Maximize objective @ x subject to constraint_matrix @ x <= rhs and lower <= x <= upper."""
-
-    objective: np.ndarray
-    constraint_matrix: np.ndarray
-    rhs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        A = np.atleast_2d(np.asarray(self.constraint_matrix, dtype=float))
-        b = np.atleast_1d(np.asarray(self.rhs, dtype=float))
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        n = c.size
-        if A.size and A.shape[1] != n:
-            raise ValidationError(f"constraint matrix has {A.shape[1]} columns for {n} variables")
-        if A.shape[0] != b.size:
-            raise ValidationError("constraint row count does not match rhs length")
-        if lo.size != n or hi.size != n:
-            raise ValidationError("bound vectors must match the variable count")
-        if not np.all(np.isfinite(b)):
-            raise ValidationError("right-hand sides must be finite")
-        if np.any(lo > hi):
-            raise ValidationError("lower bounds must not exceed upper bounds")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraint_matrix", A)
-        object.__setattr__(self, "rhs", b)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def num_variables(self) -> int:
-        return self.objective.size
-
-
-def solve_lp(problem: LpProblem) -> tuple[np.ndarray, float]:
-    """Solve a maximization LP; deterministic for identical inputs.
-
-    Returns (solution, optimal value) with constraints met within 1e-7 and the
-    objective within 1e-6 of optimal. Raises LpInfeasibleError or
-    LpUnboundedError for pathological programs.
+    A_ub may be dense or scipy.sparse. Deterministic for identical inputs;
+    returns (solution, optimal value) with constraints met within 1e-7 and
+    the objective within 1e-6 of optimal. Raises LpInfeasibleError or LpError.
     """
-    bounds = list(zip(problem.lower, problem.upper))
-    res = linprog(
-        -problem.objective,
-        A_ub=problem.constraint_matrix if problem.constraint_matrix.size else None,
-        b_ub=problem.rhs if problem.rhs.size else None,
-        bounds=bounds,
-        method="highs",
-    )
+    res = linprog(-np.asarray(objective, dtype=float), A_ub=A_ub, b_ub=b_ub,
+                  bounds=(0.0, 1.0), method="highs")
     if res.status == 2:
         raise LpInfeasibleError(f"infeasible linear program: {res.message}")
-    if res.status == 3:
-        raise LpUnboundedError(f"unbounded linear program: {res.message}")
     if res.status != 0 or res.x is None:
         raise LpError(f"linear program failed: {res.message}")
     return np.asarray(res.x), float(-res.fun)
 
 
 # ---------------------------------------------------------------------------
-# Benchmark LP
+# Arrival slots and the per-volunteer budget
 # ---------------------------------------------------------------------------
 
 
-def _arrival_slots(instance: Instance) -> list[tuple[int, int]]:
-    """(t, s) pairs (0-based) with positive arrival rate, row-major order."""
-    return [(t, s) for t, s in np.argwhere(instance.arrival_rates > 0.0)]
+def _slots(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrival slots (ts, ss) with positive rate, row-major, and the T x K budget matrix.
 
-
-def _budget_matrix(instance: Instance, slots: list[tuple[int, int]]) -> np.ndarray:
-    """T x K matrix of one volunteer's notification-budget coefficients.
-
-    Row t, column k carries lambda[t_k, s_k] * P(duration > t - t_k) when the
-    slot is at or before t; the budget rows are identical for every volunteer.
+    Budget row t, column k carries lambda[t_k, s_k] * P(duration > t - t_k)
+    when the slot is at or before t; the budget rows are identical for every
+    volunteer. A tensor x is read and written on the slots as x[:, ss, ts].
     """
-    T = instance.T
-    surv = survival_matrix(instance.dist, T)
-    A = np.zeros((T, len(slots)))
-    for k, (tk, sk) in enumerate(slots):
-        A[tk:, k] = instance.arrival_rates[tk, sk] * surv[tk:, tk]
-    return A
+    lam = instance.arrival_rates
+    ts, ss = np.nonzero(lam > 0.0)
+    return ts, ss, survival_matrix(instance.dist, instance.T)[:, ts] * lam[ts, ss]
+
+
+def _snap(x: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """Snap solver output (V x K) into the feasible set.
+
+    Clips to [0, 1], then scales each volunteer's row by 1 / max(1, peak load),
+    so solver tolerance can never leave a load above 1.
+    """
+    x = np.clip(x, 0.0, 1.0)
+    return x / np.maximum(1.0, (x @ budget.T).max(axis=1))[:, None]
+
+
+def _solve_volunteer(costs: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """Maximize costs @ x over one volunteer's notification budget and the unit box."""
+    sol, _ = solve_lp(costs, budget, np.ones(budget.shape[0]))
+    return _snap(sol[None, :], budget)[0]
+
+
+# ---------------------------------------------------------------------------
+# Benchmark LP
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -150,47 +113,33 @@ class BenchmarkResult:
 def benchmark_lp(instance: Instance) -> BenchmarkResult:
     """Build and solve the benchmark LP that upper-bounds every online policy.
 
-    Variables are notification probabilities per (volunteer, arrival slot)
-    plus one auxiliary completion variable per slot, capped at the expected
-    number of responses and at 1. Slots with zero arrival rate get no
-    variables and their tensor entries stay 0.
+    Variables are notification probabilities per (volunteer, arrival slot),
+    column v*K + k, plus one auxiliary completion variable per slot, column
+    V*K + k, capped at the expected number of responses and at 1. Rows are
+    the K caps y_k - sum_v p[v, s_k] x[v, k] <= 0, then volunteer v's T
+    budget rows at K + v*T. Slots with zero arrival rate get no variables
+    and their tensor entries stay 0.
     """
-    slots = _arrival_slots(instance)
-    V, K, T = instance.V, len(slots), instance.T
-    if K == 0:
-        return BenchmarkResult(FractionalSolution.zeros(instance), 0.0)
-    n = V * K + K  # x variables then y variables
-    c = np.zeros(n)
-    for k, (tk, sk) in enumerate(slots):
-        c[V * K + k] = instance.arrival_rates[tk, sk]
-
-    rows = []
-    # y_k <= sum_v p[v, s_k] x[v, k]
-    for k, (tk, sk) in enumerate(slots):
-        row = np.zeros(n)
-        row[V * K + k] = 1.0
-        for v in range(V):
-            row[v * K + k] = -instance.match_probs[v, sk]
-        rows.append(row)
-    # per-volunteer notification budgets
-    budget = _budget_matrix(instance, slots)
-    for v in range(V):
-        for t in range(T):
-            row = np.zeros(n)
-            row[v * K:(v + 1) * K] = budget[t]
-            rows.append(row)
-    A = np.vstack(rows)
-    b = np.ones(A.shape[0])
-    b[:K] = 0.0
-
-    problem = LpProblem(objective=c, constraint_matrix=A, rhs=b,
-                        lower=np.zeros(n), upper=np.ones(n))
-    sol, value = solve_lp(problem)
-
+    ts, ss, budget = _slots(instance)
+    V, K, T = instance.V, ts.size, instance.T
     x = np.zeros((V, instance.S, T))
-    for v in range(V):
-        for k, (tk, sk) in enumerate(slots):
-            x[v, sk, tk] = min(max(sol[v * K + k], 0.0), 1.0)
+    if K == 0:
+        return BenchmarkResult(FractionalSolution(x), 0.0)
+    # Only nonzero entries, as a dense matrix's conversion keeps, so HiGHS
+    # sees the same model however the matrix is built.
+    k = np.arange(K)
+    pv, pk = np.nonzero(instance.match_probs[:, ss])
+    bt, bk = np.nonzero(budget)
+    bv = np.repeat(np.arange(V), bt.size)
+    A = csc_array((
+        np.concatenate([np.ones(K), -instance.match_probs[pv, ss[pk]], np.tile(budget[bt, bk], V)]),
+        (np.concatenate([k, pk, K + bv * T + np.tile(bt, V)]),
+         np.concatenate([V * K + k, pv * K + pk, bv * K + np.tile(bk, V)])),
+    ), shape=(K + V * T, (V + 1) * K))
+    c = np.concatenate([np.zeros(V * K), instance.arrival_rates[ts, ss]])
+    b = np.concatenate([np.zeros(K), np.ones(V * T)])
+    sol, value = solve_lp(c, A, b)
+    x[:, ss, ts] = _snap(sol[:V * K].reshape(V, K), budget)
     return BenchmarkResult(FractionalSolution(x), value)
 
 
@@ -216,44 +165,23 @@ def objective_gradient(instance: Instance, x: np.ndarray) -> np.ndarray:
     return instance.arrival_rates.T[None, :, :] * instance.match_probs[:, :, None] * prefix * suffix
 
 
-def _argmax_linear(instance: Instance, weights: np.ndarray,
-                   slots: list[tuple[int, int]], budget: np.ndarray) -> np.ndarray:
-    """Maximize <weights, x> over the feasible set, one small LP per volunteer.
-
-    The budget constraints couple slots only within a volunteer, so the joint
-    argmax decomposes exactly into V independent programs.
-    """
-    V = instance.V
-    K = len(slots)
-    y = np.zeros((V, instance.S, instance.T))
-    ones = np.ones(instance.T)
-    for v in range(V):
-        c = np.array([weights[v, sk, tk] for (tk, sk) in slots])
-        problem = LpProblem(objective=c, constraint_matrix=budget, rhs=ones,
-                            lower=np.zeros(K), upper=np.ones(K))
-        sol, _ = solve_lp(problem)
-        for k, (tk, sk) in enumerate(slots):
-            y[v, sk, tk] = min(max(sol[k], 0.0), 1.0)
-    return y
-
-
 def frank_wolfe_aa(instance: Instance, m: int = DEFAULT_STEP_COUNT) -> FractionalSolution:
     """Conditional-gradient ascent with fixed step 1/m on the true objective.
 
     Starts from zero and adds one m-th of a feasible-set vertex per step, so
-    the result is an average of feasible points and itself feasible.
+    the result is an average of feasible points and itself feasible. The
+    budgets couple slots only within a volunteer, so the linear oracle over
+    the joint feasible set splits exactly into one program per volunteer.
     """
     if m < 1:
         raise ValidationError(f"step count must be >= 1, got {m}")
-    slots = _arrival_slots(instance)
+    ts, ss, budget = _slots(instance)
     x = np.zeros((instance.V, instance.S, instance.T))
-    if not slots:
+    if ts.size == 0:
         return FractionalSolution(x)
-    budget = _budget_matrix(instance, slots)
     for _ in range(m):
-        grad = objective_gradient(instance, x)
-        y = _argmax_linear(instance, grad, slots, budget)
-        x = x + y / m
+        costs = objective_gradient(instance, x)[:, ss, ts]
+        x[:, ss, ts] += np.array([_solve_volunteer(c, budget) for c in costs]) / m
     return FractionalSolution(x)
 
 
@@ -269,25 +197,15 @@ def sequential_sq(instance: Instance) -> FractionalSolution:
     the probability that no higher-priority volunteer (with already-fixed
     probabilities) grabs it, subject to v's own notification budget.
     """
-    slots = _arrival_slots(instance)
+    ts, ss, budget = _slots(instance)
     x = np.zeros((instance.V, instance.S, instance.T))
-    if not slots:
+    if ts.size == 0:
         return FractionalSolution(x)
-    budget = _budget_matrix(instance, slots)
-    ones = np.ones(instance.T)
-    K = len(slots)
+    lam, p = instance.arrival_rates[ts, ss], instance.match_probs
     prefix = np.ones((instance.S, instance.T))
     for v in range(instance.V):
-        c = np.array([
-            instance.arrival_rates[tk, sk] * prefix[sk, tk] * instance.match_probs[v, sk]
-            for (tk, sk) in slots
-        ])
-        problem = LpProblem(objective=c, constraint_matrix=budget, rhs=ones,
-                            lower=np.zeros(K), upper=np.ones(K))
-        sol, _ = solve_lp(problem)
-        for k, (tk, sk) in enumerate(slots):
-            x[v, sk, tk] = min(max(sol[k], 0.0), 1.0)
-        prefix = prefix * (1.0 - instance.match_probs[v][:, None] * x[v])
+        x[v, ss, ts] = _solve_volunteer(lam * prefix[ss, ts] * p[v, ss], budget)
+        prefix = prefix * (1.0 - p[v][:, None] * x[v])
     return FractionalSolution(x)
 
 

@@ -454,9 +454,12 @@ def make_policy(text: str, instance: Instance, x_star: FractionalSolution | None
     """Build a simulator-ready policy from a spec string.
 
     Plan-based policies (sn, sdn, exante) need the ex-ante solution; when
-    x_star is not supplied it is computed here with step count m.
+    x_star is not supplied it is computed here with step count m. theta, the
+    activity belief a heuristic needs before it notifies, must lie in [0, 1].
     """
     kind, params = parse_policy_spec(text)
+    if not 0.0 <= theta <= 1.0:
+        raise ValidationError(f"theta must be in [0, 1], got {theta}")
     if kind in PLAN_POLICIES:
         if x_star is None:
             x_star = exante.select_ex_ante(instance, m).solution

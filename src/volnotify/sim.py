@@ -168,6 +168,8 @@ def _drive(instance: Instance, policy: Policy, episodes: int, seed: int, nbatche
     """
     if episodes < 1:
         raise ValidationError(f"episode count must be >= 1, got {episodes}")
+    if nbatches < 1:
+        raise ValidationError(f"batch count must be >= 1, got {nbatches}")
     nb = min(nbatches, episodes)
     sizes = [episodes // nb + (1 if b < episodes % nb else 0) for b in range(nb)]
     ctx = _Ctx(instance)

@@ -61,6 +61,10 @@ class TestConfig:
             ExperimentConfig(instance="I6", policies=("sn",), episodes=0, seed=1)
         with pytest.raises(ValidationError):
             ExperimentConfig(instance="I6", policies=("sn", "rolling:0"), episodes=10, seed=1)
+        for theta in (2.0, -0.5, float("nan")):
+            with pytest.raises(ValidationError):
+                ExperimentConfig(instance="I6", policies=("best:1",), episodes=10, seed=1,
+                                 theta=theta)
         with pytest.raises(ValidationError):
             ExperimentConfig.from_json('{"instance": "I6", "policies": ["sn"], '
                                        '"episodes": 5, "seed": 1, "bogus": true}')
@@ -289,6 +293,9 @@ class TestMain:
         for policy in ("prioritize", "random:-1", "best:-1", "upto:2", "rolling:0"):
             assert main(["simulate", "I4:q=0.1,eps=1e-3", "--policy", policy,
                          "--episodes", "10", "--seed", "1"]) == 1
+        for theta in ("2", "-0.1", "nan"):
+            assert main(["simulate", "I4:q=0.2,eps=1e-3", "--policy", "best:1",
+                         "--episodes", "10", "--seed", "1", "--theta", theta]) == 1
         assert main(["bench", "I9"]) == 1
         assert "error:" in capsys.readouterr().err
 

@@ -163,6 +163,8 @@ class TestSimulate:
         assert pooled == pytest.approx(stats.mean_completed, abs=1e-12)
         plain = simulate(inst, policy, 103, seed=5, lp_value=2.0)
         assert plain == stats
+        with pytest.raises(ValidationError):
+            simulate_batched(inst, policy, 103, seed=5, nbatches=0)
 
 
 class TestActiveProbabilities:
