@@ -18,6 +18,7 @@ from .core import (
     Tabulated,
     ValidationError,
     check_feasible,
+    duration_table,
     evaluate_f,
     evaluate_fv,
     instance_from_json,
@@ -40,8 +41,6 @@ from .policies import (
     Policy,
     SDNPlan,
     SNPlan,
-    belief_notify,
-    belief_step,
     make_policy,
     parse_policy_spec,
     sdn_offline,

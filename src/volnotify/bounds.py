@@ -23,6 +23,7 @@ from .core import (
     Instance,
     ValidationError,
     check_feasible,
+    duration_table,
 )
 
 __all__ = [
@@ -195,15 +196,9 @@ def kappa_grid(step: float = 0.05) -> list[dict]:
     if not 0.0 < step <= 1.0:
         raise ValidationError(f"grid step must lie in (0, 1], got {step}")
     qs = []
-    i = 0
-    while True:
-        q = i * step
-        if q >= 1.0 - 1e-12:
-            break
-        qs.append(q)
-        i += 1
-    qs.append(1.0)
-    return [{"q": q, "sn_lower": sn_guarantee(q), "kappa": kappa(q)} for q in qs]
+    while len(qs) * step < 1.0 - 1e-12:
+        qs.append(len(qs) * step)
+    return [{"q": q, "sn_lower": sn_guarantee(q), "kappa": kappa(q)} for q in qs + [1.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +272,7 @@ def verify_dual_certificate(instance: Instance, solution: FractionalSolution,
     q = instance.dist.mdhr()
     mu = 1.0 / (2.0 - q)
     weights = np.einsum("ts,st->t", instance.arrival_rates, solution.x[v - 1])
-    g = [instance.dist.pmf(k) for k in range(1, T + 1)] if T else []
+    g = duration_table(instance.dist, T).pmf[1:]
     alpha = np.empty(T)
     alpha[0] = 1.0 - mu
     for t in range(1, T):

@@ -25,7 +25,7 @@ import os
 import random
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,6 +97,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "policies", tuple(self.policies))
+        if not all(isinstance(v, str) for v in (self.instance, *self.policies)):
+            raise ValidationError("config instance and policies must be strings")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValidationError(f"config out must be a path string, got {self.out!r}")
         if not self.policies:
             raise ValidationError("config needs at least one policy")
         for text in self.policies:
@@ -116,12 +120,14 @@ class ExperimentConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid config JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ValidationError("config JSON must be an object")
         known = {"instance", "policies", "episodes", "seed", "m", "theta", "out"}
         unknown = set(doc) - known
         if unknown:
             raise ValidationError(f"unknown config fields: {sorted(unknown)}")
         try:
-            return cls(
+            fields = dict(
                 instance=doc["instance"],
                 policies=tuple(doc["policies"]),
                 episodes=int(doc["episodes"]),
@@ -132,18 +138,12 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ValidationError(f"config missing field {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed config field: {exc}") from None
+        return cls(**fields)
 
     def to_json(self) -> str:
-        doc = {
-            "instance": self.instance,
-            "policies": list(self.policies),
-            "episodes": self.episodes,
-            "seed": self.seed,
-            "m": self.m,
-            "theta": self.theta,
-            "out": self.out,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)

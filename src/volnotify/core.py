@@ -17,6 +17,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +31,8 @@ __all__ = [
     "Geometric",
     "Deterministic",
     "Tabulated",
+    "DurationTable",
+    "duration_table",
     "Instance",
     "FractionalSolution",
     "Violation",
@@ -177,13 +182,7 @@ class Tabulated(InterActivityDistribution):
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ValidationError(f"tabulated masses must sum to 1, got {sum(probs)}")
         object.__setattr__(self, "probs", probs)
-        cum = []
-        acc = 0.0
-        for p in probs:
-            acc += p
-            cum.append(acc)
-        cum[-1] = 1.0
-        object.__setattr__(self, "_cum", tuple(cum))
+        object.__setattr__(self, "_cum", tuple(accumulate(probs[:-1])) + (1.0,))
 
     def pmf(self, tau: int) -> float:
         self._require_positive(tau)
@@ -199,18 +198,16 @@ class Tabulated(InterActivityDistribution):
         return self._cum[tau - 1]
 
     def mdhr(self) -> float:
-        # Skip durations whose survival is already exhausted (the 0/0 case,
-        # treated as hazard 1); if everything is skipped the rate is 1.
-        best = None
-        surv = 1.0
+        # Durations whose survival is already exhausted count as hazard 1 (the
+        # 0/0 case). Survival is the running 1 - p1 - p2 - ..., not
+        # duration_table's 1 - cdf: the two can differ in the last bit, and
+        # mdhr scales the SDN plan.
+        best, surv = 1.0, 1.0
         for p in self.probs:
             if surv > 1e-12:
-                h = p / surv
-                best = h if best is None else min(best, h)
+                best = min(best, p / surv)
             surv -= p
-        if best is None:
-            return 1.0
-        return min(max(best, 0.0), 1.0)
+        return max(best, 0.0)
 
     def mean(self) -> float:
         return sum((i + 1) * p for i, p in enumerate(self.probs))
@@ -225,6 +222,34 @@ class Tabulated(InterActivityDistribution):
             if u < c:
                 return tau
         return len(self.probs)
+
+
+class DurationTable(NamedTuple):
+    """Read-only arrays over elapsed durations e = 0..n of one distribution."""
+
+    pmf: np.ndarray  # P(duration == e); pmf[0] == 0
+    sf: np.ndarray  # P(duration > e); sf[0] == 1
+    hazard: np.ndarray  # P(duration == e | duration > e - 1); hazard[0] == 0
+
+
+@lru_cache(maxsize=256)
+def duration_table(dist: InterActivityDistribution, n: int) -> DurationTable:
+    """The pmf, survival and hazard of dist for durations 0..n, computed once per (dist, n).
+
+    Survival at or below 1e-12 counts as exhausted: the hazard is 1 for a
+    duration whose own or prior survival is exhausted (this also settles the
+    0/0 case) and min(pmf[e] / sf[e-1], 1) otherwise.
+    """
+    pmf = np.array([0.0] + [dist.pmf(e) for e in range(1, n + 1)])
+    sf = np.array([dist.sf(e) for e in range(n + 1)])
+    exhausted = sf <= 1e-12
+    hazard = np.zeros(n + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hazard[1:] = np.where(exhausted[1:] | exhausted[:-1], 1.0,
+                              np.minimum(pmf[1:] / sf[:-1], 1.0))
+    for arr in (pmf, sf, hazard):
+        arr.setflags(write=False)
+    return DurationTable(pmf, sf, hazard)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +349,8 @@ def _require_shape(instance: Instance, solution: FractionalSolution) -> np.ndarr
 
 def survival_matrix(dist: InterActivityDistribution, T: int) -> np.ndarray:
     """Lower-triangular (T x T) matrix M[t, tau] = P(duration > t - tau) for tau <= t (0-based)."""
-    sf = np.array([dist.sf(k) for k in range(T)])
-    idx = np.subtract.outer(np.arange(T), np.arange(T))
-    return np.where(idx >= 0, sf[np.clip(idx, 0, T - 1)], 0.0)
+    elapsed = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
+    return np.tril(duration_table(dist, T).sf[elapsed])
 
 
 @dataclass(frozen=True)
@@ -407,12 +431,17 @@ def dist_from_dict(data: dict) -> InterActivityDistribution:
         kind = data["type"]
     except (TypeError, KeyError):
         raise ValidationError("distribution object needs a 'type' field") from None
-    if kind == "geometric":
-        return Geometric(float(data["q"]))
-    if kind == "deterministic":
-        return Deterministic(int(data["d"]))
-    if kind == "tabulated":
-        return Tabulated(tuple(data["probs"]))
+    try:
+        if kind == "geometric":
+            return Geometric(float(data["q"]))
+        if kind == "deterministic":
+            return Deterministic(int(data["d"]))
+        if kind == "tabulated":
+            return Tabulated(tuple(data["probs"]))
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed {kind} distribution: {exc!r}") from None
     raise ValidationError(f"unknown distribution type {kind!r}")
 
 
@@ -450,26 +479,29 @@ def instance_from_json(text: str) -> Instance:
     try:
         T, V, S = int(doc["T"]), int(doc["V"]), int(doc["S"])
         arrivals = doc["arrivals"]
-        match = doc["match"]
+        p = np.array(doc["match"], dtype=float)
         dist = dist_from_dict(doc["dist"])
-    except (KeyError, TypeError) as exc:
+        lam = np.zeros((T, S))
+        if arrivals and all(len(row) == 3 for row in arrivals) and (T, S) != (len(arrivals), 3):
+            seen = set()
+            for t, s, rate in arrivals:
+                t, s = int(t), int(s)
+                if not (1 <= t <= T and 1 <= s <= S):
+                    raise ValidationError(f"arrival triple ({t}, {s}) out of range")
+                if (t, s) in seen:
+                    raise ValidationError(f"duplicate arrival triple for period {t}, type {s}")
+                seen.add((t, s))
+                lam[t - 1, s - 1] = float(rate)
+        else:
+            lam = np.array(arrivals, dtype=float)
+            if lam.shape != (T, S):
+                raise ValidationError(f"dense arrivals must be {T} x {S}, got {lam.shape}")
+    except ValidationError:
+        raise
+    except KeyError as exc:
         raise ValidationError(f"instance JSON missing field: {exc}") from None
-    lam = np.zeros((T, S))
-    if arrivals and all(len(row) == 3 for row in arrivals) and (T, S) != (len(arrivals), 3):
-        seen = set()
-        for t, s, rate in arrivals:
-            t, s = int(t), int(s)
-            if not (1 <= t <= T and 1 <= s <= S):
-                raise ValidationError(f"arrival triple ({t}, {s}) out of range")
-            if (t, s) in seen:
-                raise ValidationError(f"duplicate arrival triple for period {t}, type {s}")
-            seen.add((t, s))
-            lam[t - 1, s - 1] = float(rate)
-    else:
-        lam = np.array(arrivals, dtype=float)
-        if lam.shape != (T, S):
-            raise ValidationError(f"dense arrivals must be {T} x {S}, got {lam.shape}")
-    p = np.array(match, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed instance JSON: {exc}") from None
     if p.shape != (V, S):
         raise ValidationError(f"match matrix must be {V} x {S}, got {p.shape}")
     return Instance(arrival_rates=lam, match_probs=p, dist=dist)

@@ -235,13 +235,10 @@ def select_ex_ante(instance: Instance, m: int = DEFAULT_STEP_COUNT) -> ExAnteSol
         ("AA", frank_wolfe_aa(instance, m)),
         ("SQ", sequential_sq(instance)),
     ]
-    best_tag, best_sol = candidates[0]
-    best_val = evaluate_f(instance, best_sol)
-    for tag, sol in candidates[1:]:
-        val = evaluate_f(instance, sol)
-        if val > best_val:
-            best_tag, best_sol, best_val = tag, sol, val
-    return ExAnteSolution(solution=best_sol, tag=best_tag, f_value=best_val)
+    values = [evaluate_f(instance, sol) for _, sol in candidates]
+    best = values.index(max(values))  # the first of equal values
+    return ExAnteSolution(solution=candidates[best][1], tag=candidates[best][0],
+                          f_value=values[best])
 
 
 def solution_to_triples(solution: FractionalSolution) -> list[dict]:

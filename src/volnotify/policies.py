@@ -21,6 +21,7 @@ from .core import (
     Instance,
     ValidationError,
     check_feasible,
+    duration_table,
 )
 from . import exante
 
@@ -30,9 +31,6 @@ __all__ = [
     "SDNPlan",
     "sdn_offline",
     "BeliefState",
-    "belief_step",
-    "belief_notify",
-    "eligible_volunteers",
     "Policy",
     "StaticPlanPolicy",
     "BeliefPolicy",
@@ -89,7 +87,7 @@ def sn_offline(instance: Instance, x_star: FractionalSolution) -> SNPlan:
     V, S, T = instance.V, instance.S, instance.T
     lam = instance.arrival_rates
     lam0 = instance.no_arrival_rates()
-    g = np.array([instance.dist.pmf(k) for k in range(1, T + 1)]) if T else np.zeros(0)
+    g = duration_table(instance.dist, T).pmf[1:]
 
     x_tilde = np.zeros((V, S, T))
     J = np.zeros((V, T + 1))
@@ -144,7 +142,7 @@ def sdn_offline(instance: Instance, x_star: FractionalSolution) -> SDNPlan:
     q = instance.dist.mdhr()
     mu = 1.0 / (2.0 - q)
     weights = np.einsum("ts,vst->vt", instance.arrival_rates, x)  # (V, T)
-    sf = np.array([instance.dist.sf(k) for k in range(T + 1)])
+    sf = duration_table(instance.dist, T).sf
     beta = np.ones((V, T))
     for t in range(1, T):
         # survival offsets are t - t' >= 1 for earlier periods t' < t
@@ -171,75 +169,41 @@ def sdn_offline(instance: Instance, x_star: FractionalSolution) -> SDNPlan:
 class BeliefState:
     """Exact marginal over each volunteer's hidden state given the notification history.
 
-    active[v] is the probability v is active; pending[v] maps the period of a
-    past notification to the probability mass still inactive from it. The
-    masses of a volunteer and her active probability always sum to 1.
+    active has shape (V,): active[v] is the probability volunteer v is active.
+    pending has shape (V, T): pending[v, tau-1] is the mass knocked out by the
+    notification at period tau and still inactive. Each volunteer's active
+    probability and pending masses sum to 1. Both arrays are updated in place.
     """
 
-    active: list
-    pending: list
+    active: np.ndarray
+    pending: np.ndarray
 
     @classmethod
-    def all_active(cls, V: int) -> "BeliefState":
-        return cls(active=[1.0] * V, pending=[{} for _ in range(V)])
+    def all_active(cls, V: int, T: int) -> "BeliefState":
+        return cls(active=np.ones(V), pending=np.zeros((V, T)))
 
-    def copy(self) -> "BeliefState":
-        return BeliefState(active=list(self.active),
-                           pending=[dict(d) for d in self.pending])
+    def advance(self, hazard: np.ndarray, t: int) -> None:
+        """Move to the start of period t >= 2: each pending mass returns with its elapsed hazard.
 
+        hazard is a duration table's hazard array; the mass notified at tau
+        has been inactive for t - tau periods.
+        """
+        h = hazard[t - 1:0:-1]
+        mass = self.pending[:, :t - 1]
+        # summed in ascending tau, the order the masses were notified in
+        self.active += np.cumsum(h * mass, axis=1)[:, -1]
+        mass *= 1.0 - h
 
-def belief_step(state: BeliefState, instance: Instance, t: int) -> BeliefState:
-    """Advance beliefs to the start of period t >= 2.
+    def notify(self, v0: int, t: int) -> None:
+        """Record a notification of volunteer v0 (0-based) at period t.
 
-    Each pending mass notified at tau moves to active with the hazard of the
-    elapsed duration t - tau (0/0 hazards count as 1); masses whose survival
-    is exhausted return to active entirely.
-    """
-    if t < 2:
-        raise ValidationError(f"belief advance needs t >= 2, got {t}")
-    dist = instance.dist
-    out = state.copy()
-    for v in range(len(out.active)):
-        masses = out.pending[v]
-        if not masses:
-            continue
-        moved = 0.0
-        kept = {}
-        for tau, mass in masses.items():
-            elapsed = t - tau
-            if dist.sf(elapsed) <= 1e-12:
-                moved += mass
-                continue
-            prior = dist.sf(elapsed - 1)
-            hazard = 1.0 if prior <= 1e-12 else min(dist.pmf(elapsed) / prior, 1.0)
-            moved += hazard * mass
-            remain = (1.0 - hazard) * mass
-            if remain > 0.0:
-                kept[tau] = remain
-        out.active[v] += moved
-        out.pending[v] = kept
-    return out
-
-
-def belief_notify(state: BeliefState, v: int, t: int) -> BeliefState:
-    """Record a realized notification of volunteer v (1-based) at period t.
-
-    The active mass moves to a pending entry tagged t; mass already inactive
-    is unaffected because inactive volunteers ignore notifications.
-    """
-    if not 1 <= v <= len(state.active):
-        raise ValidationError(f"volunteer index {v} out of range 1..{len(state.active)}")
-    out = state.copy()
-    a = out.active[v - 1]
-    if a > 0.0:
-        out.active[v - 1] = 0.0
-        out.pending[v - 1][t] = out.pending[v - 1].get(t, 0.0) + a
-    return out
-
-
-def eligible_volunteers(state: BeliefState, theta: float = 1.0) -> list[int]:
-    """1-based indices of volunteers believed active with probability >= theta."""
-    return [v + 1 for v, a in enumerate(state.active) if a >= theta - 1e-9]
+        The active mass becomes pending from t; mass already inactive is
+        unaffected because inactive volunteers ignore notifications.
+        """
+        a = self.active[v0]
+        if a > 0.0:
+            self.active[v0] = 0.0
+            self.pending[v0, t - 1] += a
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +258,23 @@ class BeliefPolicy(Policy):
         self.name = name
         self.instance = instance
         self.theta = theta
+        self._hazard = duration_table(instance.dist, instance.T).hazard
 
     def new_state(self):
-        return BeliefState.all_active(self.instance.V)
+        return BeliefState.all_active(self.instance.V, self.instance.T)
 
     def advance(self, state, t: int):
-        return belief_step(state, self.instance, t)
+        state.advance(self._hazard, t)
+        return state
 
     def record(self, state, t: int, notified0):
         for v in notified0:
-            state = belief_notify(state, v + 1, t)
+            state.notify(v, t)
         return state
 
     def _eligible0(self, state) -> list[int]:
-        """0-based indices of the eligible volunteers."""
-        return [v - 1 for v in eligible_volunteers(state, self.theta)]
+        """0-based indices of the volunteers believed active with probability >= theta."""
+        return np.flatnonzero(state.active >= self.theta - 1e-9).tolist()
 
     def _by_descending_match(self, s: int, candidates) -> list[int]:
         """Candidates (0-based) ordered by match probability for type s; ties to the lower index."""

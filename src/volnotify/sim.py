@@ -9,6 +9,8 @@ one response coin per notified active volunteer in ascending index, and one
 inactivity duration per notified active volunteer in ascending index.
 Notifying an inactive volunteer consumes her notification coin but changes
 nothing. A volunteer whose inactivity ends at period t can be notified at t.
+Seeds and episode indices must lie in [0, 2**64), so no two (seed, episode)
+pairs share a stream; anything else is a ValidationError.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import Instance, ValidationError
+from .core import Instance, ValidationError, duration_table
 from .policies import Policy
 
 __all__ = [
@@ -41,9 +43,17 @@ class CapacityError(RuntimeError):
     """State space of an exact computation exceeds the supported size."""
 
 
+def _stream_seed(seed: int, episode: int) -> int:
+    """(seed << 64) | episode, the seed of one episode's stream; both must lie in [0, 2**64)."""
+    if not (0 <= seed < 2**64 and 0 <= episode < 2**64):
+        raise ValidationError(
+            f"seed and episode index must lie in [0, 2**64), got {seed} and {episode}")
+    return (seed << 64) | episode
+
+
 def episode_rng(seed: int, episode: int) -> random.Random:
     """Independent stream for one episode: the seed and index never collide."""
-    return random.Random((seed << 64) | episode)
+    return random.Random(_stream_seed(seed, episode))
 
 
 @dataclass(frozen=True)
@@ -181,7 +191,7 @@ def _drive(instance: Instance, policy: Policy, episodes: int, seed: int, nbatche
     for size in sizes:
         batch_total = 0
         for ep in range(start, start + size):
-            rng.seed((seed << 64) | ep)
+            rng.seed(_stream_seed(seed, ep))
             completed, a, _ = _play(ctx, policy, rng, active_counts=active_counts)
             batch_total += completed
             total_sq += completed * completed
@@ -275,14 +285,12 @@ def brute_force_optimal_online(instance: Instance, max_states: int = 10**6) -> f
         raise CapacityError(f"{nstates} joint states exceed the cap of {max_states}")
 
     strides = [tau_max ** v for v in range(V)]
-    durations = [(z, instance.dist.pmf(z)) for z in range(1, tau_max + 1)
-                 if instance.dist.pmf(z) > 0.0]
-    counters = []
+    pmf = duration_table(instance.dist, tau_max).pmf.tolist()
+    durations = [(z, pmf[z]) for z in range(1, tau_max + 1) if pmf[z] > 0.0]
     dec = []
     active_sets = []
     for sid in range(nstates):
         digits = [(sid // strides[v]) % tau_max for v in range(V)]
-        counters.append(digits)
         dec.append(sum(max(d - 1, 0) * strides[v] for v, d in enumerate(digits)))
         active_sets.append([v for v, d in enumerate(digits) if d == 0])
 

@@ -39,6 +39,32 @@ def write_config(path, **overrides):
     return path
 
 
+MALFORMED_CONFIGS = [
+    "5",
+    '["sn"]',
+    '{"instance": "I6", "policies": 5, "episodes": 5, "seed": 1}',
+    '{"instance": "I6", "policies": ["sn"], "episodes": "five", "seed": 1}',
+    '{"instance": "I6", "policies": ["sn"], "episodes": 5, "seed": "one"}',
+    '{"instance": "I6", "policies": ["sn"], "episodes": 5, "seed": 1, "m": null}',
+    '{"instance": "I6", "policies": ["sn"], "episodes": 5, "seed": 1, "m": 1e400}',
+    '{"instance": "I6", "policies": ["sn"], "episodes": 5, "seed": 1, "theta": "high"}',
+    '{"instance": 6, "policies": ["sn"], "episodes": 5, "seed": 1}',
+    '{"instance": "I6", "policies": [5], "episodes": 5, "seed": 1}',
+    '{"instance": "I6", "policies": ["sn"], "episodes": 5, "seed": 1, "out": 5}',
+]
+
+MALFORMED_INSTANCES = [
+    '{"T": "two", "V": 1, "S": 1, "arrivals": [[0.5]], "match": [[0.5]], '
+    '"dist": {"type": "deterministic", "d": 2}}',
+    '{"T": 1, "V": 1, "S": 1, "arrivals": [[0.5]], "match": [[0.5]], '
+    '"dist": {"type": "geometric", "q": "half"}}',
+    '{"T": 1, "V": 1, "S": 1, "arrivals": [[0.5]], "match": [[0.5]], '
+    '"dist": {"type": "deterministic", "d": "two"}}',
+    '{"T": 1, "V": 1, "S": 1, "arrivals": [[0.5]], "match": [[0.5]], '
+    '"dist": {"type": "tabulated", "probs": ["x"]}}',
+]
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -68,6 +94,9 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig.from_json('{"instance": "I6", "policies": ["sn"], '
                                        '"episodes": 5, "seed": 1, "bogus": true}')
+        for text in MALFORMED_CONFIGS:
+            with pytest.raises(ValidationError):
+                ExperimentConfig.from_json(text)
 
 
 class TestInstanceLoading:
@@ -298,6 +327,21 @@ class TestMain:
                          "--episodes", "10", "--seed", "1", "--theta", theta]) == 1
         assert main(["bench", "I9"]) == 1
         assert "error:" in capsys.readouterr().err
+        assert main(["simulate", "I6", "--policy", "sn", "--episodes", "10", "--seed", "-1",
+                     "--m", "3"]) == 1
+        assert "error:" in capsys.readouterr().err
+        for i, text in enumerate(MALFORMED_CONFIGS):
+            cfg_path = tmp_path / f"config{i}.json"
+            cfg_path.write_text(text)
+            assert main(["compare", str(cfg_path), "--out", str(tmp_path / "c.csv")]) == 1
+            assert main(["perturb", str(cfg_path), "--target", "p", "--width", "0.1",
+                         "--replicates", "1", "--out", str(tmp_path / "p.csv")]) == 1
+            assert "error:" in capsys.readouterr().err
+        for i, text in enumerate(MALFORMED_INSTANCES):
+            inst_path = tmp_path / f"instance{i}.json"
+            inst_path.write_text(text)
+            assert main(["bench", str(inst_path)]) == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_module_entry_points(self):
         env = dict(os.environ)

@@ -13,6 +13,7 @@ from volnotify.core import (
     Tabulated,
     ValidationError,
     check_feasible,
+    duration_table,
     evaluate_f,
     evaluate_fv,
     instance_from_json,
@@ -126,6 +127,47 @@ class TestDistributions:
         for tau in range(1, 4):
             se = math.sqrt(dist.pmf(tau) * (1 - dist.pmf(tau)) / n)
             assert abs(counts[tau - 1] / n - dist.pmf(tau)) <= 4 * se
+
+
+TABLE_DISTS = [Geometric(0.3), Geometric(0.999), Geometric(1.0), Deterministic(1), Deterministic(4),
+               Tabulated((0.1, 0.0, 0.5, 0.4)), Tabulated((0.5, 0.5, 0.0, 0.0))]
+
+
+class TestDurationTable:
+    @pytest.mark.parametrize("dist", TABLE_DISTS, ids=repr)
+    def test_matches_per_element_values_bit_for_bit(self, dist):
+        n = 9
+        table = duration_table(dist, n)
+        pmf = np.array([0.0] + [dist.pmf(e) for e in range(1, n + 1)])
+        sf = np.array([dist.sf(e) for e in range(n + 1)])
+        assert table.pmf.tobytes() == pmf.tobytes()
+        assert table.sf.tobytes() == sf.tobytes()
+        assert duration_table(dist, n) is table  # cached per (dist, n)
+
+    @pytest.mark.parametrize("dist", TABLE_DISTS, ids=repr)
+    def test_arrays_are_read_only(self, dist):
+        for arr in duration_table(dist, 5):
+            assert arr.shape == (6,)
+            with pytest.raises(ValueError):
+                arr[1] = 0.5
+
+    @pytest.mark.parametrize("dist", TABLE_DISTS, ids=repr)
+    def test_hazard_rule(self, dist):
+        n = 9
+        table = duration_table(dist, n)
+        assert table.hazard[0] == 0.0
+        exhausted = next((e for e in range(n + 1) if dist.sf(e) <= 1e-12), n + 1)
+        assert exhausted <= (dist.support_max or n + 1)
+        for e in range(1, n + 1):
+            if e >= exhausted:
+                assert table.hazard[e] == 1.0  # exhausted support returns at once
+            else:
+                assert table.hazard[e] == min(table.pmf[e] / table.sf[e - 1], 1.0)
+
+    def test_zero_mass_has_zero_hazard(self):
+        hazard = duration_table(Tabulated((0.1, 0.0, 0.5, 0.4)), 6).hazard
+        assert hazard.tolist()[:3] == [0.0, 0.1, 0.0]
+        assert hazard[4:].tolist() == [1.0, 1.0, 1.0]
 
 
 class TestInstance:
@@ -298,6 +340,23 @@ class TestSerialization:
                    "arrivals": [[0.7, 0.4]],
                    "match": [[0.5, 0.5]],
                    "dist": {"type": "deterministic", "d": 2}}"""
+        with pytest.raises(ValidationError):
+            instance_from_json(text)
+
+    @pytest.mark.parametrize("field, value", [
+        ("T", '"two"'), ("V", '"one"'), ("S", "null"), ("T", "1e400"),
+        ("dist", '{"type": "geometric", "q": "half"}'),
+        ("dist", '{"type": "geometric"}'),
+        ("dist", '{"type": "deterministic", "d": "two"}'),
+        ("dist", '{"type": "tabulated", "probs": [0.5, "x"]}'),
+        ("dist", '{"type": "tabulated", "probs": 5}'),
+        ("arrivals", '[[0.5, "x"]]'), ("match", '[["y"]]'),
+    ])
+    def test_malformed_fields_rejected(self, field, value):
+        doc = {"T": "1", "V": "1", "S": "2", "arrivals": "[[0.5, 0.5]]", "match": "[[0.5, 0.5]]",
+               "dist": '{"type": "deterministic", "d": 2}'}
+        doc[field] = value
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}"
         with pytest.raises(ValidationError):
             instance_from_json(text)
 

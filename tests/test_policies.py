@@ -11,6 +11,7 @@ from volnotify.core import (
     Instance,
     Tabulated,
     ValidationError,
+    duration_table,
     evaluate_fv,
 )
 from volnotify.exante import select_ex_ante
@@ -22,10 +23,7 @@ from volnotify.policies import (
     RollingHorizonPolicy,
     StaticPlanPolicy,
     UpToRhoPolicy,
-    belief_notify,
-    belief_step,
     default_rolling_horizon,
-    eligible_volunteers,
     make_policy,
     parse_policy_spec,
     sdn_offline,
@@ -199,72 +197,138 @@ class TestScaledDown:
             assert np.all((plan.probs >= 0.0) & (plan.probs <= 1.0))
 
 
+def dict_filter_step(active, pending, dist, t):
+    """Reference belief advance: per-volunteer dicts {tau: mass}, per-element pmf/sf."""
+    for v, masses in enumerate(pending):
+        moved, kept = 0.0, {}
+        for tau, mass in masses.items():
+            elapsed = t - tau
+            if dist.sf(elapsed) <= 1e-12:
+                moved += mass
+                continue
+            prior = dist.sf(elapsed - 1)
+            hazard = 1.0 if prior <= 1e-12 else min(dist.pmf(elapsed) / prior, 1.0)
+            moved += hazard * mass
+            if (1.0 - hazard) * mass > 0.0:
+                kept[tau] = (1.0 - hazard) * mass
+        active[v] += moved
+        pending[v] = kept
+
+
+def belief_policy(dist, T):
+    """A belief-tracking policy for one volunteer on an instance with no arrivals."""
+    inst = Instance(arrival_rates=np.zeros((T, 1)), match_probs=np.full((1, 1), 0.5), dist=dist)
+    return make_policy("best:1", inst)
+
+
 class TestBeliefFilter:
     def test_deterministic_cycle(self):
-        inst = Instance(arrival_rates=np.zeros((10, 1)),
-                        match_probs=np.full((1, 1), 0.5), dist=Deterministic(7))
-        state = BeliefState.all_active(1)
-        state = belief_notify(state, 1, 1)
+        policy = belief_policy(Deterministic(7), 10)
+        state = policy.record(policy.new_state(), 1, [0])
         assert state.active[0] == 0.0
         for t in range(2, 8):
-            state = belief_step(state, inst, t)
+            assert policy.advance(state, t) is state  # updated in place
             assert state.active[0] == 0.0  # not eligible for 6 periods after
-        state = belief_step(state, inst, 8)
+            assert policy._eligible0(state) == []
+        state = policy.advance(state, 8)
         assert state.active[0] == 1.0
-        assert eligible_volunteers(state, 1.0) == [1]
+        assert policy._eligible0(state) == [0]
 
     def test_geometric_moves_constant_fraction(self):
         q = 0.3
-        inst = Instance(arrival_rates=np.zeros((5, 1)),
-                        match_probs=np.full((1, 1), 0.5), dist=Geometric(q))
-        state = belief_notify(BeliefState.all_active(1), 1, 1)
+        policy = belief_policy(Geometric(q), 5)
+        state = policy.record(policy.new_state(), 1, [0])
         a = 0.0
         for t in range(2, 6):
-            state = belief_step(state, inst, t)
+            state = policy.advance(state, t)
             expected = a + q * (1.0 - a)
             assert state.active[0] == pytest.approx(expected, abs=1e-12)
             a = expected
 
     def test_tabulated_example(self):
-        inst = Instance(arrival_rates=np.zeros((3, 1)),
-                        match_probs=np.full((1, 1), 0.5), dist=Tabulated((0.2, 0.8)))
-        state = belief_notify(BeliefState.all_active(1), 1, 1)
-        state = belief_step(state, inst, 2)
+        policy = belief_policy(Tabulated((0.2, 0.8)), 3)
+        state = policy.record(policy.new_state(), 1, [0])
+        state = policy.advance(state, 2)
         assert state.active[0] == pytest.approx(0.2, abs=1e-12)
-        state = belief_step(state, inst, 3)
+        state = policy.advance(state, 3)
         assert state.active[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_notify_moves_active_mass(self):
-        state = BeliefState.all_active(1)
-        state = belief_notify(state, 1, 3)
+        state = BeliefState.all_active(1, 4)
+        state.notify(0, 3)
         assert state.active[0] == 0.0
-        assert state.pending[0] == {3: 1.0}
+        assert state.pending[0].tolist() == [0.0, 0.0, 1.0, 0.0]
 
     def test_notify_inactive_is_noop(self):
-        state = BeliefState(active=[0.0], pending=[{1: 1.0}])
-        after = belief_notify(state, 1, 4)
-        assert after.active[0] == 0.0
-        assert after.pending[0] == {1: 1.0}
+        state = BeliefState(active=np.array([0.0]), pending=np.array([[1.0, 0.0, 0.0, 0.0]]))
+        state.notify(0, 4)
+        assert state.active[0] == 0.0
+        assert state.pending[0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_notify_partial_mass_conserved(self):
-        state = BeliefState(active=[0.4], pending=[{1: 0.6}])
-        after = belief_notify(state, 1, 3)
-        assert after.active[0] == 0.0
-        assert after.pending[0] == {1: 0.6, 3: 0.4}
-        assert after.active[0] + sum(after.pending[0].values()) == pytest.approx(1.0, abs=1e-9)
+        state = BeliefState(active=np.array([0.4]), pending=np.array([[0.6, 0.0, 0.0, 0.0]]))
+        state.notify(0, 3)
+        assert state.active[0] == 0.0
+        assert state.pending[0].tolist() == [0.6, 0.0, 0.4, 0.0]
+        assert state.active[0] + state.pending[0].sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_mass_conservation_under_random_history(self):
         rng = random.Random(109)
         for _ in range(20):
             inst = random_instance(rng, max_v=3)
-            state = BeliefState.all_active(inst.V)
+            hazard = duration_table(inst.dist, inst.T).hazard
+            state = BeliefState.all_active(inst.V, inst.T)
             for t in range(2, inst.T + 1):
-                state = belief_step(state, inst, t)
+                state.advance(hazard, t)
                 if rng.random() < 0.5:
-                    state = belief_notify(state, rng.randint(1, inst.V), t)
+                    state.notify(rng.randint(1, inst.V) - 1, t)
+                totals = state.active + state.pending.sum(axis=1)
+                assert totals == pytest.approx(np.ones(inst.V), abs=1e-9)
+
+    def test_matches_dict_filter_bit_for_bit(self):
+        rng = random.Random(127)
+        for _ in range(30):
+            inst = random_instance(rng, max_v=4, max_t=20)
+            hazard = duration_table(inst.dist, inst.T).hazard
+            state = BeliefState.all_active(inst.V, inst.T)
+            active, pending = [1.0] * inst.V, [{} for _ in range(inst.V)]
+            for t in range(1, inst.T + 1):
+                if t >= 2:
+                    state.advance(hazard, t)
+                    dict_filter_step(active, pending, inst.dist, t)
+                assert state.active.tolist() == active
+                assert [{tau + 1: m for tau, m in enumerate(row) if m} for row in
+                        state.pending.tolist()] == pending
                 for v in range(inst.V):
-                    total = state.active[v] + sum(state.pending[v].values())
-                    assert total == pytest.approx(1.0, abs=1e-9)
+                    if rng.random() < 0.3:
+                        state.notify(v, t)
+                        if active[v] > 0.0:
+                            pending[v][t] = active[v]
+                            active[v] = 0.0
+
+    @pytest.mark.parametrize("dist", [Geometric(0.3), Deterministic(3),
+                                      Tabulated((0.1, 0.0, 0.5, 0.4))], ids=repr)
+    def test_matches_closed_form_reference(self, dist):
+        # Independent reference: the mass knocked out at tau is still inactive
+        # at the start of t with probability sf(t - tau), so
+        # active[v] = 1 - sum_{tau < t} knocked[v, tau] sf(t - tau).
+        rng = random.Random(113)
+        V, T = 3, 12
+        hazard = duration_table(dist, T).hazard
+        for _ in range(30):
+            state = BeliefState.all_active(V, T)
+            knocked = np.zeros((V, T))
+            for t in range(1, T + 1):
+                if t >= 2:
+                    state.advance(hazard, t)
+                reference = [1.0 - sum(knocked[v, tau - 1] * dist.sf(t - tau)
+                                       for tau in range(1, t)) for v in range(V)]
+                assert np.all(np.abs(state.active - reference) <= 1e-12)
+                assert np.all(np.abs(state.active + state.pending.sum(axis=1) - 1.0) <= 1e-12)
+                for v in range(V):
+                    if rng.random() < 0.4:
+                        knocked[v, t - 1] = reference[v]
+                        state.notify(v, t)
 
 
 class TestHeuristics:
@@ -282,31 +346,31 @@ class TestHeuristics:
         assert probs == [1.0, 1.0]
 
     def test_upto_rho_stops_at_threshold(self):
-        probs = self.decide("upto:0.5", BeliefState.all_active(2), 1, 2, random.Random(1))
+        probs = self.decide("upto:0.5", BeliefState.all_active(2, 1), 1, 2, random.Random(1))
         assert probs == [0.0, 1.0]  # 0.6 already clears the bar
 
     def test_upto_rho_unreachable_notifies_all_positive(self):
-        probs = self.decide("upto:0.99", BeliefState.all_active(2), 1, 1, random.Random(1))
+        probs = self.decide("upto:0.99", BeliefState.all_active(2, 1), 1, 1, random.Random(1))
         assert probs == [1.0, 1.0]
 
     def test_upto_rho_all_zero_notifies_nobody(self):
         inst = Instance(arrival_rates=np.array([[0.5]]), match_probs=np.zeros((2, 1)),
                         dist=Deterministic(2))
-        probs = self.decide("upto:0.5", BeliefState.all_active(2), 1, 1, random.Random(1), inst)
+        probs = self.decide("upto:0.5", BeliefState.all_active(2, 1), 1, 1, random.Random(1), inst)
         assert probs == [0.0, 0.0]
 
     def test_best_n_picks_largest_match(self):
-        probs = self.decide("best:1", BeliefState.all_active(2), 1, 1, random.Random(1))
+        probs = self.decide("best:1", BeliefState.all_active(2, 1), 1, 1, random.Random(1))
         assert probs == [0.0, 1.0]
 
     def test_best_n_tie_goes_to_lower_index(self):
         inst = Instance(arrival_rates=np.array([[0.5]]), match_probs=np.array([[0.4], [0.4]]),
                         dist=Deterministic(2))
-        probs = self.decide("best:1", BeliefState.all_active(2), 1, 1, random.Random(1), inst)
+        probs = self.decide("best:1", BeliefState.all_active(2, 1), 1, 1, random.Random(1), inst)
         assert probs == [1.0, 0.0]
 
     def test_random_n_with_few_eligible(self):
-        beliefs = BeliefState(active=[1.0, 0.2], pending=[{}, {1: 0.8}])
+        beliefs = BeliefState(active=np.array([1.0, 0.2]), pending=np.array([[0.0], [0.8]]))
         probs = self.decide("random:3", beliefs, 1, 1, random.Random(1))
         assert probs == [1.0, 0.0]
 
@@ -314,7 +378,7 @@ class TestHeuristics:
         rng = random.Random(5)
         counts = [0, 0]
         for _ in range(4000):
-            probs = self.decide("random:1", BeliefState.all_active(2), 1, 1, rng)
+            probs = self.decide("random:1", BeliefState.all_active(2, 1), 1, 1, rng)
             counts[int(np.argmax(probs))] += 1
         assert abs(counts[0] / 4000 - 0.5) < 0.05
 
@@ -337,7 +401,7 @@ class TestHeuristics:
         lam = np.array([[1.0, 0.0], [0.0, 1.0]])
         p = np.array([[0.5, 0.0], [0.5, 0.4]])
         inst = Instance(arrival_rates=lam, match_probs=p, dist=Deterministic(2))
-        probs = self.decide("rolling:2", BeliefState.all_active(2), 1, 1, random.Random(1), inst)
+        probs = self.decide("rolling:2", BeliefState.all_active(2, 2), 1, 1, random.Random(1), inst)
         assert probs == [1.0, 1.0]  # window benchmark notifies both for task 1
 
 

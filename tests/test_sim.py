@@ -12,10 +12,11 @@ from volnotify.core import (
     Instance,
     Tabulated,
     ValidationError,
+    duration_table,
     evaluate_fv,
 )
 from volnotify.exante import benchmark_lp, select_ex_ante
-from volnotify.policies import BeliefState, StaticPlanPolicy, belief_notify, belief_step, make_policy
+from volnotify.policies import BeliefState, StaticPlanPolicy, make_policy
 from volnotify.sim import (
     CapacityError,
     _Ctx,
@@ -126,6 +127,24 @@ class TestSimulate:
         stats = simulate(inst, make_policy("all", inst), 100, seed=1, lp_value=0.0)
         assert stats.ratio is None
 
+    def test_seed_outside_unsigned_64_bits_rejected(self):
+        # a negative seed or episode index would replay another pair's stream
+        inst = make_i4()
+        policy = make_policy("all", inst)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValidationError):
+                simulate(inst, policy, 10, seed=seed)
+            with pytest.raises(ValidationError):
+                simulate_batched(inst, policy, 10, seed, nbatches=2)
+            with pytest.raises(ValidationError):
+                empirical_active_prob(inst, policy, 10, seed)
+            with pytest.raises(ValidationError):
+                episode_rng(seed, 0)
+        for episode in (-1, 2**64):
+            with pytest.raises(ValidationError):
+                episode_rng(0, episode)
+        assert simulate(inst, policy, 10, seed=2**64 - 1).episodes == 10
+
     def test_i4_exante_plan_moments(self):
         q, eps = 0.1, 1e-3
         inst = make_i4(q, eps)
@@ -204,6 +223,7 @@ class TestBeliefFilterExactness:
             inst = random_instance(rng, max_v=3, max_s=3, max_t=6)
             probs = np.full((inst.V, inst.S, inst.T), 0.4)
             policy = StaticPlanPolicy("static", probs)
+            hazard = duration_table(inst.dist, inst.T).hazard
             ctx = _Ctx(inst)
             n = 4000
             dsum = np.zeros((inst.V, inst.T))
@@ -212,16 +232,16 @@ class TestBeliefFilterExactness:
                 counts = [[0] * inst.T for _ in range(inst.V)]
                 _, _, records = _play(ctx, policy, episode_rng(11, ep),
                                       collect=True, active_counts=counts)
-                state = BeliefState.all_active(inst.V)
+                state = BeliefState.all_active(inst.V, inst.T)
                 for t, rec in enumerate(records, start=1):
                     if t >= 2:
-                        state = belief_step(state, inst, t)
+                        state.advance(hazard, t)
                     for v in range(inst.V):
                         d = counts[v][t - 1] - state.active[v]
                         dsum[v, t - 1] += d
                         dsq[v, t - 1] += d * d
                     for v in rec.notified:
-                        state = belief_notify(state, v, t)
+                        state.notify(v - 1, t)
             mean = dsum / n
             var = np.maximum(dsq / n - mean * mean, 0.0)
             se = np.sqrt(var / n)
