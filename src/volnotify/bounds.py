@@ -78,7 +78,7 @@ def make_instance(spec: CanonicalInstanceSpec) -> Instance:
         eps = float(p.get("eps", 1e-3))
         if not 0.0 <= q < 1.0:
             raise ValidationError(f"I1 needs q in [0, 1), got {q}")
-        if eps <= 0.0 or eps > (1.0 - q) / 100.0:
+        if not 0.0 < eps <= (1.0 - q) / 100.0:
             raise ValidationError(f"I1 needs 0 < eps <= (1-q)/100, got eps={eps}")
         if q == 0.0:
             det = int(p.get("det_length", 2))
@@ -113,7 +113,7 @@ def make_instance(spec: CanonicalInstanceSpec) -> Instance:
         eps = float(p.get("eps", 1e-3))
         if not 0.0 < q <= 1.0:
             raise ValidationError(f"I4 needs q in (0, 1], got {q}")
-        if eps <= 0.0 or eps > q / 10.0:
+        if not 0.0 < eps <= q / 10.0:
             raise ValidationError(f"I4 needs 0 < eps <= q/10, got eps={eps}")
         return _two_period(1.0, q, [eps, 1.0], Geometric(q))
 

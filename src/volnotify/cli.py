@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import kappa_grid, make_instance, parse_canonical_spec
-from .core import Instance, ValidationError, instance_from_json, instance_to_json
+from .core import Instance, ValidationError, instance_from_json, instance_to_json, json_int
 from .exante import LpError, benchmark_lp, select_ex_ante, solution_to_triples
 from .policies import PLAN_POLICIES, make_policy, parse_policy_spec
 from .sim import CapacityError, simulate, simulate_batched
@@ -130,9 +130,9 @@ class ExperimentConfig:
             fields = dict(
                 instance=doc["instance"],
                 policies=tuple(doc["policies"]),
-                episodes=int(doc["episodes"]),
-                seed=int(doc["seed"]),
-                m=int(doc.get("m", 100)),
+                episodes=json_int(doc["episodes"], "episodes"),
+                seed=json_int(doc["seed"], "seed"),
+                m=json_int(doc.get("m", 100), "m"),
                 theta=float(doc.get("theta", 1.0)),
                 out=doc.get("out"),
             )
@@ -216,13 +216,16 @@ def perturb_instance(instance: Instance, spec: PerturbationSpec, replicate: int)
 # ---------------------------------------------------------------------------
 
 
-def _build_policies(config: ExperimentConfig, instance: Instance):
-    """Instantiate the configured policies, sharing one ex-ante solve."""
-    x_star = None
-    if any(parse_policy_spec(p)[0] in PLAN_POLICIES for p in config.policies):
-        x_star = select_ex_ante(instance, config.m).solution
-    return [make_policy(text, instance, x_star=x_star, m=config.m, theta=config.theta)
-            for text in config.policies]
+def _build_policies(instance: Instance, specs, m: int, theta: float):
+    """The policies of specs and the ex-ante selection they share (None without a plan kind).
+
+    Every spec and theta are checked before anything is solved.
+    """
+    plans = [parse_policy_spec(text)[0] in PLAN_POLICIES for text in specs]
+    if not 0.0 <= theta <= 1.0:
+        raise ValidationError(f"theta must be in [0, 1], got {theta}")
+    ex = select_ex_ante(instance, m) if any(plans) else None
+    return [make_policy(text, instance, ex.solution if ex else None, theta) for text in specs], ex
 
 
 def run_compare(config: ExperimentConfig) -> tuple[str, dict]:
@@ -233,10 +236,11 @@ def run_compare(config: ExperimentConfig) -> tuple[str, dict]:
     batch) and a JSON-ready summary with per-policy mean ratios.
     """
     instance, instance_id = load_instance(config.instance)
-    lp_value = benchmark_lp(instance).lp_value
+    policies, ex = _build_policies(instance, config.policies, config.m, config.theta)
+    lp_value = ex.lp_value if ex else benchmark_lp(instance).lp_value
     rows = []
     summary_policies = {}
-    for policy in _build_policies(config, instance):
+    for policy in policies:
         stats, batches = simulate_batched(
             instance, policy, config.episodes, config.seed, nbatches=25, lp_value=lp_value)
         for b in batches:
@@ -273,14 +277,14 @@ def run_robustness(config: ExperimentConfig, spec: PerturbationSpec) -> tuple[st
     """
     instance, _ = load_instance(config.instance)
     baseline = {}
-    for policy in _build_policies(config, instance):
+    for policy in _build_policies(instance, config.policies, config.m, config.theta)[0]:
         stats = simulate(instance, policy, config.episodes, config.seed)
         baseline[policy.name] = stats.mean_completed
 
     perturbed_means: dict[str, list[float]] = {name: [] for name in baseline}
     for replicate in range(spec.replicates):
         shifted = perturb_instance(instance, spec, replicate)
-        for policy in _build_policies(config, shifted):
+        for policy in _build_policies(shifted, config.policies, config.m, config.theta)[0]:
             stats = simulate(instance, policy, config.episodes, config.seed)
             perturbed_means[policy.name].append(stats.mean_completed)
 
@@ -341,8 +345,8 @@ def _cmd_exante(args) -> None:
 
 def _cmd_simulate(args) -> None:
     instance, instance_id = load_instance(args.instance)
-    policy = make_policy(args.policy, instance, m=args.m, theta=args.theta)
-    lp_value = benchmark_lp(instance).lp_value
+    (policy,), ex = _build_policies(instance, [args.policy], args.m, args.theta)
+    lp_value = ex.lp_value if ex else benchmark_lp(instance).lp_value
     stats = simulate(instance, policy, args.episodes, args.seed, lp_value=lp_value)
     row = {
         "policy": policy.name,

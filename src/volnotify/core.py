@@ -177,9 +177,9 @@ class Tabulated(InterActivityDistribution):
         probs = tuple(float(p) for p in self.probs)
         if not probs:
             raise ValidationError("tabulated distribution needs at least one mass")
-        if any(p < 0.0 for p in probs):
+        if not all(p >= 0.0 for p in probs):
             raise ValidationError("tabulated masses must be nonnegative")
-        if abs(sum(probs) - 1.0) > 1e-9:
+        if not abs(sum(probs) - 1.0) <= 1e-9:
             raise ValidationError(f"tabulated masses must sum to 1, got {sum(probs)}")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_cum", tuple(accumulate(probs[:-1])) + (1.0,))
@@ -288,9 +288,9 @@ class Instance:
             )
         if lam.shape[0] < 1 or p.shape[0] < 1 or lam.shape[1] < 1:
             raise ValidationError("instance needs at least one period, volunteer, and task type")
-        if np.any(lam < 0.0) or np.any(lam > 1.0):
+        if not np.all((lam >= 0.0) & (lam <= 1.0)):
             raise ValidationError("arrival rates must lie in [0, 1]")
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        if not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValidationError("match probabilities must lie in [0, 1]")
         row_sums = lam.sum(axis=1)
         bad = np.nonzero(row_sums > 1.0 + 1e-9)[0]
@@ -364,24 +364,23 @@ class Violation:
     value: float
 
 
-def check_feasible(instance: Instance, solution: FractionalSolution,
-                   tol: float = FEASIBILITY_TOL) -> list[Violation]:
+def check_feasible(instance: Instance, solution: FractionalSolution) -> list[Violation]:
     """Report violations of the box constraints and per-volunteer notification budgets.
 
     The budget constraint requires, for every volunteer v and period t, that
     the expected number of v's notifications still pending (weighted by the
     probability the triggered inactivity outlasts period t) not exceed 1.
-    Returns an empty list iff the solution is feasible within ``tol``.
+    Returns an empty list iff the solution is feasible within FEASIBILITY_TOL.
     """
     x = _require_shape(instance, solution)
     out: list[Violation] = []
-    bad = np.argwhere((x < -tol) | (x > 1.0 + tol))
+    bad = np.argwhere((x < -FEASIBILITY_TOL) | (x > 1.0 + FEASIBILITY_TOL))
     for v, s, t in bad:
         out.append(Violation("range", int(v) + 1, int(s) + 1, int(t) + 1, float(x[v, s, t])))
     # loads[v, t] = sum_{tau <= t} sum_s lambda[tau, s] x[v, s, tau] sf(t - tau)
     weights = np.einsum("ts,vst->vt", instance.arrival_rates, x)
     loads = weights @ survival_matrix(instance.dist, instance.T).T
-    for v, t in np.argwhere(loads > 1.0 + tol):
+    for v, t in np.argwhere(loads > 1.0 + FEASIBILITY_TOL):
         out.append(Violation("load", int(v) + 1, None, int(t) + 1, float(loads[v, t])))
     return out
 
@@ -435,7 +434,7 @@ def dist_from_dict(data: dict) -> InterActivityDistribution:
         if kind == "geometric":
             return Geometric(float(data["q"]))
         if kind == "deterministic":
-            return Deterministic(int(data["d"]))
+            return Deterministic(json_int(data["d"], "d"))
         if kind == "tabulated":
             return Tabulated(tuple(data["probs"]))
     except ValidationError:
@@ -471,13 +470,20 @@ def instance_to_json(instance: Instance, indent: int | None = None) -> str:
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 
+def json_int(value, name: str) -> int:
+    """A JSON integer field as is; a float, string or boolean is rejected, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def instance_from_json(text: str) -> Instance:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid instance JSON: {exc}") from None
     try:
-        T, V, S = int(doc["T"]), int(doc["V"]), int(doc["S"])
+        T, V, S = (json_int(doc[key], key) for key in ("T", "V", "S"))
         arrivals = doc["arrivals"]
         p = np.array(doc["match"], dtype=float)
         dist = dist_from_dict(doc["dist"])
@@ -485,7 +491,7 @@ def instance_from_json(text: str) -> Instance:
         if arrivals and all(len(row) == 3 for row in arrivals) and (T, S) != (len(arrivals), 3):
             seen = set()
             for t, s, rate in arrivals:
-                t, s = int(t), int(s)
+                t, s = json_int(t, "arrival period"), json_int(s, "arrival type")
                 if not (1 <= t <= T and 1 <= s <= S):
                     raise ValidationError(f"arrival triple ({t}, {s}) out of range")
                 if (t, s) in seen:

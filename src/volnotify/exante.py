@@ -216,11 +216,12 @@ def sequential_sq(instance: Instance) -> FractionalSolution:
 
 @dataclass(frozen=True)
 class ExAnteSolution:
-    """The selected ex-ante solution with its provenance tag and objective value."""
+    """The selected ex-ante solution with its provenance tag, objective and benchmark values."""
 
     solution: FractionalSolution
     tag: str  # "LP", "AA", or "SQ"
     f_value: float
+    lp_value: float  # the benchmark value, solved for the LP candidate
 
 
 def select_ex_ante(instance: Instance, m: int = DEFAULT_STEP_COUNT) -> ExAnteSolution:
@@ -230,15 +231,16 @@ def select_ex_ante(instance: Instance, m: int = DEFAULT_STEP_COUNT) -> ExAnteSol
     """
     if m < 1:
         raise ValidationError(f"step count must be >= 1, got {m}")
+    bench = benchmark_lp(instance)
     candidates = [
-        ("LP", benchmark_lp(instance).x_lp),
+        ("LP", bench.x_lp),
         ("AA", frank_wolfe_aa(instance, m)),
         ("SQ", sequential_sq(instance)),
     ]
     values = [evaluate_f(instance, sol) for _, sol in candidates]
     best = values.index(max(values))  # the first of equal values
     return ExAnteSolution(solution=candidates[best][1], tag=candidates[best][0],
-                          f_value=values[best])
+                          f_value=values[best], lp_value=bench.lp_value)
 
 
 def solution_to_triples(solution: FractionalSolution) -> list[dict]:

@@ -48,9 +48,8 @@ __all__ = [
 def _require_feasible(instance: Instance, x_star: FractionalSolution) -> np.ndarray:
     report = check_feasible(instance, x_star)
     if report:
-        first = report[0]
         raise ValidationError(
-            f"ex-ante solution is infeasible ({len(report)} violations; first: {first})")
+            f"ex-ante solution is infeasible ({len(report)} violations; first: {report[0]})")
     return x_star.x
 
 
@@ -339,12 +338,13 @@ class RollingHorizonPolicy(BeliefPolicy):
     The program covers periods t .. min(t + horizon - 1, T) with only the
     eligible volunteers, all treated as active at the start of the window. It
     depends only on the period and the eligible set, so repeat arrivals reuse
-    the solved plan.
+    the solved plan. A horizon of None is default_rolling_horizon(instance).
     """
 
-    def __init__(self, name: str, instance: Instance, horizon: int, theta: float = 1.0):
+    def __init__(self, name: str, instance: Instance, horizon: int | None = None,
+                 theta: float = 1.0):
         super().__init__(name, instance, theta)
-        self.horizon = horizon
+        self.horizon = default_rolling_horizon(instance) if horizon is None else horizon
         self._cache: dict = {}
 
     def decide(self, state, t: int, s: int, rng):
@@ -373,13 +373,20 @@ class RollingHorizonPolicy(BeliefPolicy):
 # ---------------------------------------------------------------------------
 
 POLICY_GRAMMAR = "sn | sdn | exante | all | random:n | best:n | upto:rho | rolling:H"
-PLAN_POLICIES = ("sn", "sdn", "exante")  # built from the ex-ante solution
-# parameterized kind -> (parameter, type, least value, greatest value)
-_PARAMETERS = {
-    "random": ("n", int, 1, math.inf),
-    "best": ("n", int, 1, math.inf),
-    "upto": ("rho", float, 0.0, 1.0),
-    "rolling": ("horizon", int, 1, math.inf),
+# static kind -> (needs the ex-ante solution, builder of its (V, S, T) tensor)
+_STATIC_KINDS = {
+    "sn": (True, lambda instance, x_star: sn_offline(instance, x_star).x_tilde),
+    "sdn": (True, lambda instance, x_star: sdn_offline(instance, x_star).probs),
+    "exante": (True, lambda instance, x_star: np.asarray(x_star.x)),
+    "all": (False, lambda instance, x_star: np.ones((instance.V, instance.S, instance.T))),
+}
+PLAN_POLICIES = tuple(kind for kind, (needs_x, _) in _STATIC_KINDS.items() if needs_x)
+# belief kind -> (class, parameter, type, least value, greatest value)
+_BELIEF_KINDS = {
+    "random": (RandomNPolicy, "n", int, 1, math.inf),
+    "best": (BestNPolicy, "n", int, 1, math.inf),
+    "upto": (UpToRhoPolicy, "rho", float, 0.0, 1.0),
+    "rolling": (RollingHorizonPolicy, "horizon", int, 1, math.inf),
 }
 
 
@@ -391,15 +398,15 @@ def parse_policy_spec(text: str) -> tuple[str, dict]:
     """
     head, _, arg = text.strip().partition(":")
     head = head.lower()
-    if head in PLAN_POLICIES or head == "all":
+    if head in _STATIC_KINDS:
         if arg:
             raise ValidationError(f"policy {head!r} takes no parameter")
         return head, {}
-    if head not in _PARAMETERS:
+    if head not in _BELIEF_KINDS:
         raise ValidationError(f"unknown policy spec {text!r}; grammar: {POLICY_GRAMMAR}")
     if head == "rolling" and not arg:
         return head, {}
-    key, convert, least, greatest = _PARAMETERS[head]
+    _, key, convert, least, greatest = _BELIEF_KINDS[head]
     try:
         value = convert(arg)
     except ValueError:
@@ -416,32 +423,19 @@ def default_rolling_horizon(instance: Instance) -> int:
 
 
 def make_policy(text: str, instance: Instance, x_star: FractionalSolution | None = None,
-                m: int = exante.DEFAULT_STEP_COUNT, theta: float = 1.0) -> Policy:
-    """Build a simulator-ready policy from a spec string.
+                theta: float = 1.0) -> Policy:
+    """Build a simulator-ready policy from a spec string; nothing is solved here.
 
-    Plan-based policies (sn, sdn, exante) need the ex-ante solution; when
-    x_star is not supplied it is computed here with step count m. theta, the
-    activity belief a heuristic needs before it notifies, must lie in [0, 1].
+    The plan kinds (sn, sdn, exante) need the ex-ante solution x_star, e.g.
+    select_ex_ante(instance, m).solution. theta, the activity belief a
+    heuristic needs before it notifies, must lie in [0, 1].
     """
     kind, params = parse_policy_spec(text)
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta must be in [0, 1], got {theta}")
-    if kind in PLAN_POLICIES:
-        if x_star is None:
-            x_star = exante.select_ex_ante(instance, m).solution
-        if kind == "sn":
-            return StaticPlanPolicy(text, sn_offline(instance, x_star).x_tilde)
-        if kind == "sdn":
-            return StaticPlanPolicy(text, sdn_offline(instance, x_star).probs)
-        return StaticPlanPolicy(text, np.asarray(x_star.x))
-    if kind == "all":
-        # notification probability 1 everywhere; no belief tracking needed
-        return StaticPlanPolicy(text, np.ones((instance.V, instance.S, instance.T)))
-    if kind == "random":
-        return RandomNPolicy(text, instance, params["n"], theta)
-    if kind == "best":
-        return BestNPolicy(text, instance, params["n"], theta)
-    if kind == "upto":
-        return UpToRhoPolicy(text, instance, params["rho"], theta)
-    horizon = params.get("horizon", default_rolling_horizon(instance))
-    return RollingHorizonPolicy(text, instance, horizon, theta)
+    if kind in _STATIC_KINDS:
+        needs_x, build = _STATIC_KINDS[kind]
+        if needs_x and x_star is None:
+            raise ValidationError(f"policy {kind!r} needs the ex-ante solution x_star")
+        return StaticPlanPolicy(text, build(instance, x_star))
+    return _BELIEF_KINDS[kind][0](text, instance, theta=theta, **params)

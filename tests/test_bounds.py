@@ -78,8 +78,11 @@ class TestCanonicalInstances:
         assert inst.dist.pmf(2) == 1.0
 
     def test_invalid_params(self):
+        nan = float("nan")
         for bad in (spec("I2", n=2.5), spec("I2", n=0), spec("I4", q=0.1, eps=0.05),
-                    spec("I1", q=0.5, eps=0.1), spec("I6", n=3), spec("I3", n=1)):
+                    spec("I1", q=0.5, eps=0.1), spec("I6", n=3), spec("I3", n=1),
+                    spec("I1", q=0.5, eps=nan), spec("I4", q=0.2, eps=nan),
+                    spec("I1", q=nan, eps=1e-3), spec("I4", q=nan, eps=1e-3)):
             with pytest.raises(ValidationError):
                 make_instance(bad)
         with pytest.raises(ValidationError):

@@ -51,6 +51,13 @@ MALFORMED_CONFIGS = [
     '{"instance": 6, "policies": ["sn"], "episodes": 5, "seed": 1}',
     '{"instance": "I6", "policies": [5], "episodes": 5, "seed": 1}',
     '{"instance": "I6", "policies": ["sn"], "episodes": 5, "seed": 1, "out": 5}',
+    '{"instance": "I6", "policies": ["sn"], "episodes": 2.7, "seed": 1}',
+    '{"instance": "I6", "policies": ["sn"], "episodes": 2, "seed": 1.9}',
+    '{"instance": "I6", "policies": ["sn"], "episodes": 2.0, "seed": 1}',
+    '{"instance": "I6", "policies": ["sn"], "episodes": "2", "seed": 1}',
+    '{"instance": "I6", "policies": ["sn"], "episodes": true, "seed": 1}',
+    '{"instance": "I6", "policies": ["sn"], "episodes": 2, "seed": 1, "m": 3.5}',
+    '{"instance": "I6", "policies": ["sn"], "episodes": 2, "seed": 1, "m": true}',
 ]
 
 MALFORMED_INSTANCES = [
@@ -62,6 +69,16 @@ MALFORMED_INSTANCES = [
     '"dist": {"type": "deterministic", "d": "two"}}',
     '{"T": 1, "V": 1, "S": 1, "arrivals": [[0.5]], "match": [[0.5]], '
     '"dist": {"type": "tabulated", "probs": ["x"]}}',
+    '{"T": 1, "V": 1, "S": 1, "arrivals": [[NaN]], "match": [[0.5]], '
+    '"dist": {"type": "deterministic", "d": 2}}',
+    '{"T": 1, "V": 1, "S": 1, "arrivals": [[0.5]], "match": [[NaN]], '
+    '"dist": {"type": "deterministic", "d": 2}}',
+    '{"T": 1, "V": 1, "S": 1, "arrivals": [[0.5]], "match": [[0.5]], '
+    '"dist": {"type": "tabulated", "probs": [NaN, 1.0]}}',
+    '{"T": 2.9, "V": 1, "S": 1, "arrivals": [[0.5], [0.5]], "match": [[0.5]], '
+    '"dist": {"type": "deterministic", "d": 2.7}}',
+    '{"T": 2, "V": 1, "S": 1, "arrivals": [[0.5], [0.5]], "match": [[0.5]], '
+    '"dist": {"type": "deterministic", "d": true}}',
 ]
 
 
@@ -327,6 +344,9 @@ class TestMain:
                          "--episodes", "10", "--seed", "1", "--theta", theta]) == 1
         assert main(["bench", "I9"]) == 1
         assert "error:" in capsys.readouterr().err
+        for inst in ("I1:q=0.5,eps=nan", "I4:q=0.2,eps=nan"):
+            assert main(["bench", inst]) == 1
+            assert "error:" in capsys.readouterr().err
         assert main(["simulate", "I6", "--policy", "sn", "--episodes", "10", "--seed", "-1",
                      "--m", "3"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -342,6 +362,34 @@ class TestMain:
             inst_path.write_text(text)
             assert main(["bench", str(inst_path)]) == 1
             assert "error:" in capsys.readouterr().err
+
+    def test_one_benchmark_solve_per_command(self, tmp_path, monkeypatch):
+        import volnotify.cli as cli
+        import volnotify.exante as exante
+
+        calls = []
+
+        def counted(instance):
+            calls.append(instance)
+            return real(instance)
+
+        real = exante.benchmark_lp
+        monkeypatch.setattr(exante, "benchmark_lp", counted)  # read by select_ex_ante
+        monkeypatch.setattr(cli, "benchmark_lp", counted)
+        sim = ["simulate", "I4:q=0.2,eps=1e-3", "--episodes", "20", "--seed", "1", "--m", "3"]
+        out = ["--out", str(tmp_path / "s.csv")]
+        # a bad spec or theta fails before anything is solved
+        for policy, theta, code, solves in (("sn", "1", 0, 1), ("best:1", "1", 0, 1),
+                                            ("bogus", "1", 1, 0), ("sn", "2", 1, 0)):
+            calls.clear()
+            assert main(sim + ["--policy", policy, "--theta", theta] + out) == code
+            assert len(calls) == solves
+        for policies in (["sn", "best:1"], ["best:1"]):
+            calls.clear()
+            cfg_path = write_config(tmp_path / "config.json", episodes=20, policies=policies,
+                                    out=str(tmp_path / "c.csv"))
+            assert main(["compare", str(cfg_path)]) == 0
+            assert len(calls) == 1
 
     def test_module_entry_points(self):
         env = dict(os.environ)

@@ -94,6 +94,9 @@ class TestDistributions:
             Tabulated((0.5, 0.4))
         with pytest.raises(ValidationError):
             Tabulated((1.2, -0.2))
+        for probs in ((float("nan"), 1.0), (float("nan"),), (0.5, 0.5, float("nan"))):
+            with pytest.raises(ValidationError):
+                Tabulated(probs)
 
     def test_geometric_validation(self):
         for q in (0.0, -0.1, 1.5):
@@ -182,6 +185,13 @@ class TestInstance:
                      dist=Deterministic(2))
         with pytest.raises(ValidationError):
             Instance(arrival_rates=np.array([[0.5]]), match_probs=np.array([[-0.1]]),
+                     dist=Deterministic(2))
+        nan = float("nan")
+        with pytest.raises(ValidationError):
+            Instance(arrival_rates=np.array([[nan]]), match_probs=np.array([[0.5]]),
+                     dist=Deterministic(2))
+        with pytest.raises(ValidationError):
+            Instance(arrival_rates=np.array([[0.5]]), match_probs=np.array([[nan]]),
                      dist=Deterministic(2))
 
     def test_shape_mismatch_rejected(self):
@@ -351,6 +361,13 @@ class TestSerialization:
         ("dist", '{"type": "tabulated", "probs": [0.5, "x"]}'),
         ("dist", '{"type": "tabulated", "probs": 5}'),
         ("arrivals", '[[0.5, "x"]]'), ("match", '[["y"]]'),
+        ("T", "2.9"), ("T", "1.0"), ("V", '"1"'), ("S", "true"),
+        ("dist", '{"type": "deterministic", "d": 2.7}'),
+        ("dist", '{"type": "deterministic", "d": 2.0}'),
+        ("dist", '{"type": "deterministic", "d": true}'),
+        ("arrivals", "[[1.0, 1, 0.5]]"), ("arrivals", "[[1, true, 0.5]]"),
+        ("arrivals", "[[NaN, 0.5]]"), ("match", "[[0.5, NaN]]"),
+        ("dist", '{"type": "tabulated", "probs": [NaN, 1.0]}'),
     ])
     def test_malformed_fields_rejected(self, field, value):
         doc = {"T": "1", "V": "1", "S": "2", "arrivals": "[[0.5, 0.5]]", "match": "[[0.5, 0.5]]",

@@ -280,6 +280,7 @@ class TestSelect:
             inst = random_instance(rng)
             res = select_ex_ante(inst, m=4)
             lp = benchmark_lp(inst).lp_value
+            assert res.lp_value == lp  # the LP candidate's own solve, not a second one
             assert res.f_value >= (1.0 - 1.0 / math.e) * lp - 1e-6
             assert check_feasible(inst, res.solution) == []
 

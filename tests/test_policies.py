@@ -441,6 +441,13 @@ class TestPolicyFactory:
             assert isinstance(policy, BeliefPolicy) == (cls is not StaticPlanPolicy)
             assert policy.name == text
 
+    def test_plan_kinds_need_x_star(self):
+        inst = make_i4()
+        for text in ("sn", "sdn", "exante"):
+            with pytest.raises(ValidationError, match="x_star"):
+                make_policy(text, inst)
+        assert make_policy("all", inst).decide(None, 1, 1, random.Random(1)) == [1.0]
+
     def test_sn_policy_probabilities_match_plan(self):
         inst = make_i4()
         policy = make_policy("sn", inst, x_star=i4_ones())
