@@ -30,7 +30,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import kappa_grid, make_instance, parse_canonical_spec
-from .core import Instance, ValidationError, instance_from_json, instance_to_json, json_int
+from .core import (
+    Instance,
+    ValidationError,
+    instance_from_json,
+    instance_to_json,
+    json_int,
+    json_real,
+)
 from .exante import LpError, benchmark_lp, select_ex_ante, solution_to_triples
 from .policies import PLAN_POLICIES, make_policy, parse_policy_spec
 from .sim import CapacityError, simulate, simulate_batched
@@ -105,6 +112,8 @@ class ExperimentConfig:
             raise ValidationError("config needs at least one policy")
         for text in self.policies:
             parse_policy_spec(text)
+        for name in ("episodes", "seed", "m"):
+            json_int(getattr(self, name), name)
         if self.episodes < 1:
             raise ValidationError(f"episodes must be >= 1, got {self.episodes}")
         if not 0 <= self.seed < 2**64:
@@ -130,10 +139,10 @@ class ExperimentConfig:
             fields = dict(
                 instance=doc["instance"],
                 policies=tuple(doc["policies"]),
-                episodes=json_int(doc["episodes"], "episodes"),
-                seed=json_int(doc["seed"], "seed"),
-                m=json_int(doc.get("m", 100), "m"),
-                theta=float(doc.get("theta", 1.0)),
+                episodes=doc["episodes"],
+                seed=doc["seed"],
+                m=doc.get("m", 100),
+                theta=json_real(doc.get("theta", 1.0), "theta"),
                 out=doc.get("out"),
             )
         except KeyError as exc:

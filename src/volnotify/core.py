@@ -432,11 +432,11 @@ def dist_from_dict(data: dict) -> InterActivityDistribution:
         raise ValidationError("distribution object needs a 'type' field") from None
     try:
         if kind == "geometric":
-            return Geometric(float(data["q"]))
+            return Geometric(json_real(data["q"], "q"))
         if kind == "deterministic":
             return Deterministic(json_int(data["d"], "d"))
         if kind == "tabulated":
-            return Tabulated(tuple(data["probs"]))
+            return Tabulated(tuple(json_reals(data["probs"], "probs")))
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -471,10 +471,29 @@ def instance_to_json(instance: Instance, indent: int | None = None) -> str:
 
 
 def json_int(value, name: str) -> int:
-    """A JSON integer field as is; a float, string or boolean is rejected, never truncated."""
+    """An integer field as is; a float, string or boolean is rejected, never truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name} must be a JSON integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def json_real(value, name: str) -> float:
+    """A JSON number field as a float; a boolean, string or null is rejected, never converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def json_reals(values, name: str) -> np.ndarray:
+    """A (nested) list of JSON numbers as a float array; a boolean, string or null entry is rejected."""
+    stack = [values]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, list):
+            stack.extend(value)
+        else:
+            json_real(value, name)
+    return np.array(values, dtype=float)
 
 
 def instance_from_json(text: str) -> Instance:
@@ -485,7 +504,7 @@ def instance_from_json(text: str) -> Instance:
     try:
         T, V, S = (json_int(doc[key], key) for key in ("T", "V", "S"))
         arrivals = doc["arrivals"]
-        p = np.array(doc["match"], dtype=float)
+        p = json_reals(doc["match"], "match")
         dist = dist_from_dict(doc["dist"])
         lam = np.zeros((T, S))
         if arrivals and all(len(row) == 3 for row in arrivals) and (T, S) != (len(arrivals), 3):
@@ -497,9 +516,9 @@ def instance_from_json(text: str) -> Instance:
                 if (t, s) in seen:
                     raise ValidationError(f"duplicate arrival triple for period {t}, type {s}")
                 seen.add((t, s))
-                lam[t - 1, s - 1] = float(rate)
+                lam[t - 1, s - 1] = json_real(rate, "arrival rate")
         else:
-            lam = np.array(arrivals, dtype=float)
+            lam = json_reals(arrivals, "arrivals")
             if lam.shape != (T, S):
                 raise ValidationError(f"dense arrivals must be {T} x {S}, got {lam.shape}")
     except ValidationError:

@@ -14,7 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csc_array
+from scipy.sparse import coo_array, csc_array
+
+try:  # scipy's bundled HiGHS binding is private; without it, linprog solves.
+    from scipy.optimize._highspy import _core as _highs
+
+    # The options linprog(method="highs") passes; any other value moves vertices.
+    _HIGHS_OPTIONS = _highs.HighsOptions()
+    _HIGHS_OPTIONS.presolve = "on"
+    _HIGHS_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    _HIGHS_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    _HIGHS_OPTIONS.log_to_console = False
+    _HIGHS_OPTIONS.output_flag = False
+except (ImportError, AttributeError):  # an older scipy, or a changed private binding
+    _highs = None
 
 from .core import (
     FractionalSolution,
@@ -55,13 +68,86 @@ def solve_lp(objective, A_ub, b_ub) -> tuple[np.ndarray, float]:
     returns (solution, optimal value) with constraints met within 1e-7 and
     the objective within 1e-6 of optimal. Raises LpInfeasibleError or LpError.
     """
-    res = linprog(-np.asarray(objective, dtype=float), A_ub=A_ub, b_ub=b_ub,
-                  bounds=(0.0, 1.0), method="highs")
-    if res.status == 2:
-        raise LpInfeasibleError(f"infeasible linear program: {res.message}")
-    if res.status != 0 or res.x is None:
-        raise LpError(f"linear program failed: {res.message}")
-    return np.asarray(res.x), float(-res.fun)
+    return _Lp(A_ub, b_ub).solve(objective)
+
+
+# linprog's post-solve feasibility tolerance: sqrt of its 1e-9 default, times 10.
+_RESULT_TOL = np.sqrt(1e-9) * 10
+
+
+class _Lp:
+    """The program max c @ x, A_ub @ x <= b_ub, 0 <= x <= 1, built once for any number of objectives.
+
+    The constraint matrix becomes one HiGHS model in the canonical CSC form
+    linprog hands HiGHS. Each solve sets the costs and runs a fresh solver
+    with linprog's options and checks, so a solution does not depend on
+    earlier solves and is bitwise linprog's. (A warm-started model would
+    solve faster but moves vertices.) Without scipy's HiGHS binding, each
+    solve calls linprog.
+    """
+
+    def __init__(self, A_ub, b_ub):
+        self.A_ub, self.b_ub, self._model = A_ub, b_ub, None
+        if _highs is None:
+            return
+        A = csc_array(coo_array(A_ub, dtype=float))
+        b = self._b = np.asarray(b_ub, dtype=float).reshape(-1)
+        if A.ndim != 2 or b.shape != (A.shape[0],):
+            raise ValueError(f"b_ub must have one entry per row of A_ub, got {b.shape} for {A.shape}")
+        if not (np.isfinite(A.data).all() and np.isfinite(b).all()):
+            raise ValueError("A_ub and b_ub must not contain inf or nan")
+        m, n = A.shape
+        lp = self._model = _highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.num_row_ = lp.a_matrix_.num_row_ = m
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = A.indptr
+        lp.a_matrix_.index_ = A.indices
+        lp.a_matrix_.value_ = A.data
+        lp.col_lower_ = np.zeros(n)
+        lp.col_upper_ = np.ones(n)
+        lp.row_lower_ = np.full(m, -np.inf)
+        lp.row_upper_ = b
+
+    def solve(self, objective) -> tuple[np.ndarray, float]:
+        cost = -np.asarray(objective, dtype=float)
+        if self._model is None:
+            res = linprog(cost, A_ub=self.A_ub, b_ub=self.b_ub, bounds=(0.0, 1.0), method="highs")
+            if res.status == 2:
+                raise LpInfeasibleError(f"infeasible linear program: {res.message}")
+            if res.status != 0 or res.x is None:
+                raise LpError(f"linear program failed: {res.message}")
+            return np.asarray(res.x), float(-res.fun)
+        cost = cost.reshape(-1)
+        if cost.shape != (self._model.num_col_,):
+            raise ValueError(f"objective must have one entry per column of A_ub, got {cost.shape}")
+        if not np.isfinite(cost).all():
+            raise ValueError("objective must not contain inf or nan")
+        self._model.col_cost_ = cost
+        solver = _highs._Highs()
+        solver.passOptions(_HIGHS_OPTIONS)
+        if solver.passModel(self._model) == _highs.HighsStatus.kError:
+            raise LpError("linear program failed: HiGHS rejected the model")
+        ran = solver.run() != _highs.HighsStatus.kError
+        status = solver.getModelStatus()
+        if not ran or status != _highs.HighsModelStatus.kOptimal:
+            primal = solver.getInfo().primal_solution_status
+            message = (f"HiGHS status {int(status)}: model_status is "
+                       f"{solver.modelStatusToString(status)}; primal_status is "
+                       f"{solver.solutionStatusToString(primal)}")
+            if status == _highs.HighsModelStatus.kInfeasible:
+                raise LpInfeasibleError(f"infeasible linear program: {message}")
+            raise LpError(f"linear program failed: {message}")
+        solution = solver.getSolution()
+        x = np.array(solution.col_value)
+        fun = solver.getInfo().objective_function_value
+        slack = self._b - solution.row_value
+        if (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
+                or not np.all((x >= -_RESULT_TOL) & (x <= 1.0 + _RESULT_TOL))
+                or (slack < -_RESULT_TOL).any()):
+            raise LpError(f"linear program failed: the solution misses the constraints by more "
+                          f"than {_RESULT_TOL:.2E}")
+        return x, float(-fun)
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +177,13 @@ def _snap(x: np.ndarray, budget: np.ndarray) -> np.ndarray:
     return x / np.maximum(1.0, (x @ budget.T).max(axis=1))[:, None]
 
 
-def _solve_volunteer(costs: np.ndarray, budget: np.ndarray) -> np.ndarray:
-    """Maximize costs @ x over one volunteer's notification budget and the unit box."""
-    sol, _ = solve_lp(costs, budget, np.ones(budget.shape[0]))
-    return _snap(sol[None, :], budget)[0]
+def _volunteer_oracle(budget: np.ndarray):
+    """costs -> the snapped maximizer of costs @ x over one volunteer's budget and the unit box.
+
+    The budget's program is built once; each call only swaps the costs.
+    """
+    lp = _Lp(budget, np.ones(budget.shape[0]))
+    return lambda costs: _snap(lp.solve(costs)[0][None, :], budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +268,10 @@ def frank_wolfe_aa(instance: Instance, m: int = DEFAULT_STEP_COUNT) -> Fractiona
     x = np.zeros((instance.V, instance.S, instance.T))
     if ts.size == 0:
         return FractionalSolution(x)
+    oracle = _volunteer_oracle(budget)
     for _ in range(m):
         costs = objective_gradient(instance, x)[:, ss, ts]
-        x[:, ss, ts] += np.array([_solve_volunteer(c, budget) for c in costs]) / m
+        x[:, ss, ts] += np.array([oracle(c) for c in costs]) / m
     return FractionalSolution(x)
 
 
@@ -203,8 +293,9 @@ def sequential_sq(instance: Instance) -> FractionalSolution:
         return FractionalSolution(x)
     lam, p = instance.arrival_rates[ts, ss], instance.match_probs
     prefix = np.ones((instance.S, instance.T))
+    oracle = _volunteer_oracle(budget)
     for v in range(instance.V):
-        x[v, ss, ts] = _solve_volunteer(lam * prefix[ss, ts] * p[v, ss], budget)
+        x[v, ss, ts] = oracle(lam * prefix[ss, ts] * p[v, ss])
         prefix = prefix * (1.0 - p[v][:, None] * x[v])
     return FractionalSolution(x)
 

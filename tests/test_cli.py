@@ -58,6 +58,7 @@ MALFORMED_CONFIGS = [
     '{"instance": "I6", "policies": ["sn"], "episodes": true, "seed": 1}',
     '{"instance": "I6", "policies": ["sn"], "episodes": 2, "seed": 1, "m": 3.5}',
     '{"instance": "I6", "policies": ["sn"], "episodes": 2, "seed": 1, "m": true}',
+    '{"instance": "I6", "policies": ["best:1"], "episodes": 2, "seed": 1, "theta": false}',
 ]
 
 MALFORMED_INSTANCES = [
@@ -104,6 +105,12 @@ class TestConfig:
             ExperimentConfig(instance="I6", policies=("sn",), episodes=0, seed=1)
         with pytest.raises(ValidationError):
             ExperimentConfig(instance="I6", policies=("sn", "rolling:0"), episodes=10, seed=1)
+        for field, value in (("episodes", 2.7), ("episodes", True), ("seed", 1.9),
+                             ("seed", "1"), ("m", 3.5), ("m", np.float64(5.0))):
+            kwargs = dict(instance="I6", policies=("all",), episodes=2, seed=1)
+            kwargs[field] = value
+            with pytest.raises(ValidationError):
+                ExperimentConfig(**kwargs)
         for theta in (2.0, -0.5, float("nan")):
             with pytest.raises(ValidationError):
                 ExperimentConfig(instance="I6", policies=("best:1",), episodes=10, seed=1,

@@ -368,6 +368,9 @@ class TestSerialization:
         ("arrivals", "[[1.0, 1, 0.5]]"), ("arrivals", "[[1, true, 0.5]]"),
         ("arrivals", "[[NaN, 0.5]]"), ("match", "[[0.5, NaN]]"),
         ("dist", '{"type": "tabulated", "probs": [NaN, 1.0]}'),
+        ("match", "[[true, 0.5]]"), ("arrivals", "[[0.5, false]]"),
+        ("arrivals", "[[1, 1, true]]"), ("dist", '{"type": "geometric", "q": true}'),
+        ("dist", '{"type": "tabulated", "probs": [true]}'),
     ])
     def test_malformed_fields_rejected(self, field, value):
         doc = {"T": "1", "V": "1", "S": "2", "arrivals": "[[0.5, 0.5]]", "match": "[[0.5, 0.5]]",

@@ -17,10 +17,12 @@ from volnotify.core import (
     evaluate_f,
     survival_matrix,
 )
+from volnotify import exante
 from volnotify.exante import (
+    LpError,
     LpInfeasibleError,
     _slots,
-    _solve_volunteer,
+    _volunteer_oracle,
     benchmark_lp,
     frank_wolfe_aa,
     objective_gradient,
@@ -71,38 +73,112 @@ def make_i2(n=4):
     return Instance(arrival_rates=lam, match_probs=np.full((n, 1), q), dist=Geometric(q))
 
 
+def on_each_path(monkeypatch):
+    """Yields once on the HiGHS kernel, then once on the linprog path its import guard falls back to."""
+    yield "highs"
+    with monkeypatch.context() as m:
+        m.setattr(exante, "_highs", None)
+        yield "linprog"
+
+
+def _same_bits(a, b):
+    (xa, va), (xb, vb) = a, b
+    return xa.dtype == xb.dtype and xa.tobytes() == xb.tobytes() and \
+        np.float64(va).tobytes() == np.float64(vb).tobytes()
+
+
+def _lp_cases():
+    rng = np.random.default_rng(7)
+    A = rng.random((12, 20)) * (rng.random((12, 20)) < 0.3)
+    c = rng.random(20)
+    r = random.Random(5)
+    yield [1.0], np.zeros((0, 1)), np.zeros(0)
+    yield [1.0, 1.0], [[1.0, 1.0]], [1.0]
+    yield c, A, np.ones(12)
+    yield c, csc_array(A), np.ones(12)
+    yield [r.random() for _ in range(6)], [[r.random() for _ in range(6)] for _ in range(4)], [1.0] * 4
+
+
 class TestSolveLp:
-    def test_single_variable(self):
-        sol, val = solve_lp([1.0], np.zeros((0, 1)), np.zeros(0))
-        assert sol[0] == pytest.approx(1.0, abs=1e-9)
-        assert val == pytest.approx(1.0, abs=1e-9)
+    def test_single_variable(self, monkeypatch):
+        for _ in on_each_path(monkeypatch):
+            sol, val = solve_lp([1.0], np.zeros((0, 1)), np.zeros(0))
+            assert sol[0] == pytest.approx(1.0, abs=1e-9)
+            assert val == pytest.approx(1.0, abs=1e-9)
 
-    def test_simplex_face(self):
-        _, val = solve_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
-        assert val == pytest.approx(1.0, abs=1e-9)
+    def test_simplex_face(self, monkeypatch):
+        for _ in on_each_path(monkeypatch):
+            _, val = solve_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
+            assert val == pytest.approx(1.0, abs=1e-9)
 
-    def test_infeasible(self):
-        with pytest.raises(LpInfeasibleError):
-            solve_lp([1.0], [[1.0]], [-1.0])
+    def test_infeasible(self, monkeypatch):
+        for _ in on_each_path(monkeypatch):
+            with pytest.raises(LpInfeasibleError):
+                solve_lp([1.0], [[1.0]], [-1.0])
 
-    def test_deterministic_resolve(self):
-        rng = random.Random(5)
-        c = [rng.random() for _ in range(6)]
-        A = [[rng.random() for _ in range(6)] for _ in range(4)]
-        first, val1 = solve_lp(c, A, [1.0] * 4)
-        second, val2 = solve_lp(c, A, [1.0] * 4)
-        assert first.tolist() == second.tolist()
-        assert val1 == val2
+    def test_non_finite_inputs_rejected(self, monkeypatch):
+        for _ in on_each_path(monkeypatch):
+            for problem in (([np.nan], [[1.0]], [1.0]), ([1.0], [[np.inf]], [1.0]),
+                            ([1.0], [[1.0]], [np.nan]), ([1.0], csc_array([[np.nan]]), [1.0])):
+                with pytest.raises(ValueError):
+                    solve_lp(*problem)
 
-    def test_sparse_matches_dense(self):
-        rng = np.random.default_rng(7)
-        A = rng.random((12, 20)) * (rng.random((12, 20)) < 0.3)
-        c = rng.random(20)
-        b = np.ones(12)
-        dense, val_dense = solve_lp(c, A, b)
-        sparse, val_sparse = solve_lp(c, csc_array(A), b)
-        assert dense.tolist() == sparse.tolist()
-        assert val_dense == val_sparse
+    def test_deterministic_resolve(self, monkeypatch):
+        for _ in on_each_path(monkeypatch):
+            rng = random.Random(5)
+            c = [rng.random() for _ in range(6)]
+            A = [[rng.random() for _ in range(6)] for _ in range(4)]
+            first, val1 = solve_lp(c, A, [1.0] * 4)
+            second, val2 = solve_lp(c, A, [1.0] * 4)
+            assert first.tolist() == second.tolist()
+            assert val1 == val2
+
+    def test_sparse_matches_dense(self, monkeypatch):
+        for _ in on_each_path(monkeypatch):
+            rng = np.random.default_rng(7)
+            A = rng.random((12, 20)) * (rng.random((12, 20)) < 0.3)
+            c = rng.random(20)
+            b = np.ones(12)
+            dense, val_dense = solve_lp(c, A, b)
+            sparse, val_sparse = solve_lp(c, csc_array(A), b)
+            assert dense.tolist() == sparse.tolist()
+            assert val_dense == val_sparse
+
+
+class TestKernelMatchesLinprog:
+    def test_solve_lp_bitwise(self, monkeypatch):
+        for problem in _lp_cases():
+            kernel, reference = (solve_lp(*problem) for _ in on_each_path(monkeypatch))
+            assert _same_bits(kernel, reference)
+
+    def test_benchmark_bitwise(self, monkeypatch):
+        inst = make_i2(4)
+        kernel, reference = (benchmark_lp(inst) for _ in on_each_path(monkeypatch))
+        assert kernel.x_lp.x.tobytes() == reference.x_lp.x.tobytes()
+        assert kernel.lp_value == reference.lp_value
+
+    def test_every_oracle_solve_bitwise(self, monkeypatch):
+        # Each AA/SQ oracle call re-solves one model built per budget; every
+        # call must return linprog's bits for the same costs.
+        calls = []
+        solve = exante._Lp.solve
+
+        def recording(self, objective):
+            out = solve(self, objective)
+            calls.append((np.array(objective), self.A_ub, self.b_ub, out))
+            return out
+
+        rng = random.Random(11)
+        with monkeypatch.context() as m:
+            m.setattr(exante._Lp, "solve", recording)
+            for _ in range(4):
+                inst = random_instance(rng, max_v=4, max_s=3, max_t=8)
+                frank_wolfe_aa(inst, 4)
+                sequential_sq(inst)
+        assert len(calls) > 40
+        monkeypatch.setattr(exante, "_highs", None)
+        for costs, A_ub, b_ub, out in calls:
+            assert _same_bits(out, solve_lp(costs, A_ub, b_ub))
 
 
 class TestBenchmark:
@@ -214,7 +290,7 @@ class TestFrankWolfe:
                 continue
             weights = objective_gradient(inst, feasible_tensor(rng, inst))
             costs = weights[:, ss, ts]
-            split_obj = sum(float(c @ _solve_volunteer(c, budget)) for c in costs)
+            split_obj = sum(float(c @ _volunteer_oracle(budget)(c)) for c in costs)
 
             joint = block_diag([budget] * inst.V, format="csc")
             _, joint_obj = solve_lp(costs.ravel(), joint, np.ones(inst.V * inst.T))
@@ -302,12 +378,19 @@ class TestSolverOutputSnapped:
     # up to 1 + 9e-9, beyond the 1e-9 checks of sdn_offline and the dual
     # certificates.
     DRAWS = (185, 264, 1743)
+    # HiGHS ends one AA oracle solve of this draw with model status Unknown (15).
+    UNSOLVED_DRAW = 2380
 
     @pytest.fixture(scope="class")
-    def instances(self):
+    def draws(self):
         rng = random.Random(5)
-        draws = [random_instance(rng, max_v=8, max_s=4, max_t=30) for _ in range(max(self.DRAWS))]
-        return [draws[k - 1] for k in self.DRAWS]
+        draws = [random_instance(rng, max_v=8, max_s=4, max_t=30)
+                 for _ in range(self.UNSOLVED_DRAW)]
+        return {k: draws[k - 1] for k in (*self.DRAWS, self.UNSOLVED_DRAW)}
+
+    @pytest.fixture(scope="class")
+    def instances(self, draws):
+        return [draws[k] for k in self.DRAWS]
 
     def test_sdn_and_certificates(self, instances):
         for inst in instances:
@@ -315,6 +398,15 @@ class TestSolverOutputSnapped:
             make_policy("sdn", inst, x_star=x_star)
             for v in range(1, inst.V + 1):
                 assert verify_dual_certificate(inst, x_star, v)[1]
+
+    def test_selection_feasible(self, instances):
+        for inst in instances:
+            assert check_feasible(inst, select_ex_ante(inst, m=5).solution) == []
+
+    @pytest.mark.xfail(strict=True, raises=LpError,
+                       reason="HiGHS returns model status Unknown on one oracle solve")
+    def test_unsolved_draw(self, draws):
+        select_ex_ante(draws[self.UNSOLVED_DRAW], m=5)
 
     def test_candidate_loads_within_budget(self, instances):
         for inst in instances:
