@@ -276,7 +276,9 @@ def verify_dual_certificate(instance: Instance, solution: FractionalSolution,
     alpha = np.empty(T)
     alpha[0] = 1.0 - mu
     for t in range(1, T):
-        returned = sum(weights[tp] * g[t - tp - 1] for tp in range(t))
+        # sum_{tp < t} weights[tp] g[t - tp - 1], added left to right (np.sum
+        # adds pairwise, which changes the last bits)
+        returned = np.cumsum(weights[:t] * g[t - 1::-1])[-1]
         alpha[t] = alpha[t - 1] - mu * (weights[t - 1] - returned)
     cert = DualCertificate(mu=mu, gamma=np.full(T, mu), alpha=alpha)
     return cert, cert.feasible

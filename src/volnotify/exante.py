@@ -31,6 +31,7 @@ except (ImportError, AttributeError):  # an older scipy, or a changed private bi
 
 from .core import (
     FractionalSolution,
+    Geometric,
     Instance,
     ValidationError,
     evaluate_f,
@@ -61,14 +62,15 @@ class LpInfeasibleError(LpError):
     pass
 
 
-def solve_lp(objective, A_ub, b_ub) -> tuple[np.ndarray, float]:
-    """Maximize objective @ x subject to A_ub @ x <= b_ub and 0 <= x <= 1.
+def solve_lp(objective, A_ub, b_ub, A_eq=None, b_eq=None) -> tuple[np.ndarray, float]:
+    """Maximize objective @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq and 0 <= x <= 1.
 
-    A_ub may be dense or scipy.sparse. Deterministic for identical inputs;
-    returns (solution, optimal value) with constraints met within 1e-7 and
-    the objective within 1e-6 of optimal. Raises LpInfeasibleError or LpError.
+    A_ub and A_eq may be dense or scipy.sparse; the equality rows are
+    optional. Deterministic for identical inputs; returns (solution, optimal
+    value) with constraints met within 1e-7 and the objective within 1e-6 of
+    optimal. Raises LpInfeasibleError or LpError.
     """
-    return _Lp(A_ub, b_ub).solve(objective)
+    return _Lp(A_ub, b_ub, A_eq, b_eq).solve(objective)
 
 
 # linprog's post-solve feasibility tolerance: sqrt of its 1e-9 default, times 10.
@@ -76,27 +78,43 @@ _RESULT_TOL = np.sqrt(1e-9) * 10
 
 
 class _Lp:
-    """The program max c @ x, A_ub @ x <= b_ub, 0 <= x <= 1, built once for any number of objectives.
+    """The program max c @ x, A_ub @ x <= b_ub, A_eq @ x == b_eq, 0 <= x <= 1, built once for any number of objectives.
 
-    The constraint matrix becomes one HiGHS model in the canonical CSC form
-    linprog hands HiGHS. Each solve sets the costs and runs a fresh solver
-    with linprog's options and checks, so a solution does not depend on
-    earlier solves and is bitwise linprog's. (A warm-started model would
-    solve faster but moves vertices.) Without scipy's HiGHS binding, each
-    solve calls linprog.
+    The rows become one HiGHS model in the canonical CSC form linprog hands
+    HiGHS, inequality rows first. The first solve runs a fresh solver with
+    linprog's options and checks, so it is bitwise linprog's. Each later
+    solve only changes the costs and reruns that solver from the previous
+    basis: a warm start, with the same checks and the same optimal value,
+    though it may end on another optimal vertex than a fresh solve. A failed
+    solve drops the solver, so the next one starts fresh. Without scipy's
+    HiGHS binding, each solve calls linprog.
     """
 
-    def __init__(self, A_ub, b_ub):
-        self.A_ub, self.b_ub, self._model = A_ub, b_ub, None
+    def __init__(self, A_ub, b_ub, A_eq=None, b_eq=None):
+        self.A_ub, self.b_ub, self.A_eq, self.b_eq = A_ub, b_ub, A_eq, b_eq
+        self._model = self._solver = None
         if _highs is None:
             return
-        A = csc_array(coo_array(A_ub, dtype=float))
-        b = self._b = np.asarray(b_ub, dtype=float).reshape(-1)
+        A = coo_array(A_ub, dtype=float)
+        b = np.asarray(b_ub, dtype=float).reshape(-1)
         if A.ndim != 2 or b.shape != (A.shape[0],):
             raise ValueError(f"b_ub must have one entry per row of A_ub, got {b.shape} for {A.shape}")
+        lower = np.full(b.size, -np.inf)
+        self._n_ub = b.size
+        if A_eq is not None:
+            eq = coo_array(A_eq, dtype=float)
+            b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
+            if eq.ndim != 2 or eq.shape[1] != A.shape[1] or b_eq.shape != (eq.shape[0],):
+                raise ValueError(f"A_eq {eq.shape} and b_eq {b_eq.shape} do not match A_ub {A.shape}")
+            A = coo_array((np.concatenate([A.data, eq.data]),
+                           (np.concatenate([A.row, eq.row + b.size]), np.concatenate([A.col, eq.col]))),
+                          shape=(b.size + b_eq.size, A.shape[1]))
+            b, lower = np.concatenate([b, b_eq]), np.concatenate([lower, b_eq])
+        A = csc_array(A)
         if not (np.isfinite(A.data).all() and np.isfinite(b).all()):
-            raise ValueError("A_ub and b_ub must not contain inf or nan")
+            raise ValueError("A_ub, b_ub, A_eq and b_eq must not contain inf or nan")
         m, n = A.shape
+        self._b, self._cols = b, np.arange(n, dtype=np.int32)
         lp = self._model = _highs.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n
         lp.num_row_ = lp.a_matrix_.num_row_ = m
@@ -106,28 +124,43 @@ class _Lp:
         lp.a_matrix_.value_ = A.data
         lp.col_lower_ = np.zeros(n)
         lp.col_upper_ = np.ones(n)
-        lp.row_lower_ = np.full(m, -np.inf)
+        lp.row_lower_ = lower
         lp.row_upper_ = b
 
     def solve(self, objective) -> tuple[np.ndarray, float]:
         cost = -np.asarray(objective, dtype=float)
         if self._model is None:
-            res = linprog(cost, A_ub=self.A_ub, b_ub=self.b_ub, bounds=(0.0, 1.0), method="highs")
+            res = linprog(cost, A_ub=self.A_ub, b_ub=self.b_ub, A_eq=self.A_eq, b_eq=self.b_eq,
+                          bounds=(0.0, 1.0), method="highs")
             if res.status == 2:
                 raise LpInfeasibleError(f"infeasible linear program: {res.message}")
             if res.status != 0 or res.x is None:
                 raise LpError(f"linear program failed: {res.message}")
             return np.asarray(res.x), float(-res.fun)
+        # Every check comes before the solver is touched: the binding crashes
+        # on a model run without costs.
         cost = cost.reshape(-1)
         if cost.shape != (self._model.num_col_,):
             raise ValueError(f"objective must have one entry per column of A_ub, got {cost.shape}")
         if not np.isfinite(cost).all():
             raise ValueError("objective must not contain inf or nan")
-        self._model.col_cost_ = cost
-        solver = _highs._Highs()
-        solver.passOptions(_HIGHS_OPTIONS)
-        if solver.passModel(self._model) == _highs.HighsStatus.kError:
-            raise LpError("linear program failed: HiGHS rejected the model")
+        if self._solver is None:
+            self._model.col_cost_ = cost
+            solver = _highs._Highs()
+            solver.passOptions(_HIGHS_OPTIONS)
+            if solver.passModel(self._model) == _highs.HighsStatus.kError:
+                raise LpError("linear program failed: HiGHS rejected the model")
+            self._solver = solver
+        else:
+            self._solver.changeColsCost(self._cols.size, self._cols, cost)
+        try:
+            return self._run()
+        except LpError:
+            self._solver = None
+            raise
+
+    def _run(self) -> tuple[np.ndarray, float]:
+        solver = self._solver
         ran = solver.run() != _highs.HighsStatus.kError
         status = solver.getModelStatus()
         if not ran or status != _highs.HighsModelStatus.kOptimal:
@@ -141,10 +174,10 @@ class _Lp:
         solution = solver.getSolution()
         x = np.array(solution.col_value)
         fun = solver.getInfo().objective_function_value
-        slack = self._b - solution.row_value
+        slack = self._b - solution.row_value  # equality rows: the residual
         if (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
                 or not np.all((x >= -_RESULT_TOL) & (x <= 1.0 + _RESULT_TOL))
-                or (slack < -_RESULT_TOL).any()):
+                or (slack < -_RESULT_TOL).any() or (np.abs(slack[self._n_ub:]) > _RESULT_TOL).any()):
             raise LpError(f"linear program failed: the solution misses the constraints by more "
                           f"than {_RESULT_TOL:.2E}")
         return x, float(-fun)
@@ -177,13 +210,49 @@ def _snap(x: np.ndarray, budget: np.ndarray) -> np.ndarray:
     return x / np.maximum(1.0, (x @ budget.T).max(axis=1))[:, None]
 
 
-def _volunteer_oracle(budget: np.ndarray):
+def _load_rows(instance: Instance, ts: np.ndarray, ss: np.ndarray):
+    """One volunteer's T load-state rows as COO triplets (rows, cols, vals), or None.
+
+    Only geometric durations have them. The columns are the K slot columns
+    and then T load columns L in [0, 1]; the equality rows
+    L[t] - (1-q) L[t-1] - sum_{k: t_k = t} lambda_k x_k = 0 make L[t] the
+    value of budget row t, with O(K + T) nonzeros instead of the budget's
+    O(T K). Presolve eliminates L because the rows are equalities.
+    """
+    if not isinstance(instance.dist, Geometric):
+        return None
+    T, K = instance.T, ts.size
+    decay = 1.0 - instance.dist.q
+    lag = np.arange(1, T) if decay > 0.0 else np.arange(0)
+    return (np.concatenate([ts, np.arange(T), lag]),
+            np.concatenate([np.arange(K), K + np.arange(T), K + lag - 1]),
+            np.concatenate([-instance.arrival_rates[ts, ss], np.ones(T), np.full(lag.size, -decay)]))
+
+
+def _volunteer_oracle(budget: np.ndarray, load=None):
     """costs -> the snapped maximizer of costs @ x over one volunteer's budget and the unit box.
 
-    The budget's program is built once; each call only swaps the costs.
+    The program has the budget rows <= 1, or the load-state rows (_load_rows)
+    when given. It is built once; each call only swaps the costs, so every
+    solve after the first is warm-started. Costs are divided by their
+    largest magnitude first: the maximizer is the same, and HiGHS fails on
+    some cost vectors that span many magnitudes below 1.
     """
-    lp = _Lp(budget, np.ones(budget.shape[0]))
-    return lambda costs: _snap(lp.solve(costs)[0][None, :], budget)[0]
+    T, K = budget.shape
+    pad = np.zeros(0 if load is None else T)
+    if load is None:
+        lp = _Lp(budget, np.ones(T))
+    else:
+        rows, cols, vals = load
+        lp = _Lp(np.zeros((0, K + T)), np.zeros(0),
+                 coo_array((vals, (rows, cols)), shape=(T, K + T)), np.zeros(T))
+
+    def oracle(costs):
+        peak = np.abs(costs).max()
+        scaled = costs / peak if peak > 0.0 else costs
+        return _snap(lp.solve(np.concatenate([scaled, pad]))[0][None, :K], budget)[0]
+
+    return oracle
 
 
 # ---------------------------------------------------------------------------
@@ -204,32 +273,57 @@ def benchmark_lp(instance: Instance) -> BenchmarkResult:
 
     Variables are notification probabilities per (volunteer, arrival slot),
     column v*K + k, plus one auxiliary completion variable per slot, column
-    V*K + k, capped at the expected number of responses and at 1. Rows are
-    the K caps y_k - sum_v p[v, s_k] x[v, k] <= 0, then volunteer v's T
-    budget rows at K + v*T. Slots with zero arrival rate get no variables
+    V*K + k, capped at the expected number of responses and at 1; for
+    geometric durations, volunteer v's T load columns follow at
+    (V+1)*K + v*T. Rows are the K caps y_k - sum_v p[v, s_k] x[v, k] <= 0,
+    then volunteer v's T budget rows <= 1, or load-state rows == 0
+    (_load_rows), at K + v*T. Slots with zero arrival rate get no variables
     and their tensor entries stay 0.
     """
     ts, ss, budget = _slots(instance)
-    V, K, T = instance.V, ts.size, instance.T
-    x = np.zeros((V, instance.S, T))
+    V, K = instance.V, ts.size
+    x = np.zeros((V, instance.S, instance.T))
     if K == 0:
         return BenchmarkResult(FractionalSolution(x), 0.0)
-    # Only nonzero entries, as a dense matrix's conversion keeps, so HiGHS
-    # sees the same model however the matrix is built.
-    k = np.arange(K)
-    pv, pk = np.nonzero(instance.match_probs[:, ss])
-    bt, bk = np.nonzero(budget)
-    bv = np.repeat(np.arange(V), bt.size)
-    A = csc_array((
-        np.concatenate([np.ones(K), -instance.match_probs[pv, ss[pk]], np.tile(budget[bt, bk], V)]),
-        (np.concatenate([k, pk, K + bv * T + np.tile(bt, V)]),
-         np.concatenate([V * K + k, pv * K + pk, bv * K + np.tile(bk, V)])),
-    ), shape=(K + V * T, (V + 1) * K))
-    c = np.concatenate([np.zeros(V * K), instance.arrival_rates[ts, ss]])
-    b = np.concatenate([np.zeros(K), np.ones(V * T)])
-    sol, value = solve_lp(c, A, b)
+    A_ub, b_ub, A_eq, b_eq = _benchmark_rows(instance, ts, ss, budget)
+    c = np.zeros(A_ub.shape[1])
+    c[V * K:(V + 1) * K] = instance.arrival_rates[ts, ss]
+    sol, value = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
     x[:, ss, ts] = _snap(sol[:V * K].reshape(V, K), budget)
     return BenchmarkResult(FractionalSolution(x), value)
+
+
+def _benchmark_rows(instance: Instance, ts: np.ndarray, ss: np.ndarray, budget: np.ndarray):
+    """The benchmark LP's rows as (A_ub, b_ub, A_eq, b_eq); the equality rows are the load-state rows.
+
+    Only nonzero entries, as a dense matrix's conversion keeps, so HiGHS
+    sees the same model however the matrix is built.
+    """
+    V, K, T = instance.V, ts.size, instance.T
+    k = np.arange(K)
+    pv, pk = np.nonzero(instance.match_probs[:, ss])
+    load = _load_rows(instance, ts, ss)
+    if load is None:  # the budget rows themselves
+        rows, cols = np.nonzero(budget)
+        vals, extra = budget[rows, cols], 0
+    else:
+        (rows, cols, vals), extra = load, T
+    n = (V + 1) * K + V * extra
+    bv = np.repeat(np.arange(V), rows.size)
+    cols = np.tile(cols, V)
+    bcol = bv * K + cols
+    if extra:  # load column K + t of volunteer v sits at (V+1)*K + v*T + t
+        load_col = cols >= K
+        bcol[load_col] += V * K + bv[load_col] * (T - K)
+    data = np.concatenate([np.ones(K), -instance.match_probs[pv, ss[pk]], np.tile(vals, V)])
+    row = np.concatenate([k, pk, K + bv * T + np.tile(rows, V)])
+    col = np.concatenate([V * K + k, pv * K + pk, bcol])
+    if load is None:
+        return (csc_array((data, (row, col)), shape=(K + V * T, n)),
+                np.concatenate([np.zeros(K), np.ones(V * T)]), None, None)
+    caps = K + pk.size  # the cap rows' entries come first
+    return (coo_array((data[:caps], (row[:caps], col[:caps])), shape=(K, n)), np.zeros(K),
+            coo_array((data[caps:], (row[caps:] - K, col[caps:])), shape=(V * T, n)), np.zeros(V * T))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +362,7 @@ def frank_wolfe_aa(instance: Instance, m: int = DEFAULT_STEP_COUNT) -> Fractiona
     x = np.zeros((instance.V, instance.S, instance.T))
     if ts.size == 0:
         return FractionalSolution(x)
-    oracle = _volunteer_oracle(budget)
+    oracle = _volunteer_oracle(budget, _load_rows(instance, ts, ss))
     for _ in range(m):
         costs = objective_gradient(instance, x)[:, ss, ts]
         x[:, ss, ts] += np.array([oracle(c) for c in costs]) / m
@@ -293,7 +387,7 @@ def sequential_sq(instance: Instance) -> FractionalSolution:
         return FractionalSolution(x)
     lam, p = instance.arrival_rates[ts, ss], instance.match_probs
     prefix = np.ones((instance.S, instance.T))
-    oracle = _volunteer_oracle(budget)
+    oracle = _volunteer_oracle(budget, _load_rows(instance, ts, ss))
     for v in range(instance.V):
         x[v, ss, ts] = oracle(lam * prefix[ss, ts] * p[v, ss])
         prefix = prefix * (1.0 - p[v][:, None] * x[v])

@@ -95,9 +95,10 @@ def sn_offline(instance: Instance, x_star: FractionalSolution) -> SNPlan:
     for v in range(V):
         r[v] = instance.match_probs[v][:, None] * prefix
         for t in range(T - 1, -1, -1):
-            future = 0.0
-            for tau in range(t + 1, T):
-                future += g[tau - t - 1] * J[v, tau]
+            # sum_{tau > t} g[tau - t - 1] J[v, tau], added left to right (np.sum
+            # adds pairwise, which changes the last bits)
+            terms = g[:T - t - 1] * J[v, t + 1:T]
+            future = np.cumsum(terms)[-1] if terms.size else 0.0
             stay = J[v, t + 1]
             value = lam0[t] * stay
             for s in range(S):

@@ -35,6 +35,12 @@ def random_instance(rng: random.Random, max_v=5, max_s=4, max_t=10, variant=None
     return Instance(arrival_rates=lam, match_probs=p, dist=random_dist(rng, variant))
 
 
+def fuzz_draws(count: int) -> list[Instance]:
+    """The first count draws of the seeded fuzz generator; draw k is element k - 1."""
+    rng = random.Random(5)
+    return [random_instance(rng, max_v=8, max_s=4, max_t=30) for _ in range(count)]
+
+
 def random_tensor(rng: random.Random, instance: Instance) -> np.ndarray:
     shape = (instance.V, instance.S, instance.T)
     return np.array([rng.random() for _ in range(int(np.prod(shape)))]).reshape(shape)

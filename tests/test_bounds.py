@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import feasible_tensor, fuzz_draws, random_instance
 from volnotify.bounds import (
     CanonicalInstanceSpec,
     closed_form_value,
@@ -20,6 +20,7 @@ from volnotify.core import (
     FractionalSolution,
     Geometric,
     ValidationError,
+    duration_table,
 )
 from volnotify.exante import benchmark_lp, select_ex_ante
 
@@ -197,6 +198,23 @@ class TestDualCertificate:
             for v in range(1, inst.V + 1):
                 _, ok = verify_dual_certificate(inst, res.solution, v)
                 assert ok
+
+    def test_matches_loop_form_bitwise(self):
+        # alpha with the returned mass summed in a Python loop, on fuzz draws
+        # 1-200 and the I2/I3 ladder.
+        ladder = [make_instance(spec(k, n=n)) for k in ("I2", "I3") for n in (4, 10, 12)]
+        for seed, inst in enumerate(fuzz_draws(200) + ladder):
+            x = feasible_tensor(random.Random(seed), inst)
+            g = duration_table(inst.dist, inst.T).pmf[1:]
+            for v in range(1, inst.V + 1):
+                cert, _ = verify_dual_certificate(inst, FractionalSolution(x), v)
+                weights = np.einsum("ts,st->t", inst.arrival_rates, x[v - 1])
+                alpha = np.empty(inst.T)
+                alpha[0] = 1.0 - cert.mu
+                for t in range(1, inst.T):
+                    returned = sum(weights[tp] * g[t - tp - 1] for tp in range(t))
+                    alpha[t] = alpha[t - 1] - cert.mu * (weights[t - 1] - returned)
+                assert cert.alpha.tobytes() == alpha.tobytes()
 
     def test_infeasible_solution_rejected(self):
         rng = random.Random(61)

@@ -1,11 +1,16 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.sparse import block_diag, csc_array
 
-from conftest import feasible_tensor, random_instance
+import volnotify
+from conftest import VARIANTS, feasible_tensor, fuzz_draws, random_instance
 from volnotify.bounds import verify_dual_certificate
 from volnotify.core import (
     Deterministic,
@@ -19,9 +24,10 @@ from volnotify.core import (
 )
 from volnotify import exante
 from volnotify.exante import (
-    LpError,
     LpInfeasibleError,
+    _load_rows,
     _slots,
+    _snap,
     _volunteer_oracle,
     benchmark_lp,
     frank_wolfe_aa,
@@ -31,7 +37,7 @@ from volnotify.exante import (
     solution_to_triples,
     solve_lp,
 )
-from volnotify.policies import make_policy
+from volnotify.policies import make_policy, sdn_offline
 
 
 def make_i1(q=0.5, eps=1e-3):
@@ -73,6 +79,22 @@ def make_i2(n=4):
     return Instance(arrival_rates=lam, match_probs=np.full((n, 1), q), dist=Geometric(q))
 
 
+def dense_benchmark(inst):
+    """The benchmark LP with one dense budget block per volunteer: (solution, value)."""
+    ts, ss, budget = _slots(inst)
+    V, K, T = inst.V, ts.size, inst.T
+    A = np.zeros((K + V * T, (V + 1) * K))
+    for k, s in enumerate(ss):
+        A[k, V * K + k] = 1.0
+        for v in range(V):
+            A[k, v * K + k] = -inst.match_probs[v, s]
+    for v in range(V):
+        A[K + v * T:K + (v + 1) * T, v * K:(v + 1) * K] = budget
+    c = np.concatenate([np.zeros(V * K), inst.arrival_rates[ts, ss]])
+    b = np.concatenate([np.zeros(K), np.ones(V * T)])
+    return solve_lp(c, A, b)
+
+
 def on_each_path(monkeypatch):
     """Yields once on the HiGHS kernel, then once on the linprog path its import guard falls back to."""
     yield "highs"
@@ -97,6 +119,7 @@ def _lp_cases():
     yield c, A, np.ones(12)
     yield c, csc_array(A), np.ones(12)
     yield [r.random() for _ in range(6)], [[r.random() for _ in range(6)] for _ in range(4)], [1.0] * 4
+    yield c, A[:6], np.ones(6), csc_array(A[6:] * 0.5), A[6:].sum(axis=1) * 0.25
 
 
 class TestSolveLp:
@@ -133,6 +156,27 @@ class TestSolveLp:
             assert first.tolist() == second.tolist()
             assert val1 == val2
 
+    def test_equality_rows(self, monkeypatch):
+        for _ in on_each_path(monkeypatch):
+            sol, val = solve_lp([1.0, 1.0], np.zeros((0, 2)), np.zeros(0), [[1.0, -1.0]], [0.5])
+            assert sol == pytest.approx([1.0, 0.5], abs=1e-9)
+            assert val == pytest.approx(1.5, abs=1e-9)
+            with pytest.raises(LpInfeasibleError):
+                solve_lp([1.0], np.zeros((0, 1)), np.zeros(0), [[1.0]], [2.0])
+
+    def test_bad_objective_leaves_the_program_usable(self, monkeypatch):
+        # Shape and finiteness are checked before the solver is touched, on
+        # the first solve and on a warm one.
+        for _ in on_each_path(monkeypatch):
+            lp = exante._Lp([[1.0, 1.0]], [1.0])
+            for objective in ([1.0, 2.0], [2.0, 1.0]):
+                for bad in ([1.0], [1.0, 2.0, 3.0], [np.nan, 1.0], [np.inf, 1.0]):
+                    with pytest.raises(ValueError):
+                        lp.solve(bad)
+                sol, val = lp.solve(objective)
+                assert sol == pytest.approx([0.0, 1.0] if objective[1] > 1 else [1.0, 0.0], abs=1e-9)
+                assert val == pytest.approx(2.0, abs=1e-9)
+
     def test_sparse_matches_dense(self, monkeypatch):
         for _ in on_each_path(monkeypatch):
             rng = np.random.default_rng(7)
@@ -157,28 +201,49 @@ class TestKernelMatchesLinprog:
         assert kernel.x_lp.x.tobytes() == reference.x_lp.x.tobytes()
         assert kernel.lp_value == reference.lp_value
 
-    def test_every_oracle_solve_bitwise(self, monkeypatch):
-        # Each AA/SQ oracle call re-solves one model built per budget; every
-        # call must return linprog's bits for the same costs.
+    def test_oracle_solves_first_bitwise_then_warm(self, monkeypatch):
+        # Each AA/SQ oracle model is built once per call. Its first solve is
+        # fresh and must return linprog's bits; each later solve starts from
+        # the previous basis and must reach a fresh solve's value within 1e-9
+        # relative, with a feasible snapped row.
         calls = []
         solve = exante._Lp.solve
 
         def recording(self, objective):
             out = solve(self, objective)
-            calls.append((np.array(objective), self.A_ub, self.b_ub, out))
+            calls.append((self, np.array(objective), budget, out))
             return out
 
         rng = random.Random(11)
         with monkeypatch.context() as m:
             m.setattr(exante._Lp, "solve", recording)
-            for _ in range(4):
-                inst = random_instance(rng, max_v=4, max_s=3, max_t=8)
+            for variant in VARIANTS * 2:
+                inst = random_instance(rng, max_v=4, max_s=3, max_t=8, variant=variant)
+                budget = _slots(inst)[2]
                 frank_wolfe_aa(inst, 4)
                 sequential_sq(inst)
-        assert len(calls) > 40
-        monkeypatch.setattr(exante, "_highs", None)
-        for costs, A_ub, b_ub, out in calls:
-            assert _same_bits(out, solve_lp(costs, A_ub, b_ub))
+        seen = set()
+        for lp, costs, budget, (x, value) in calls:
+            problem = (lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq)
+            if id(lp) in seen:
+                assert value == pytest.approx(exante._Lp(*problem).solve(costs)[1], rel=1e-9)
+                row = _snap(x[None, :budget.shape[1]], budget)
+                assert row.min() >= 0.0 and (row @ budget.T).max() <= 1.0 + 1e-12
+            else:
+                seen.add(id(lp))
+                with monkeypatch.context() as m:
+                    m.setattr(exante, "_highs", None)
+                    assert _same_bits((x, value), solve_lp(costs, *problem))
+        assert len(seen) >= 10 and len(calls) - len(seen) > 40
+
+    def test_selection_repeats_bitwise(self):
+        rng = random.Random(13)
+        for variant in VARIANTS:
+            inst = random_instance(rng, max_v=4, max_s=3, max_t=8, variant=variant)
+            first, second = (select_ex_ante(inst, m=6) for _ in range(2))
+            assert first.solution.x.tobytes() == second.solution.x.tobytes()
+            assert (first.tag, first.f_value, first.lp_value) == \
+                (second.tag, second.f_value, second.lp_value)
 
 
 class TestBenchmark:
@@ -219,26 +284,22 @@ class TestBenchmark:
             assert res.lp_value == pytest.approx(expected, abs=1e-6)
 
     def test_sparse_assembly_matches_dense_reference(self):
-        # The benchmark LP built row by row as a dense matrix; HiGHS must see
-        # the same model, so the solutions agree exactly.
+        # The benchmark LP built row by row with the dense budget. For
+        # deterministic and tabulated durations HiGHS must see the same
+        # model, so the solutions agree exactly; geometric durations use
+        # load-state rows, which must reach the same value.
         rng = random.Random(71)
-        for _ in range(10):
-            inst = random_instance(rng)
+        for variant in VARIANTS * 4:
+            inst = random_instance(rng, variant=variant)
             ts, ss, budget = _slots(inst)
-            V, K, T = inst.V, ts.size, inst.T
-            A = np.zeros((K + V * T, (V + 1) * K))
-            for k, s in enumerate(ss):
-                A[k, V * K + k] = 1.0
-                for v in range(V):
-                    A[k, v * K + k] = -inst.match_probs[v, s]
-            for v in range(V):
-                A[K + v * T:K + (v + 1) * T, v * K:(v + 1) * K] = budget
-            c = np.concatenate([np.zeros(V * K), inst.arrival_rates[ts, ss]])
-            b = np.concatenate([np.zeros(K), np.ones(V * T)])
-            sol, value = solve_lp(c, A, b)
+            sol, value = dense_benchmark(inst)
             res = benchmark_lp(inst)
+            if variant == "geometric":
+                assert res.lp_value == pytest.approx(value, rel=1e-9)
+                assert check_feasible(inst, res.x_lp) == []
+                continue
             assert res.lp_value == value
-            x = np.clip(sol[:V * K].reshape(V, K), 0.0, 1.0)
+            x = np.clip(sol[:inst.V * ts.size].reshape(inst.V, ts.size), 0.0, 1.0)
             x /= np.maximum(1.0, (x @ budget.T).max(axis=1))[:, None]
             assert res.x_lp.x[:, ss, ts].tolist() == x.tolist()
 
@@ -290,7 +351,8 @@ class TestFrankWolfe:
                 continue
             weights = objective_gradient(inst, feasible_tensor(rng, inst))
             costs = weights[:, ss, ts]
-            split_obj = sum(float(c @ _volunteer_oracle(budget)(c)) for c in costs)
+            oracle = _volunteer_oracle(budget, _load_rows(inst, ts, ss))
+            split_obj = sum(float(c @ oracle(c)) for c in costs)
 
             joint = block_diag([budget] * inst.V, format="csc")
             _, joint_obj = solve_lp(costs.ravel(), joint, np.ones(inst.V * inst.T))
@@ -378,14 +440,13 @@ class TestSolverOutputSnapped:
     # up to 1 + 9e-9, beyond the 1e-9 checks of sdn_offline and the dual
     # certificates.
     DRAWS = (185, 264, 1743)
-    # HiGHS ends one AA oracle solve of this draw with model status Unknown (15).
+    # HiGHS ended one SQ oracle solve of this draw with model status Unknown
+    # (15) before the oracle scaled its costs.
     UNSOLVED_DRAW = 2380
 
     @pytest.fixture(scope="class")
     def draws(self):
-        rng = random.Random(5)
-        draws = [random_instance(rng, max_v=8, max_s=4, max_t=30)
-                 for _ in range(self.UNSOLVED_DRAW)]
+        draws = fuzz_draws(self.UNSOLVED_DRAW)
         return {k: draws[k - 1] for k in (*self.DRAWS, self.UNSOLVED_DRAW)}
 
     @pytest.fixture(scope="class")
@@ -403,10 +464,28 @@ class TestSolverOutputSnapped:
         for inst in instances:
             assert check_feasible(inst, select_ex_ante(inst, m=5).solution) == []
 
-    @pytest.mark.xfail(strict=True, raises=LpError,
-                       reason="HiGHS returns model status Unknown on one oracle solve")
     def test_unsolved_draw(self, draws):
-        select_ex_ante(draws[self.UNSOLVED_DRAW], m=5)
+        inst = draws[self.UNSOLVED_DRAW]
+        assert check_feasible(inst, select_ex_ante(inst, m=5).solution) == []
+
+    def test_unsolved_costs_on_a_fresh_oracle(self, draws):
+        # Volunteer 8's SQ costs on the dense budget, after fresh unscaled
+        # solves for volunteers 1-7; they span 1.2e-10 to 7.4e-4, and HiGHS
+        # ends an unscaled solve of them with model status Unknown.
+        inst = draws[self.UNSOLVED_DRAW]
+        ts, ss, budget = _slots(inst)
+        lam, p = inst.arrival_rates[ts, ss], inst.match_probs
+        prefix = np.ones((inst.S, inst.T))
+        for v in range(7):
+            x = np.zeros((inst.S, inst.T))
+            sol = solve_lp(lam * prefix[ss, ts] * p[v, ss], budget, np.ones(inst.T))[0]
+            x[ss, ts] = _snap(sol[None, :], budget)[0]
+            prefix = prefix * (1.0 - p[v][:, None] * x)
+        costs = lam * prefix[ss, ts] * p[7, ss]
+        assert costs.max() == pytest.approx(7.44e-4, rel=1e-3)
+        assert costs[costs > 0.0].min() == pytest.approx(1.17e-10, rel=1e-2)
+        row = _volunteer_oracle(budget)(costs)
+        assert row.min() >= 0.0 and (row @ budget.T).max() <= 1.0 + 1e-12
 
     def test_candidate_loads_within_budget(self, instances):
         for inst in instances:
@@ -415,3 +494,38 @@ class TestSolverOutputSnapped:
                 assert sol.x.min() >= 0.0 and sol.x.max() <= 1.0
                 loads = np.einsum("ts,vst->vt", inst.arrival_rates, sol.x) @ surv.T
                 assert loads.max() <= 1.0 + 1e-12
+
+
+class TestFuzzRegression:
+    def test_first_draws_through_the_pipeline(self):
+        # Draws 1-200 of the fuzz generator, all three duration families.
+        families = set()
+        for inst in fuzz_draws(200):
+            families.add(type(inst.dist))
+            ex = select_ex_ante(inst, m=5)
+            assert check_feasible(inst, ex.solution) == []
+            sdn_offline(inst, ex.solution)
+            assert ex.lp_value == pytest.approx(dense_benchmark(inst)[1], rel=1e-9)
+        assert len(families) == 3
+
+
+class TestCapacity:
+    # The top rung of the hardness ladder: a dense geometric budget needed 7.1 GB.
+    LIMIT_KB = 2 * 1024 * 1024
+
+    @pytest.mark.parametrize("spec", ["I2:n=40", "I3:n=40"])
+    def test_bench_top_rung(self, spec, tmp_path):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(volnotify.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out, err = tmp_path / "bench.json", tmp_path / "stderr"
+        with open(err, "w") as stderr:
+            proc = subprocess.Popen([sys.executable, "-m", "volnotify", "bench", spec, "--out", str(out)],
+                                    env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+            # wait4 reaps the child with its own resource usage: the
+            # RUSAGE_CHILDREN record of this one child.
+            _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, err.read_text()
+        assert usage.ru_maxrss < self.LIMIT_KB
+        assert json.loads(out.read_text())["lp_value"] > 0.0

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import feasible_tensor, fuzz_draws, random_instance
+from volnotify.bounds import make_instance, parse_canonical_spec
 from volnotify.core import (
     Deterministic,
     FractionalSolution,
@@ -44,6 +45,39 @@ def i4_ones():
     x[0, 0, 0] = 1.0
     x[0, 1, 1] = 1.0
     return FractionalSolution(x)
+
+
+def fold_cases():
+    """(instance, feasible tensor) on fuzz draws 1-200 and the I2/I3 ladder."""
+    ladder = [make_instance(parse_canonical_spec(f"I{k}:n={n}")) for k in (2, 3) for n in (4, 10, 12)]
+    for seed, inst in enumerate(fuzz_draws(200) + ladder):
+        yield inst, feasible_tensor(random.Random(seed), inst)
+
+
+def sn_loop(instance, x):
+    """sn_offline with the value after reactivating summed in a Python loop: (x_tilde, J)."""
+    V, S, T = instance.V, instance.S, instance.T
+    lam, lam0 = instance.arrival_rates, instance.no_arrival_rates()
+    g = duration_table(instance.dist, T).pmf[1:]
+    x_tilde, J, prefix = np.zeros((V, S, T)), np.zeros((V, T + 1)), np.ones((S, T))
+    for v in range(V):
+        r = instance.match_probs[v][:, None] * prefix
+        for t in range(T - 1, -1, -1):
+            future = 0.0
+            for tau in range(t + 1, T):
+                future += g[tau - t - 1] * J[v, tau]
+            stay = J[v, t + 1]
+            value = lam0[t] * stay
+            for s in range(S):
+                notify_value = r[s, t] + future
+                if notify_value >= stay:
+                    x_tilde[v, s, t] = x[v, s, t]
+                    value += lam[t, s] * ((1.0 - x[v, s, t]) * stay + x[v, s, t] * notify_value)
+                else:
+                    value += lam[t, s] * stay
+            J[v, t] = value
+        prefix = prefix * (1.0 - instance.match_probs[v][:, None] * x_tilde[v])
+    return x_tilde, J
 
 
 def forward_value_to_go(instance, x_tilde, r):
@@ -151,6 +185,14 @@ class TestSparseNotification:
             for v in range(1, inst.V + 1):
                 fv = evaluate_fv(inst, x_star, v)
                 assert plan.J[v - 1, 0] >= fv / (2.0 - q) - 1e-9
+
+
+    def test_matches_loop_form_bitwise(self):
+        for inst, x in fold_cases():
+            plan = sn_offline(inst, FractionalSolution(x))
+            x_tilde, J = sn_loop(inst, x)
+            assert plan.J.tobytes() == J.tobytes()
+            assert plan.x_tilde.tobytes() == x_tilde.tobytes()
 
 
 class TestScaledDown:
