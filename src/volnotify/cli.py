@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -252,14 +253,7 @@ def run_compare(config: ExperimentConfig) -> tuple[str, dict]:
     for policy in policies:
         stats, batches = simulate_batched(
             instance, policy, config.episodes, config.seed, nbatches=25, lp_value=lp_value)
-        for b in batches:
-            rows.append({
-                "policy": policy.name,
-                "batch": b["batch"],
-                "episodes": b["episodes"],
-                "mean_completed": b["mean_completed"],
-                "ratio": b["ratio"],
-            })
+        rows += [dict(b, policy=policy.name) for b in batches]
         summary_policies[policy.name] = {
             "mean_completed": stats.mean_completed,
             "std_error": stats.std_error,
@@ -299,28 +293,13 @@ def run_robustness(config: ExperimentConfig, spec: PerturbationSpec) -> tuple[st
 
     target_label = "p" if spec.target == "match_probs" else "lambda"
     rows = []
-    for name in baseline:
-        base = baseline[name]
-        pcts = []
-        for replicate, mean in enumerate(perturbed_means[name]):
-            pct = 100.0 * (mean - base) / base if base > 0 else 0.0
-            pcts.append(pct)
-            rows.append({
-                "policy": name,
-                "target": target_label,
-                "replicate": replicate + 1,
-                "baseline_mean": base,
-                "perturbed_mean": mean,
-                "pct_change": f"{pct:.2f}",
-            })
-        rows.append({
-            "policy": name,
-            "target": target_label,
-            "replicate": "mean",
-            "baseline_mean": base,
-            "perturbed_mean": sum(perturbed_means[name]) / len(pcts),
-            "pct_change": f"{sum(pcts) / len(pcts):.2f}",
-        })
+    for name, base in baseline.items():
+        means = perturbed_means[name]
+        pcts = [100.0 * (mean - base) / base if base > 0 else 0.0 for mean in means]
+        reports = [*zip(range(1, len(means) + 1), means, pcts),
+                   ("mean", sum(means) / len(means), sum(pcts) / len(pcts))]
+        rows += [dict(zip(ROBUSTNESS_COLUMNS, (name, target_label, replicate, base, mean, f"{pct:.2f}")))
+                 for replicate, mean, pct in reports]
     return _csv_text(ROBUSTNESS_COLUMNS, rows), rows
 
 
@@ -412,7 +391,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built once per process; main finds each command's _cmd_ function by name."""
     parser = _Parser(prog="volnotify",
                      description="Volunteer notification policies and simulation")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -423,13 +404,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="solve the benchmark program")
     p.add_argument("instance")
     add_out(p)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("exante", help="compute the selected ex-ante solution")
     p.add_argument("instance")
     p.add_argument("--m", type=int, default=100, help="conditional-gradient step count")
     add_out(p)
-    p.set_defaults(func=_cmd_exante)
 
     p = sub.add_parser("simulate", help="simulate one policy")
     p.add_argument("instance")
@@ -439,17 +418,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--theta", type=float, default=1.0)
     add_out(p)
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("compare", help="simulate the configured policies in batches")
     p.add_argument("config")
     add_out(p)
-    p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("bounds", help="emit the hazard-rate bound curve")
     p.add_argument("--grid", type=float, default=0.05)
     add_out(p)
-    p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("perturb", help="robustness to misestimated primitives")
     p.add_argument("config")
@@ -459,21 +435,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--pseed", type=int, default=None,
                    help="perturbation seed (default: config seed)")
     add_out(p)
-    p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("export", help="write an instance as JSON")
     p.add_argument("instance")
     add_out(p)
-    p.set_defaults(func=_cmd_export)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args.func(args)
+        args = _parser().parse_args(argv)
+        globals()[f"_cmd_{args.command}"](args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

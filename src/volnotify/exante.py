@@ -11,10 +11,11 @@ ex-ante solution is whichever candidate scores best on the true objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import coo_array, csc_array
+from scipy.sparse import coo_array, csc_array, issparse
 
 try:  # scipy's bundled HiGHS binding is private; without it, linprog solves.
     from scipy.optimize._highspy import _core as _highs
@@ -65,12 +66,44 @@ class LpInfeasibleError(LpError):
 def solve_lp(objective, A_ub, b_ub, A_eq=None, b_eq=None) -> tuple[np.ndarray, float]:
     """Maximize objective @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq and 0 <= x <= 1.
 
-    A_ub and A_eq may be dense or scipy.sparse; the equality rows are
-    optional. Deterministic for identical inputs; returns (solution, optimal
-    value) with constraints met within 1e-7 and the objective within 1e-6 of
-    optimal. Raises LpInfeasibleError or LpError.
+    A_ub and A_eq may each be a dense 2-D array (or nested sequence), a
+    scipy.sparse matrix or array (duplicate entries are summed, explicit
+    zeros kept, as linprog does) or the package's own COO triplets; the
+    equality rows are optional. Deterministic for identical inputs; returns
+    (solution, optimal value) with constraints met within 1e-7 and the
+    objective within 1e-6 of optimal. Raises LpInfeasibleError or LpError.
     """
     return _Lp(A_ub, b_ub, A_eq, b_eq).solve(objective)
+
+
+class _Rows(NamedTuple):
+    """A matrix as COO triplets: entry i is val[i] at (row[i], col[i]), at most one entry per position."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    shape: tuple[int, int]
+
+
+def _triplets(A) -> _Rows:
+    """A constraint matrix as _Rows: a dense one's nonzeros, a sparse one in scipy's canonical CSC form."""
+    if isinstance(A, _Rows):
+        return A
+    if issparse(A):  # duplicates summed and explicit zeros kept, bitwise as in linprog's matrix
+        A = csc_array(A, dtype=float, copy=True)
+        A.sum_duplicates()
+        return _Rows(A.indices, np.repeat(np.arange(A.shape[1]), np.diff(A.indptr)), A.data, A.shape)
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"constraint matrices must be 2-D, got shape {A.shape}")
+    row, col = np.nonzero(A)
+    return _Rows(row, col, A[row, col], A.shape)
+
+
+def _stack(top: _Rows, bottom: _Rows) -> _Rows:
+    """The rows of top, then the rows of bottom."""
+    return _Rows(np.concatenate([top.row, bottom.row + top.shape[0]]), np.concatenate([top.col, bottom.col]),
+                 np.concatenate([top.val, bottom.val]), (top.shape[0] + bottom.shape[0], top.shape[1]))
 
 
 # linprog's post-solve feasibility tolerance: sqrt of its 1e-9 default, times 10.
@@ -80,14 +113,15 @@ _RESULT_TOL = np.sqrt(1e-9) * 10
 class _Lp:
     """The program max c @ x, A_ub @ x <= b_ub, A_eq @ x == b_eq, 0 <= x <= 1, built once for any number of objectives.
 
-    The rows become one HiGHS model in the canonical CSC form linprog hands
-    HiGHS, inequality rows first. The first solve runs a fresh solver with
-    linprog's options and checks, so it is bitwise linprog's. Each later
-    solve only changes the costs and reruns that solver from the previous
-    basis: a warm start, with the same checks and the same optimal value,
-    though it may end on another optimal vertex than a fresh solve. A failed
-    solve drops the solver, so the next one starts fresh. Without scipy's
-    HiGHS binding, each solve calls linprog.
+    The rows become one HiGHS model, built with numpy from COO triplets in
+    the canonical CSC form linprog hands HiGHS: inequality rows first, row
+    indices sorted within each column, row bounds equal on an equality row.
+    The first solve runs a fresh solver with linprog's options and checks,
+    so it is bitwise linprog's. Each later solve only changes the costs and
+    reruns that solver from the previous basis: a warm start, with the same
+    checks and the same optimal value, though it may end on another optimal
+    vertex than a fresh solve. A failed solve drops the solver, so the next
+    one starts fresh. Without scipy's HiGHS binding, each solve calls linprog.
     """
 
     def __init__(self, A_ub, b_ub, A_eq=None, b_eq=None):
@@ -95,42 +129,43 @@ class _Lp:
         self._model = self._solver = None
         if _highs is None:
             return
-        A = coo_array(A_ub, dtype=float)
-        b = np.asarray(b_ub, dtype=float).reshape(-1)
-        if A.ndim != 2 or b.shape != (A.shape[0],):
-            raise ValueError(f"b_ub must have one entry per row of A_ub, got {b.shape} for {A.shape}")
-        lower = np.full(b.size, -np.inf)
-        self._n_ub = b.size
+        A = _triplets(A_ub)
+        upper = np.asarray(b_ub, dtype=float).reshape(-1)
+        if upper.shape != (A.shape[0],):
+            raise ValueError(f"b_ub must have one entry per row of A_ub, got {upper.shape} for {A.shape}")
+        lower = np.full(upper.size, -np.inf)
         if A_eq is not None:
-            eq = coo_array(A_eq, dtype=float)
+            eq = _triplets(A_eq)
             b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
-            if eq.ndim != 2 or eq.shape[1] != A.shape[1] or b_eq.shape != (eq.shape[0],):
+            if eq.shape[1] != A.shape[1] or b_eq.shape != (eq.shape[0],):
                 raise ValueError(f"A_eq {eq.shape} and b_eq {b_eq.shape} do not match A_ub {A.shape}")
-            A = coo_array((np.concatenate([A.data, eq.data]),
-                           (np.concatenate([A.row, eq.row + b.size]), np.concatenate([A.col, eq.col]))),
-                          shape=(b.size + b_eq.size, A.shape[1]))
-            b, lower = np.concatenate([b, b_eq]), np.concatenate([lower, b_eq])
-        A = csc_array(A)
-        if not (np.isfinite(A.data).all() and np.isfinite(b).all()):
+            A = _stack(A, eq)
+            lower, upper = np.concatenate([lower, b_eq]), np.concatenate([upper, b_eq])
+        if not (np.isfinite(A.val).all() and np.isfinite(upper).all()):
             raise ValueError("A_ub, b_ub, A_eq and b_eq must not contain inf or nan")
         m, n = A.shape
-        self._b, self._cols = b, np.arange(n, dtype=np.int32)
+        order = np.lexsort((A.row, A.col))
+        start = np.concatenate([[0], np.cumsum(np.bincount(A.col, minlength=n))])
+        self._upper, self._eq, self._cols = upper, lower == upper, np.arange(n, dtype=np.int32)
         lp = self._model = _highs.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n
         lp.num_row_ = lp.a_matrix_.num_row_ = m
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = A.indptr
-        lp.a_matrix_.index_ = A.indices
-        lp.a_matrix_.value_ = A.data
-        lp.col_lower_ = np.zeros(n)
-        lp.col_upper_ = np.ones(n)
-        lp.row_lower_ = lower
-        lp.row_upper_ = b
+        # The binding copies sequences element by element; lists copy fastest.
+        lp.a_matrix_.start_ = start.tolist()
+        lp.a_matrix_.index_ = A.row[order].tolist()
+        lp.a_matrix_.value_ = A.val[order].tolist()
+        lp.col_lower_ = [0.0] * n
+        lp.col_upper_ = [1.0] * n
+        lp.row_lower_ = lower.tolist()
+        lp.row_upper_ = upper.tolist()
 
     def solve(self, objective) -> tuple[np.ndarray, float]:
         cost = -np.asarray(objective, dtype=float)
         if self._model is None:
-            res = linprog(cost, A_ub=self.A_ub, b_ub=self.b_ub, A_eq=self.A_eq, b_eq=self.b_eq,
+            A_ub, A_eq = (coo_array((A.val, (A.row, A.col)), shape=A.shape) if isinstance(A, _Rows) else A
+                          for A in (self.A_ub, self.A_eq))
+            res = linprog(cost, A_ub=A_ub, b_ub=self.b_ub, A_eq=A_eq, b_eq=self.b_eq,
                           bounds=(0.0, 1.0), method="highs")
             if res.status == 2:
                 raise LpInfeasibleError(f"infeasible linear program: {res.message}")
@@ -145,7 +180,7 @@ class _Lp:
         if not np.isfinite(cost).all():
             raise ValueError("objective must not contain inf or nan")
         if self._solver is None:
-            self._model.col_cost_ = cost
+            self._model.col_cost_ = cost.tolist()
             solver = _highs._Highs()
             solver.passOptions(_HIGHS_OPTIONS)
             if solver.passModel(self._model) == _highs.HighsStatus.kError:
@@ -173,11 +208,11 @@ class _Lp:
             raise LpError(f"linear program failed: {message}")
         solution = solver.getSolution()
         x = np.array(solution.col_value)
-        fun = solver.getInfo().objective_function_value
-        slack = self._b - solution.row_value  # equality rows: the residual
+        fun = solver.getObjectiveValue()
+        slack = self._upper - solution.row_value  # equality rows: the residual
         if (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
                 or not np.all((x >= -_RESULT_TOL) & (x <= 1.0 + _RESULT_TOL))
-                or (slack < -_RESULT_TOL).any() or (np.abs(slack[self._n_ub:]) > _RESULT_TOL).any()):
+                or (slack < -_RESULT_TOL).any() or (np.abs(slack[self._eq]) > _RESULT_TOL).any()):
             raise LpError(f"linear program failed: the solution misses the constraints by more "
                           f"than {_RESULT_TOL:.2E}")
         return x, float(-fun)
@@ -210,8 +245,8 @@ def _snap(x: np.ndarray, budget: np.ndarray) -> np.ndarray:
     return x / np.maximum(1.0, (x @ budget.T).max(axis=1))[:, None]
 
 
-def _load_rows(instance: Instance, ts: np.ndarray, ss: np.ndarray):
-    """One volunteer's T load-state rows as COO triplets (rows, cols, vals), or None.
+def _load_rows(instance: Instance, ts: np.ndarray, ss: np.ndarray) -> _Rows | None:
+    """One volunteer's T load-state rows over K + T columns, or None.
 
     Only geometric durations have them. The columns are the K slot columns
     and then T load columns L in [0, 1]; the equality rows
@@ -224,12 +259,13 @@ def _load_rows(instance: Instance, ts: np.ndarray, ss: np.ndarray):
     T, K = instance.T, ts.size
     decay = 1.0 - instance.dist.q
     lag = np.arange(1, T) if decay > 0.0 else np.arange(0)
-    return (np.concatenate([ts, np.arange(T), lag]),
-            np.concatenate([np.arange(K), K + np.arange(T), K + lag - 1]),
-            np.concatenate([-instance.arrival_rates[ts, ss], np.ones(T), np.full(lag.size, -decay)]))
+    return _Rows(np.concatenate([ts, np.arange(T), lag]),
+                 np.concatenate([np.arange(K), K + np.arange(T), K + lag - 1]),
+                 np.concatenate([-instance.arrival_rates[ts, ss], np.ones(T), np.full(lag.size, -decay)]),
+                 (T, K + T))
 
 
-def _volunteer_oracle(budget: np.ndarray, load=None):
+def _volunteer_oracle(budget: np.ndarray, load: _Rows | None = None):
     """costs -> the snapped maximizer of costs @ x over one volunteer's budget and the unit box.
 
     The program has the budget rows <= 1, or the load-state rows (_load_rows)
@@ -240,12 +276,8 @@ def _volunteer_oracle(budget: np.ndarray, load=None):
     """
     T, K = budget.shape
     pad = np.zeros(0 if load is None else T)
-    if load is None:
-        lp = _Lp(budget, np.ones(T))
-    else:
-        rows, cols, vals = load
-        lp = _Lp(np.zeros((0, K + T)), np.zeros(0),
-                 coo_array((vals, (rows, cols)), shape=(T, K + T)), np.zeros(T))
+    lp = (_Lp(budget, np.ones(T)) if load is None
+          else _Lp(np.zeros((0, K + T)), np.zeros(0), load, np.zeros(T)))
 
     def oracle(costs):
         peak = np.abs(costs).max()
@@ -302,28 +334,20 @@ def _benchmark_rows(instance: Instance, ts: np.ndarray, ss: np.ndarray, budget: 
     V, K, T = instance.V, ts.size, instance.T
     k = np.arange(K)
     pv, pk = np.nonzero(instance.match_probs[:, ss])
-    load = _load_rows(instance, ts, ss)
-    if load is None:  # the budget rows themselves
+    one = _load_rows(instance, ts, ss)  # one volunteer's rows: load-state rows, or the budget rows
+    if one is None:
         rows, cols = np.nonzero(budget)
-        vals, extra = budget[rows, cols], 0
-    else:
-        (rows, cols, vals), extra = load, T
-    n = (V + 1) * K + V * extra
-    bv = np.repeat(np.arange(V), rows.size)
-    cols = np.tile(cols, V)
-    bcol = bv * K + cols
-    if extra:  # load column K + t of volunteer v sits at (V+1)*K + v*T + t
-        load_col = cols >= K
-        bcol[load_col] += V * K + bv[load_col] * (T - K)
-    data = np.concatenate([np.ones(K), -instance.match_probs[pv, ss[pk]], np.tile(vals, V)])
-    row = np.concatenate([k, pk, K + bv * T + np.tile(rows, V)])
-    col = np.concatenate([V * K + k, pv * K + pk, bcol])
-    if load is None:
-        return (csc_array((data, (row, col)), shape=(K + V * T, n)),
-                np.concatenate([np.zeros(K), np.ones(V * T)]), None, None)
-    caps = K + pk.size  # the cap rows' entries come first
-    return (coo_array((data[:caps], (row[:caps], col[:caps])), shape=(K, n)), np.zeros(K),
-            coo_array((data[caps:], (row[caps:] - K, col[caps:])), shape=(V * T, n)), np.zeros(V * T))
+        one = _Rows(rows, cols, budget[rows, cols], budget.shape)
+    n = (V + 1) * K + V * (one.shape[1] - K)
+    caps = _Rows(np.concatenate([k, pk]), np.concatenate([V * K + k, pv * K + pk]),
+                 np.concatenate([np.ones(K), -instance.match_probs[pv, ss[pk]]]), (K, n))
+    # volunteer v's copy: slot column k sits at v*K + k, load column K + t at (V+1)*K + v*T + t
+    v = np.arange(V)[:, None]
+    every = _Rows((v * T + one.row).ravel(), (one.col + np.where(one.col < K, v * K, V * K + v * T)).ravel(),
+                  np.tile(one.val, V), (V * T, n))
+    if one.shape[1] == K:
+        return _stack(caps, every), np.concatenate([np.zeros(K), np.ones(V * T)]), None, None
+    return caps, np.zeros(K), every, np.zeros(V * T)
 
 
 # ---------------------------------------------------------------------------

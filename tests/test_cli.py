@@ -39,6 +39,14 @@ def write_config(path, **overrides):
     return path
 
 
+def package_env():
+    """The environment a fresh `python -m volnotify` process needs to import this package."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(volnotify.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 MALFORMED_CONFIGS = [
     "5",
     '["sn"]',
@@ -399,17 +407,33 @@ class TestMain:
             assert len(calls) == 1
 
     def test_module_entry_points(self):
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(volnotify.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         outputs = []
         for module in (["-W", "error", "-m", "volnotify.cli"], ["-m", "volnotify"]):
             proc = subprocess.run([sys.executable, *module, "bounds", "--grid", "0.5"],
-                                  capture_output=True, text=True, env=env, timeout=120)
+                                  capture_output=True, text=True, env=package_env(), timeout=120)
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
         assert outputs[0].splitlines()[0] == "q,sn_lower,kappa"
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        # The parser is built once per process; a failed call must leave
+        # nothing behind that changes a later call's exit code or bytes.
+        calls = (
+            ["simulate", "I4:q=0.2,eps=1e-3", "--policy", "bogus", "--episodes", "10", "--seed", "1"],
+            ["bench", "I4:q=0.1,eps=1e-3"],
+            ["exante", "I5:eps=0.01", "--m", "2"],
+            ["simulate", "I4:q=0.1,eps=1e-3", "--policy", "best:1", "--episodes", "50", "--seed", "3"],
+        )
+        codes = []
+        for argv in calls:
+            fresh = subprocess.run([sys.executable, "-m", "volnotify", *argv], capture_output=True,
+                                   env=package_env(), timeout=120)
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            assert (code, out.encode(), err.encode()) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            codes.append(code)
+        assert codes == [1, 0, 0, 0]
 
     def test_missing_out_for_compare(self, tmp_path):
         cfg_path = write_config(tmp_path / "config.json", out=None)

@@ -7,11 +7,12 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.sparse import block_diag, csc_array
+import scipy.sparse
+from scipy.sparse import block_diag, coo_array, csc_array, vstack
 
 import volnotify
 from conftest import VARIANTS, feasible_tensor, fuzz_draws, random_instance
-from volnotify.bounds import verify_dual_certificate
+from volnotify.bounds import make_instance, parse_canonical_spec, verify_dual_certificate
 from volnotify.core import (
     Deterministic,
     FractionalSolution,
@@ -25,6 +26,7 @@ from volnotify.core import (
 from volnotify import exante
 from volnotify.exante import (
     LpInfeasibleError,
+    _benchmark_rows,
     _load_rows,
     _slots,
     _snap,
@@ -38,6 +40,7 @@ from volnotify.exante import (
     solve_lp,
 )
 from volnotify.policies import make_policy, sdn_offline
+from volnotify.sim import simulate
 
 
 def make_i1(q=0.5, eps=1e-3):
@@ -120,6 +123,33 @@ def _lp_cases():
     yield c, csc_array(A), np.ones(12)
     yield [r.random() for _ in range(6)], [[r.random() for _ in range(6)] for _ in range(4)], [1.0] * 4
     yield c, A[:6], np.ones(6), csc_array(A[6:] * 0.5), A[6:].sum(axis=1) * 0.25
+    # Duplicate entries, summed in order (0.1 + 0.2 + 0.3 is not 0.6), and an explicit zero.
+    dup = coo_array(([0.1, 0.2, 0.3, 0.0, 0.7, 0.4, 0.9], ([0, 0, 0, 1, 1, 2, 0], [1, 1, 1, 0, 2, 2, 3])),
+                    shape=(3, 4))
+    yield [0.3, 0.5, 0.2, 0.4], dup, np.full(3, 0.5)
+    yield [0.3, 0.5, 0.2, 0.4], np.zeros((0, 4)), np.zeros(0), dup.tocsr(), [0.5, 0.35, 0.2]
+
+
+def _scipy_model(A_ub, b_ub, A_eq=None, b_eq=None):
+    """The CSC arrays and row bounds linprog hands HiGHS: (start, index, value, lower, upper)."""
+    def block(M):
+        if isinstance(M, exante._Rows):
+            return coo_array((M.val, (M.row, M.col)), shape=M.shape)
+        return M if scipy.sparse.issparse(M) else np.asarray(M, dtype=float)
+
+    top = block(A_ub)
+    blocks = [top, np.zeros((0, top.shape[1])) if A_eq is None else block(A_eq)]
+    A = csc_array((vstack if any(map(scipy.sparse.issparse, blocks)) else np.vstack)(blocks))
+    b_ub = np.asarray(b_ub, dtype=float).ravel()
+    b_eq = np.zeros(0) if A_eq is None else np.asarray(b_eq, dtype=float).ravel()
+    return (A.indptr, A.indices, A.data, np.concatenate([np.full(b_ub.size, -np.inf), b_eq]),
+            np.concatenate([b_ub, b_eq]))
+
+
+def _model_arrays(lp):
+    model = lp._model
+    return (model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_,
+            model.row_lower_, model.row_upper_)
 
 
 class TestSolveLp:
@@ -235,6 +265,53 @@ class TestKernelMatchesLinprog:
                     m.setattr(exante, "_highs", None)
                     assert _same_bits((x, value), solve_lp(costs, *problem))
         assert len(seen) >= 10 and len(calls) - len(seen) > 40
+
+    def test_model_is_scipys_csc(self):
+        # The kernel builds HiGHS's column-wise arrays from triplets with
+        # numpy; they must be scipy's CSC arrays for the same rows, array for
+        # array, with row bounds (-inf, b_ub] and then [b_eq, b_eq].
+        problems = [p[1:] for p in _lp_cases()]
+        rng = random.Random(17)
+        instances = [random_instance(rng, max_v=5, max_s=3, max_t=12, variant=v) for v in VARIANTS * 3]
+        instances += fuzz_draws(200)
+        instances += [make_instance(parse_canonical_spec(f"I{f}:n={n}")) for f in (2, 3) for n in (4, 10, 12)]
+        families = set()
+        for inst in instances:
+            ts, ss, budget = _slots(inst)
+            if ts.size == 0:
+                continue
+            families.add(type(inst.dist))
+            problems.append(_benchmark_rows(inst, ts, ss, budget))
+            load = _load_rows(inst, ts, ss)
+            T, K = budget.shape
+            problems.append((budget, np.ones(T)) if load is None else
+                            (np.zeros((0, K + T)), np.zeros(0), load, np.zeros(T)))
+        assert len(families) == 3
+        for problem in problems:
+            lp, reference = exante._Lp(*problem), _scipy_model(*problem)
+            for got, want in zip(_model_arrays(lp), reference):
+                assert np.asarray(got, dtype=want.dtype).tobytes() == want.tobytes()
+            n = reference[0].size - 1
+            assert (lp._model.col_lower_, lp._model.col_upper_) == ([0.0] * n, [1.0] * n)
+
+    def test_internal_paths_build_no_sparse_matrix(self, monkeypatch):
+        # The benchmark LP, the AA/SQ oracles and the rolling windows hand
+        # HiGHS numpy-built arrays; scipy.sparse is only for caller input.
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a scipy.sparse object was built")
+
+        inst = random_instance(random.Random(3), max_v=4, max_s=3, max_t=10, variant="geometric")
+        with monkeypatch.context() as m:
+            m.setattr(scipy.sparse._base._spbase, "__init__", refuse)
+            benchmark_lp(make_i2(4))
+            for variant in VARIANTS:
+                select_ex_ante(random_instance(random.Random(4), max_v=4, max_s=3, max_t=10,
+                                               variant=variant), m=3)
+            simulate(inst, make_policy("rolling", inst), 3, 1)
+        caller_matrix = csc_array([[1.0]])
+        with pytest.raises(AssertionError), monkeypatch.context() as m:
+            m.setattr(scipy.sparse._base._spbase, "__init__", refuse)
+            solve_lp([1.0], caller_matrix, [1.0])
 
     def test_selection_repeats_bitwise(self):
         rng = random.Random(13)

@@ -15,6 +15,7 @@ from volnotify.core import (
     duration_table,
     evaluate_fv,
 )
+from volnotify import exante
 from volnotify.exante import select_ex_ante
 from volnotify.policies import (
     BeliefPolicy,
@@ -30,7 +31,7 @@ from volnotify.policies import (
     sdn_offline,
     sn_offline,
 )
-from volnotify.sim import episode_rng, run_episode
+from volnotify.sim import episode_rng, run_episode, simulate
 
 
 def make_i4(q=0.1, eps=1e-3):
@@ -445,6 +446,37 @@ class TestHeuristics:
         inst = Instance(arrival_rates=lam, match_probs=p, dist=Deterministic(2))
         probs = self.decide("rolling:2", BeliefState.all_active(2, 2), 1, 1, random.Random(1), inst)
         assert probs == [1.0, 1.0]  # window benchmark notifies both for task 1
+
+
+class TestRollingWindowsOnEachPath:
+    # The rolling policy's window LPs are fresh solves, so the HiGHS kernel
+    # and the linprog path it falls back to must take every decision alike.
+    @staticmethod
+    def instance(rng, dist, V=10, S=3, T=60):
+        """Random types per period at total arrival rate 0.8, match probabilities in [0.1, 0.5]."""
+        lam = np.array([[rng.random() for _ in range(S)] for _ in range(T)])
+        lam *= 0.8 / lam.sum(axis=1, keepdims=True)
+        p = np.array([[rng.uniform(0.1, 0.5) for _ in range(S)] for _ in range(V)])
+        return Instance(arrival_rates=lam, match_probs=p, dist=dist)
+
+    def test_decisions_byte_identical(self, monkeypatch):
+        rng = random.Random(2002)
+        for dist in (Geometric(0.25), Deterministic(4)):
+            inst = self.instance(rng, dist)
+            for spec in ("rolling", "rolling:2"):
+                runs = []
+                for kernel in (True, False):
+                    with monkeypatch.context() as m:
+                        if not kernel:
+                            m.setattr(exante, "_highs", None)
+                        policy = make_policy(spec, inst)
+                        runs.append((simulate(inst, policy, 20, 7), policy._cache))
+                (stats, windows), (ref_stats, ref_windows) = runs
+                assert stats == ref_stats
+                assert windows.keys() == ref_windows.keys() and len(windows) > 50
+                for key, x in windows.items():
+                    ref = ref_windows[key]
+                    assert (x is None and ref is None) or x.tobytes() == ref.tobytes()
 
 
 class TestPolicyFactory:
