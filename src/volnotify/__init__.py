@@ -60,7 +60,6 @@ from .sim import (
 from .bounds import (
     CanonicalInstanceSpec,
     DualCertificate,
-    closed_form_value,
     kappa,
     kappa_grid,
     make_instance,

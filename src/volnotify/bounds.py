@@ -1,4 +1,4 @@
-"""Canonical hardness instances, ratio bounds, closed-form values, dual certificates.
+"""Canonical hardness instances, ratio bounds, dual certificates.
 
 The six canonical instances pin down the gap between online policies and the
 benchmark: two prophet-style two-period instances (one of which also shows
@@ -33,7 +33,6 @@ __all__ = [
     "kappa",
     "sn_guarantee",
     "kappa_grid",
-    "closed_form_value",
     "DualCertificate",
     "verify_dual_certificate",
 ]
@@ -199,40 +198,6 @@ def kappa_grid(step: float = 0.05) -> list[dict]:
     while len(qs) * step < 1.0 - 1e-12:
         qs.append(len(qs) * step)
     return [{"q": q, "sn_lower": sn_guarantee(q), "kappa": kappa(q)} for q in qs + [1.0]]
-
-
-# ---------------------------------------------------------------------------
-# Closed-form reference values
-# ---------------------------------------------------------------------------
-
-
-def closed_form_value(kind: str, policy_name: str, params: dict) -> float:
-    """Analytic expected values for canonical (instance, policy) pairs.
-
-    Centralizes the constants used by verification suites so no test embeds a
-    magic number inline. Supported pairs: (I1, lp_lower), (I1, online_opt),
-    (I4, lp), (I4, follow_exante), (I4, sn), (I4, sdn), (I2, lp_lower).
-    """
-    key = (kind, policy_name)
-    if key == ("I1", "lp_lower"):
-        q, eps = float(params["q"]), float(params["eps"])
-        return eps * (2.0 - q - (1.0 - q) * eps) / (1.0 - q)
-    if key == ("I1", "online_opt"):
-        q, eps = float(params["q"]), float(params["eps"])
-        return eps / (1.0 - q)
-    if key == ("I4", "lp"):
-        return float(params["q"]) + float(params["eps"])
-    if key == ("I4", "follow_exante"):
-        q, eps = float(params["q"]), float(params["eps"])
-        return eps + q * q
-    if key == ("I4", "sn"):
-        return float(params["q"])
-    if key == ("I4", "sdn"):
-        q, eps = float(params["q"]), float(params["eps"])
-        return (eps + q) / (2.0 - q)
-    if key == ("I2", "lp_lower"):
-        return float(params["n"])
-    raise ValidationError(f"no closed form for {kind} / {policy_name}")
 
 
 # ---------------------------------------------------------------------------

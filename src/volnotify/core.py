@@ -59,40 +59,13 @@ class ValidationError(ValueError):
 class InterActivityDistribution:
     """Distribution of the inactivity duration triggered by notifying an active volunteer.
 
-    Durations are integers >= 1. Subclasses provide the pmf, the cdf, the
-    minimum discrete hazard rate (the smallest per-period probability of
-    returning to the active state, with 0/0 hazards treated as 1), and a
-    sampler that inverts the cdf on a single uniform draw.
+    Durations are integers >= 1. A subclass states its values once, as
+    `_masses(n)`: the pmf and the cdf at durations 1..n, which every caller
+    reads through duration_table. Beside them it gives `mdhr` (the minimum
+    discrete hazard rate, 0/0 hazards counting as 1), `mean`, `support_max`
+    (None when unbounded) and `sample`, which inverts the cdf on at most one
+    uniform draw.
     """
-
-    def pmf(self, tau: int) -> float:
-        raise NotImplementedError
-
-    def cdf(self, tau: int) -> float:
-        raise NotImplementedError
-
-    def sf(self, tau: int) -> float:
-        """Survival function 1 - cdf(tau); sf(0) == 1."""
-        return 1.0 - self.cdf(tau)
-
-    def mdhr(self) -> float:
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def support_max(self) -> int | None:
-        """Largest duration with positive mass, or None when unbounded."""
-        raise NotImplementedError
-
-    def sample(self, rng) -> int:
-        raise NotImplementedError
-
-    @staticmethod
-    def _require_positive(tau: int) -> None:
-        if tau < 1:
-            raise ValidationError(f"inactivity duration must be >= 1, got {tau}")
 
 
 @dataclass(frozen=True)
@@ -102,18 +75,15 @@ class Geometric(InterActivityDistribution):
     q: float
 
     def __post_init__(self):
-        if not 0.0 < self.q <= 1.0:
-            raise ValidationError(f"geometric success probability must be in (0, 1], got {self.q}")
+        if isinstance(self.q, (bool, np.bool_)) or not 0.0 < self.q <= 1.0:
+            raise ValidationError(f"geometric success probability must be in (0, 1], got {self.q!r}")
+        object.__setattr__(self, "q", float(self.q))
 
-    def pmf(self, tau: int) -> float:
-        self._require_positive(tau)
-        return self.q * (1.0 - self.q) ** (tau - 1)
-
-    def cdf(self, tau: int) -> float:
-        # Closed form rather than summation: exact and O(1).
-        if tau <= 0:
-            return 0.0
-        return 1.0 - (1.0 - self.q) ** tau
+    def _masses(self, n: int) -> tuple[list, list]:
+        # Scalar powers: numpy's array power may round differently.
+        q = self.q
+        return ([q * (1.0 - q) ** (tau - 1) for tau in range(1, n + 1)],
+                [1.0 - (1.0 - q) ** tau for tau in range(1, n + 1)])
 
     def mdhr(self) -> float:
         # Hazard is constant at q for every duration.
@@ -122,9 +92,7 @@ class Geometric(InterActivityDistribution):
     def mean(self) -> float:
         return 1.0 / self.q
 
-    @property
-    def support_max(self) -> int | None:
-        return None
+    support_max = None
 
     def sample(self, rng) -> int:
         if self.q >= 1.0:
@@ -142,15 +110,13 @@ class Deterministic(InterActivityDistribution):
     d: int
 
     def __post_init__(self):
-        if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
-            raise ValidationError(f"deterministic length must be an integer >= 1, got {self.d}")
+        if isinstance(self.d, bool) or not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
+            raise ValidationError(f"deterministic length must be an integer >= 1, got {self.d!r}")
+        object.__setattr__(self, "d", int(self.d))
 
-    def pmf(self, tau: int) -> float:
-        self._require_positive(tau)
-        return 1.0 if tau == self.d else 0.0
-
-    def cdf(self, tau: int) -> float:
-        return 1.0 if tau >= self.d else 0.0
+    def _masses(self, n: int) -> tuple[list, list]:
+        return ([float(tau == self.d) for tau in range(1, n + 1)],
+                [float(tau >= self.d) for tau in range(1, n + 1)])
 
     def mdhr(self) -> float:
         # Hazard is 0 before d and 1 at d, so the minimum is 0 unless d == 1.
@@ -160,11 +126,11 @@ class Deterministic(InterActivityDistribution):
         return float(self.d)
 
     @property
-    def support_max(self) -> int | None:
+    def support_max(self) -> int:
         return self.d
 
     def sample(self, rng) -> int:
-        return self.d
+        return self.d  # consumes no draw
 
 
 @dataclass(frozen=True)
@@ -184,18 +150,9 @@ class Tabulated(InterActivityDistribution):
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_cum", tuple(accumulate(probs[:-1])) + (1.0,))
 
-    def pmf(self, tau: int) -> float:
-        self._require_positive(tau)
-        if tau > len(self.probs):
-            return 0.0
-        return self.probs[tau - 1]
-
-    def cdf(self, tau: int) -> float:
-        if tau <= 0:
-            return 0.0
-        if tau >= len(self.probs):
-            return 1.0
-        return self._cum[tau - 1]
+    def _masses(self, n: int) -> tuple[list, list]:
+        pad = max(n - len(self.probs), 0)
+        return list(self.probs[:n]) + [0.0] * pad, list(self._cum[:n]) + [1.0] * pad
 
     def mdhr(self) -> float:
         # Durations whose survival is already exhausted count as hazard 1 (the
@@ -213,7 +170,7 @@ class Tabulated(InterActivityDistribution):
         return sum((i + 1) * p for i, p in enumerate(self.probs))
 
     @property
-    def support_max(self) -> int | None:
+    def support_max(self) -> int:
         return max(tau for tau, p in enumerate(self.probs, start=1) if p > 0.0)
 
     def sample(self, rng) -> int:
@@ -234,14 +191,14 @@ class DurationTable(NamedTuple):
 
 @lru_cache(maxsize=256)
 def duration_table(dist: InterActivityDistribution, n: int) -> DurationTable:
-    """The pmf, survival and hazard of dist for durations 0..n, computed once per (dist, n).
+    """The pmf, survival (1 - cdf) and hazard of dist._masses(n) for durations 0..n, built once per (dist, n).
 
     Survival at or below 1e-12 counts as exhausted: the hazard is 1 for a
     duration whose own or prior survival is exhausted (this also settles the
     0/0 case) and min(pmf[e] / sf[e-1], 1) otherwise.
     """
-    pmf = np.array([0.0] + [dist.pmf(e) for e in range(1, n + 1)])
-    sf = np.array([dist.sf(e) for e in range(n + 1)])
+    pmf, cdf = dist._masses(n)
+    pmf, sf = np.array([0.0] + pmf), 1.0 - np.array([0.0] + cdf)
     exhausted = sf <= 1e-12
     hazard = np.zeros(n + 1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -210,9 +210,9 @@ class _Lp:
         x = np.array(solution.col_value)
         fun = solver.getObjectiveValue()
         slack = self._upper - solution.row_value  # equality rows: the residual
-        if (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
-                or not np.all((x >= -_RESULT_TOL) & (x <= 1.0 + _RESULT_TOL))
-                or (slack < -_RESULT_TOL).any() or (np.abs(slack[self._eq]) > _RESULT_TOL).any()):
+        # Positive tests: every comparison with NaN is false, so NaN fails each one.
+        if not (fun == fun and ((x >= -_RESULT_TOL) & (x <= 1.0 + _RESULT_TOL)).all()
+                and (slack >= -_RESULT_TOL).all() and (np.abs(slack[self._eq]) <= _RESULT_TOL).all()):
             raise LpError(f"linear program failed: the solution misses the constraints by more "
                           f"than {_RESULT_TOL:.2E}")
         return x, float(-fun)

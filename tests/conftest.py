@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 
-from volnotify.core import Deterministic, Geometric, Instance, Tabulated
+from volnotify.core import Deterministic, Geometric, Instance, Tabulated, ValidationError
 
 VARIANTS = ("geometric", "deterministic", "tabulated")
 
@@ -57,3 +57,33 @@ def feasible_tensor(rng: random.Random, instance: Instance) -> np.ndarray:
     if worst > 1.0:
         x = x / worst
     return x
+
+
+def closed_form_value(kind: str, policy_name: str, params: dict) -> float:
+    """Analytic expected values for canonical (instance, policy) pairs.
+
+    The tests' reference table: it centralizes their constants so no test
+    embeds a magic number inline. Supported pairs: (I1, lp_lower),
+    (I1, online_opt), (I4, lp), (I4, follow_exante), (I4, sn), (I4, sdn),
+    (I2, lp_lower).
+    """
+    key = (kind, policy_name)
+    if key == ("I1", "lp_lower"):
+        q, eps = float(params["q"]), float(params["eps"])
+        return eps * (2.0 - q - (1.0 - q) * eps) / (1.0 - q)
+    if key == ("I1", "online_opt"):
+        q, eps = float(params["q"]), float(params["eps"])
+        return eps / (1.0 - q)
+    if key == ("I4", "lp"):
+        return float(params["q"]) + float(params["eps"])
+    if key == ("I4", "follow_exante"):
+        q, eps = float(params["q"]), float(params["eps"])
+        return eps + q * q
+    if key == ("I4", "sn"):
+        return float(params["q"])
+    if key == ("I4", "sdn"):
+        q, eps = float(params["q"]), float(params["eps"])
+        return (eps + q) / (2.0 - q)
+    if key == ("I2", "lp_lower"):
+        return float(params["n"])
+    raise ValidationError(f"no closed form for {kind} / {policy_name}")

@@ -16,10 +16,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import closed_form_value, random_instance
 from volnotify.bounds import (
     CanonicalInstanceSpec,
-    closed_form_value,
     make_instance,
     sn_guarantee,
     verify_dual_certificate,

@@ -4,10 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import feasible_tensor, fuzz_draws, random_instance
+from conftest import closed_form_value, feasible_tensor, fuzz_draws, random_instance
 from volnotify.bounds import (
     CanonicalInstanceSpec,
-    closed_form_value,
     kappa,
     kappa_grid,
     make_instance,
@@ -75,8 +74,7 @@ class TestCanonicalInstances:
 
     def test_i5_dist_has_no_mass_at_one(self):
         inst = make_instance(spec("I5", eps=0.01))
-        assert inst.dist.pmf(1) == 0.0
-        assert inst.dist.pmf(2) == 1.0
+        assert duration_table(inst.dist, 2).pmf.tolist() == [0.0, 0.0, 1.0]
 
     def test_invalid_params(self):
         nan = float("nan")

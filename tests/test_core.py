@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -50,20 +51,17 @@ def make_i2(n=4):
 
 class TestDistributions:
     def test_geometric_pmf_closed_form(self):
-        assert Geometric(0.5).pmf(2) == pytest.approx(0.25, abs=1e-15)
+        assert duration_table(Geometric(0.5), 2).pmf[2] == pytest.approx(0.25, abs=1e-15)
 
     def test_deterministic_pmf(self):
-        d = Deterministic(7)
-        assert d.pmf(7) == 1.0
-        assert d.pmf(6) == 0.0
+        table = duration_table(Deterministic(7), 8)
+        assert table.pmf.tolist() == [0.0] * 7 + [1.0, 0.0]
+        assert table.sf.tolist() == [1.0] * 7 + [0.0, 0.0]
 
     def test_tabulated_pmf_beyond_support(self):
-        assert Tabulated((0.2, 0.8)).pmf(3) == 0.0
-
-    def test_pmf_rejects_zero(self):
-        for dist in (Geometric(0.5), Deterministic(2), Tabulated((1.0,))):
-            with pytest.raises(ValidationError):
-                dist.pmf(0)
+        table = duration_table(Tabulated((0.2, 0.8)), 3)
+        assert table.pmf[3] == 0.0
+        assert table.sf[3] == 0.0
 
     def test_mdhr_geometric_equals_success_prob(self):
         assert Geometric(0.3).mdhr() == 0.3
@@ -85,9 +83,11 @@ class TestDistributions:
         rng = random.Random(11)
         for _ in range(30):
             dist = random_dist(rng, VARIANTS[rng.randrange(3)])
+            table = duration_table(dist, 8)
             for tau in range(1, 9):
-                assert dist.cdf(tau) - dist.cdf(tau - 1) == pytest.approx(dist.pmf(tau), abs=1e-12)
-            assert dist.cdf(0) == 0.0
+                assert table.sf[tau - 1] - table.sf[tau] == pytest.approx(table.pmf[tau], abs=1e-12)
+            assert table.sf[0] == 1.0
+            assert table.pmf[0] == 0.0
 
     def test_tabulated_validation(self):
         with pytest.raises(ValidationError):
@@ -124,28 +124,52 @@ class TestDistributions:
         rng = random.Random(4)
         dist = Tabulated((0.2, 0.3, 0.5))
         n = 20000
+        pmf = duration_table(dist, 3).pmf
         counts = [0, 0, 0]
         for _ in range(n):
             counts[dist.sample(rng) - 1] += 1
         for tau in range(1, 4):
-            se = math.sqrt(dist.pmf(tau) * (1 - dist.pmf(tau)) / n)
-            assert abs(counts[tau - 1] / n - dist.pmf(tau)) <= 4 * se
+            se = math.sqrt(pmf[tau] * (1 - pmf[tau]) / n)
+            assert abs(counts[tau - 1] / n - pmf[tau]) <= 4 * se
+
+    @pytest.mark.parametrize("dist, seed, draws, consumed", [
+        (Geometric(0.3), 12, [2, 4, 4, 1, 1, 2, 1, 5, 4, 3, 3, 4, 1, 2, 1, 7, 1, 5, 1, 4], 20),
+        (Geometric(1.0), 13, [1] * 20, 0),
+        (Deterministic(4), 14, [4] * 20, 0),
+        (Tabulated((0.4, 0.3, 0.2, 0.1)), 12,
+         [2, 2, 2, 1, 1, 1, 1, 3, 2, 2, 2, 2, 1, 2, 1, 4, 1, 3, 1, 2], 20),
+    ], ids=["Geometric(0.3)", "Geometric(1.0)", "Deterministic(4)", "Tabulated(0.4,0.3,0.2,0.1)"])
+    def test_samples_on_fixed_streams(self, dist, seed, draws, consumed):
+        # Literals recorded from the per-element samplers; each sampler takes
+        # one uniform draw per sample or, when the duration is certain, none.
+        rng, reference = random.Random(seed), random.Random(seed)
+        assert [dist.sample(rng) for _ in range(20)] == draws
+        for _ in range(consumed):
+            reference.random()
+        assert rng.getstate() == reference.getstate()
 
 
 TABLE_DISTS = [Geometric(0.3), Geometric(0.999), Geometric(1.0), Deterministic(1), Deterministic(4),
                Tabulated((0.1, 0.0, 0.5, 0.4)), Tabulated((0.5, 0.5, 0.0, 0.0))]
+# sha256 prefixes of duration_table(dist, 9)'s pmf, sf and hazard bytes, as the
+# per-element pmf/sf methods tabulated them.
+TABLE_SHA256 = [
+    ["f184b1a57ad10e669c282b43", "755a9bb1ffa8cf70f23653f0", "26c0b529761e97beaa98ba30"],
+    ["3f470e5ded30b53c970c28f3", "d7fe76f9ef1f75c2707f3c7e", "f529a99f98604322a75154d1"],
+    ["c36ba26743947ae3eee1b2af", "abd7f97c5efd303610302f13", "8c76caccc95b46b216f1d949"],
+    ["c36ba26743947ae3eee1b2af", "abd7f97c5efd303610302f13", "8c76caccc95b46b216f1d949"],
+    ["b3a50001cd5fb22985e0f73c", "3e41584d656ae9dab7b1cbb0", "1f3fa073d78bb60118b8aeb5"],
+    ["99218a4f4c7998f49c848549", "0bed8c1f50fdb1b1a190d98e", "64d9ae582575acae81749544"],
+    ["feecc53de5a9dd654ee79781", "a7612a54029d333c6c66a9ec", "6b1bc23f27d6c6e7d1d832fb"],
+]
 
 
 class TestDurationTable:
-    @pytest.mark.parametrize("dist", TABLE_DISTS, ids=repr)
-    def test_matches_per_element_values_bit_for_bit(self, dist):
-        n = 9
-        table = duration_table(dist, n)
-        pmf = np.array([0.0] + [dist.pmf(e) for e in range(1, n + 1)])
-        sf = np.array([dist.sf(e) for e in range(n + 1)])
-        assert table.pmf.tobytes() == pmf.tobytes()
-        assert table.sf.tobytes() == sf.tobytes()
-        assert duration_table(dist, n) is table  # cached per (dist, n)
+    @pytest.mark.parametrize("dist, digests", zip(TABLE_DISTS, TABLE_SHA256), ids=map(repr, TABLE_DISTS))
+    def test_matches_per_element_values_bit_for_bit(self, dist, digests):
+        table = duration_table(dist, 9)
+        assert [hashlib.sha256(arr.tobytes()).hexdigest()[:24] for arr in table] == digests
+        assert duration_table(dist, 9) is table  # cached per (dist, n)
 
     @pytest.mark.parametrize("dist", TABLE_DISTS, ids=repr)
     def test_arrays_are_read_only(self, dist):
@@ -159,7 +183,7 @@ class TestDurationTable:
         n = 9
         table = duration_table(dist, n)
         assert table.hazard[0] == 0.0
-        exhausted = next((e for e in range(n + 1) if dist.sf(e) <= 1e-12), n + 1)
+        exhausted = next((e for e in range(n + 1) if table.sf[e] <= 1e-12), n + 1)
         assert exhausted <= (dist.support_max or n + 1)
         for e in range(1, n + 1):
             if e >= exhausted:
@@ -326,6 +350,21 @@ class TestSerialization:
             assert back.arrival_rates.tolist() == inst.arrival_rates.tolist()
             assert back.match_probs.tolist() == inst.match_probs.tolist()
             assert back.dist == inst.dist
+
+    @pytest.mark.parametrize("dist", [Deterministic(np.int64(3)), Deterministic(np.int32(1)),
+                                      Geometric(np.float64(0.25)), Geometric(1)], ids=repr)
+    def test_numpy_and_int_parameters_round_trip(self, dist):
+        inst = Instance(arrival_rates=np.array([[0.5]]), match_probs=np.array([[0.5]]), dist=dist)
+        back = instance_from_json(instance_to_json(inst))
+        assert back.dist == dist
+        assert type(getattr(back.dist, "d", 1)) is int and type(getattr(back.dist, "q", 1.0)) is float
+        assert instance_to_json(back) == instance_to_json(inst)
+
+    @pytest.mark.parametrize("make", [Geometric, Deterministic])
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_boolean_parameters_rejected(self, make, flag):
+        with pytest.raises(ValidationError):
+            make(flag)
 
     def test_sparse_form_accepted(self):
         text = """{"T": 2, "V": 1, "S": 2,

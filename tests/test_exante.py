@@ -25,6 +25,7 @@ from volnotify.core import (
 )
 from volnotify import exante
 from volnotify.exante import (
+    LpError,
     LpInfeasibleError,
     _benchmark_rows,
     _load_rows,
@@ -104,6 +105,29 @@ def on_each_path(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(exante, "_highs", None)
         yield "linprog"
+
+
+class FakeSolver:
+    """Stands in for a HiGHS solver: reports an optimal run with the given solution, row values and objective."""
+
+    def __init__(self, x, rows, fun):
+        self.solution = type("Solution", (), {"col_value": x, "row_value": rows})()
+        self.fun = fun
+
+    def changeColsCost(self, *args):
+        pass
+
+    def run(self):
+        return exante._highs.HighsStatus.kOk
+
+    def getModelStatus(self):
+        return exante._highs.HighsModelStatus.kOptimal
+
+    def getSolution(self):
+        return self.solution
+
+    def getObjectiveValue(self):
+        return self.fun
 
 
 def _same_bits(a, b):
@@ -206,6 +230,32 @@ class TestSolveLp:
                 sol, val = lp.solve(objective)
                 assert sol == pytest.approx([0.0, 1.0] if objective[1] > 1 else [1.0, 0.0], abs=1e-9)
                 assert val == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("x, rows, fun", [
+        ([np.nan, 0.5], [1.0, 0.0], -1.0),  # NaN in the solution
+        ([0.5, 0.5], [1.0, 0.0], np.nan),  # NaN objective
+        ([0.5, 0.5], [np.nan, 0.0], -1.0),  # NaN inequality row value
+        ([0.5, 0.5], [1.0, np.nan], -1.0),  # NaN equality row value
+        ([1.1, 0.5], [1.0, 0.0], -1.0),  # above the box
+        ([-0.1, 0.5], [1.0, 0.0], -1.0),  # below the box
+        ([0.5, 0.5], [1.1, 0.0], -1.0),  # negative slack
+        ([0.5, 0.5], [1.0, -0.1], -1.0),  # equality residual with positive slack
+    ])
+    def test_result_checks_reject_a_bad_solution(self, x, rows, fun):
+        # max x1 + x2, x1 + x2 <= 1, x1 - x2 == 0; a solver returns the given
+        # solution, row values and objective with an optimal status.
+        if exante._highs is None:
+            pytest.skip("scipy has no HiGHS binding")
+        lp = exante._Lp([[1.0, 1.0]], [1.0], [[1.0, -1.0]], [0.0])
+        assert lp.solve([1.0, 1.0])[1] == pytest.approx(1.0, abs=1e-9)
+        lp._solver = FakeSolver([0.5, 0.5], [1.0, 0.0], -1.0)
+        sol, value = lp.solve([1.0, 1.0])  # the fake's good answer passes
+        assert sol.tolist() == [0.5, 0.5] and value == 1.0
+        lp._solver = FakeSolver(x, rows, fun)
+        with pytest.raises(LpError, match="misses the constraints"):
+            lp.solve([1.0, 1.0])
+        assert lp._solver is None  # the failed solver is dropped
+        assert lp.solve([1.0, 1.0])[1] == pytest.approx(1.0, abs=1e-9)  # a fresh one solves
 
     def test_sparse_matches_dense(self, monkeypatch):
         for _ in on_each_path(monkeypatch):

@@ -87,9 +87,10 @@ def forward_value_to_go(instance, x_tilde, r):
     lam = instance.arrival_rates
     lam0 = instance.no_arrival_rates()
     J = np.zeros((V, T + 1))
+    pmf = duration_table(instance.dist, T).pmf
     for v in range(V):
         for t in range(T - 1, -1, -1):
-            future = sum(instance.dist.pmf(tau - t) * J[v, tau]
+            future = sum(pmf[tau - t] * J[v, tau]
                          for tau in range(t + 1, T))
             val = lam0[t] * J[v, t + 1]
             for s in range(S):
@@ -240,17 +241,17 @@ class TestScaledDown:
             assert np.all((plan.probs >= 0.0) & (plan.probs <= 1.0))
 
 
-def dict_filter_step(active, pending, dist, t):
-    """Reference belief advance: per-volunteer dicts {tau: mass}, per-element pmf/sf."""
+def dict_filter_step(active, pending, table, t):
+    """Reference belief advance: per-volunteer dicts {tau: mass}, the hazard rule per element of table's pmf/sf."""
     for v, masses in enumerate(pending):
         moved, kept = 0.0, {}
         for tau, mass in masses.items():
             elapsed = t - tau
-            if dist.sf(elapsed) <= 1e-12:
+            if table.sf[elapsed] <= 1e-12:
                 moved += mass
                 continue
-            prior = dist.sf(elapsed - 1)
-            hazard = 1.0 if prior <= 1e-12 else min(dist.pmf(elapsed) / prior, 1.0)
+            prior = table.sf[elapsed - 1]
+            hazard = 1.0 if prior <= 1e-12 else min(table.pmf[elapsed] / prior, 1.0)
             moved += hazard * mass
             if (1.0 - hazard) * mass > 0.0:
                 kept[tau] = (1.0 - hazard) * mass
@@ -332,13 +333,13 @@ class TestBeliefFilter:
         rng = random.Random(127)
         for _ in range(30):
             inst = random_instance(rng, max_v=4, max_t=20)
-            hazard = duration_table(inst.dist, inst.T).hazard
+            table = duration_table(inst.dist, inst.T)
             state = BeliefState.all_active(inst.V, inst.T)
             active, pending = [1.0] * inst.V, [{} for _ in range(inst.V)]
             for t in range(1, inst.T + 1):
                 if t >= 2:
-                    state.advance(hazard, t)
-                    dict_filter_step(active, pending, inst.dist, t)
+                    state.advance(table.hazard, t)
+                    dict_filter_step(active, pending, table, t)
                 assert state.active.tolist() == active
                 assert [{tau + 1: m for tau, m in enumerate(row) if m} for row in
                         state.pending.tolist()] == pending
@@ -357,14 +358,14 @@ class TestBeliefFilter:
         # active[v] = 1 - sum_{tau < t} knocked[v, tau] sf(t - tau).
         rng = random.Random(113)
         V, T = 3, 12
-        hazard = duration_table(dist, T).hazard
+        table = duration_table(dist, T)
         for _ in range(30):
             state = BeliefState.all_active(V, T)
             knocked = np.zeros((V, T))
             for t in range(1, T + 1):
                 if t >= 2:
-                    state.advance(hazard, t)
-                reference = [1.0 - sum(knocked[v, tau - 1] * dist.sf(t - tau)
+                    state.advance(table.hazard, t)
+                reference = [1.0 - sum(knocked[v, tau - 1] * table.sf[t - tau]
                                        for tau in range(1, t)) for v in range(V)]
                 assert np.all(np.abs(state.active - reference) <= 1e-12)
                 assert np.all(np.abs(state.active + state.pending.sum(axis=1) - 1.0) <= 1e-12)
