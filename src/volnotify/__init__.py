@@ -52,7 +52,6 @@ from .sim import (
     SimStats,
     brute_force_optimal_online,
     empirical_active_prob,
-    episode_rng,
     run_episode,
     simulate,
     simulate_batched,

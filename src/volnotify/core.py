@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -63,8 +64,9 @@ class InterActivityDistribution:
     `_masses(n)`: the pmf and the cdf at durations 1..n, which every caller
     reads through duration_table. Beside them it gives `mdhr` (the minimum
     discrete hazard rate, 0/0 hazards counting as 1), `mean`, `support_max`
-    (None when unbounded) and `sample`, which inverts the cdf on at most one
-    uniform draw.
+    (None when unbounded) and `sample`, which maps an array of uniforms in
+    [0, 1) to the durations that invert the cdf at them, as floats of the
+    same shape (a geometric duration can exceed every integer dtype).
     """
 
 
@@ -75,9 +77,10 @@ class Geometric(InterActivityDistribution):
     q: float
 
     def __post_init__(self):
-        if isinstance(self.q, (bool, np.bool_)) or not 0.0 < self.q <= 1.0:
+        q = json_real(self.q, "geometric success probability")
+        if not 0.0 < q <= 1.0:
             raise ValidationError(f"geometric success probability must be in (0, 1], got {self.q!r}")
-        object.__setattr__(self, "q", float(self.q))
+        object.__setattr__(self, "q", q)
 
     def _masses(self, n: int) -> tuple[list, list]:
         # Scalar powers: numpy's array power may round differently.
@@ -94,13 +97,13 @@ class Geometric(InterActivityDistribution):
 
     support_max = None
 
-    def sample(self, rng) -> int:
+    def sample(self, u: np.ndarray) -> np.ndarray:
         if self.q >= 1.0:
-            return 1
-        u = rng.random()
-        # Smallest z with cdf(z) >= u; untruncated inverse-cdf on one draw.
-        z = math.ceil(math.log1p(-u) / math.log1p(-self.q))
-        return max(1, z)
+            return np.ones(np.shape(u))
+        # Smallest z >= 1 with cdf(z) > u; untruncated, so no integer dtype holds
+        # every z, and below q ~ 1e-307 a z beyond the float range is inf.
+        with np.errstate(over="ignore"):
+            return np.maximum(np.ceil(np.log1p(-u) / math.log1p(-self.q)), 1.0)
 
 
 @dataclass(frozen=True)
@@ -129,8 +132,8 @@ class Deterministic(InterActivityDistribution):
     def support_max(self) -> int:
         return self.d
 
-    def sample(self, rng) -> int:
-        return self.d  # consumes no draw
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(u), float(self.d))
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ class Tabulated(InterActivityDistribution):
     probs: tuple
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
+        probs = tuple(json_real(p, "tabulated mass") for p in self.probs)
         if not probs:
             raise ValidationError("tabulated distribution needs at least one mass")
         if not all(p >= 0.0 for p in probs):
@@ -173,12 +176,9 @@ class Tabulated(InterActivityDistribution):
     def support_max(self) -> int:
         return max(tau for tau, p in enumerate(self.probs, start=1) if p > 0.0)
 
-    def sample(self, rng) -> int:
-        u = rng.random()
-        for tau, c in enumerate(self._cum, start=1):
-            if u < c:
-                return tau
-        return len(self.probs)
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        # The first tau with u < cum[tau]; the last cum entry is exactly 1.
+        return np.searchsorted(self._cum, u, side="right") + 1.0
 
 
 class DurationTable(NamedTuple):
@@ -304,10 +304,16 @@ def _require_shape(instance: Instance, solution: FractionalSolution) -> np.ndarr
     return solution.x
 
 
+@lru_cache(maxsize=16)  # a matrix holds T * T floats, so only a few are kept
 def survival_matrix(dist: InterActivityDistribution, T: int) -> np.ndarray:
-    """Lower-triangular (T x T) matrix M[t, tau] = P(duration > t - tau) for tau <= t (0-based)."""
+    """Lower-triangular (T x T) matrix M[t, tau] = P(duration > t - tau) for tau <= t (0-based).
+
+    Built once per (dist, T) and read-only, like duration_table.
+    """
     elapsed = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
-    return np.tril(duration_table(dist, T).sf[elapsed])
+    matrix = np.tril(duration_table(dist, T).sf[elapsed])
+    matrix.setflags(write=False)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -435,9 +441,9 @@ def json_int(value, name: str) -> int:
 
 
 def json_real(value, name: str) -> float:
-    """A JSON number field as a float; a boolean, string or null is rejected, never converted."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a JSON number, got {value!r}")
+    """A real number (a JSON number field) as a float; a boolean, string or null is rejected, never converted."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
     return float(value)
 
 

@@ -169,10 +169,13 @@ def sdn_offline(instance: Instance, x_star: FractionalSolution) -> SDNPlan:
 class BeliefState:
     """Exact marginal over each volunteer's hidden state given the notification history.
 
-    active has shape (V,): active[v] is the probability volunteer v is active.
-    pending has shape (V, T): pending[v, tau-1] is the mass knocked out by the
-    notification at period tau and still inactive. Each volunteer's active
-    probability and pending masses sum to 1. Both arrays are updated in place.
+    One row per episode of a chunk: active has shape (E, V), active[e, v]
+    being the probability volunteer v is active in episode e, and pending
+    has shape (E, V, T), pending[e, v, tau-1] being the mass knocked out by
+    the notification at period tau and still inactive. Each volunteer's
+    active probability and pending masses sum to 1. Both arrays are updated
+    in place. A state with one row stands for every episode of a chunk until
+    its first notification, which gives it one row per episode.
     """
 
     active: np.ndarray
@@ -180,7 +183,7 @@ class BeliefState:
 
     @classmethod
     def all_active(cls, V: int, T: int) -> "BeliefState":
-        return cls(active=np.ones(V), pending=np.zeros((V, T)))
+        return cls(active=np.ones((1, V)), pending=np.zeros((1, V, T)))
 
     def advance(self, hazard: np.ndarray, t: int) -> None:
         """Move to the start of period t >= 2: each pending mass returns with its elapsed hazard.
@@ -189,21 +192,22 @@ class BeliefState:
         has been inactive for t - tau periods.
         """
         h = hazard[t - 1:0:-1]
-        mass = self.pending[:, :t - 1]
+        mass = self.pending[:, :, :t - 1]
         # summed in ascending tau, the order the masses were notified in
-        self.active += np.cumsum(h * mass, axis=1)[:, -1]
+        self.active += np.cumsum(h * mass, axis=2)[:, :, -1]
         mass *= 1.0 - h
 
-    def notify(self, v0: int, t: int) -> None:
-        """Record a notification of volunteer v0 (0-based) at period t.
+    def notify(self, notified: np.ndarray, t: int) -> None:
+        """Record the (E, V) mask of the volunteers notified at period t.
 
-        The active mass becomes pending from t; mass already inactive is
+        Their active mass becomes pending from t; mass already inactive is
         unaffected because inactive volunteers ignore notifications.
         """
-        a = self.active[v0]
-        if a > 0.0:
-            self.active[v0] = 0.0
-            self.pending[v0, t - 1] += a
+        if len(self.active) != len(notified):
+            self.active = np.repeat(self.active, len(notified), axis=0)
+            self.pending = np.repeat(self.pending, len(notified), axis=0)
+        self.pending[:, :, t - 1] += np.where(notified, self.active, 0.0)
+        self.active[notified] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +216,17 @@ class BeliefState:
 
 
 class Policy:
-    """Episode-facing protocol used by the simulator.
+    """Protocol the simulator's engine drives, on a chunk of E episodes at a time.
 
-    The simulator threads an opaque per-episode state through advance (start
-    of each period from 2 on), decide (on an arrival; may consume the episode
-    stream), and record (after the realized notifications of the period).
-    Non-adaptive policies keep no state.
+    The engine threads an opaque per-chunk state through advance (start of
+    each period from 2 on), decide (in a period where a task arrives in some
+    episode) and record (after that period's realized notifications). decide
+    gets the (E,) arrival types s, 1-based and 0 where no task came (those
+    rows are ignored), and the period's (E, V) policy uniforms u, and returns
+    the (E, V) notification probabilities. record gets the (E, V) boolean
+    mask of the notified volunteers. The arrays passed in are views that
+    the engine reuses, valid only during the call. Non-adaptive policies
+    keep no state.
     """
 
     name = "policy"
@@ -228,10 +237,10 @@ class Policy:
     def advance(self, state, t: int):
         return state
 
-    def decide(self, state, t: int, s: int, rng):
+    def decide(self, state, t: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def record(self, state, t: int, notified0):
+    def record(self, state, t: int, notified: np.ndarray):
         return state
 
 
@@ -240,18 +249,19 @@ class StaticPlanPolicy(Policy):
 
     def __init__(self, name: str, probs: np.ndarray):
         self.name = name
-        _, S, T = probs.shape
-        self._probs = [[probs[:, s, t].tolist() for s in range(S)] for t in range(T)]
+        self.probs = np.array(probs, dtype=float)  # (V, S, T)
+        self.probs.setflags(write=False)
 
-    def decide(self, state, t: int, s: int, rng):
-        return self._probs[t - 1][s - 1]
+    def decide(self, state, t: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return self.probs[:, s - 1, t - 1].T
 
 
 class BeliefPolicy(Policy):
     """Adaptive policy over the exact belief filter; subclasses supply decide.
 
-    The per-episode state is a BeliefState. A volunteer is eligible when
-    believed active with probability at least theta.
+    The per-chunk state is a BeliefState. A volunteer is eligible when
+    believed active with probability at least theta. Volunteers are ranked
+    per task type by descending match probability, ties to the lower index.
     """
 
     def __init__(self, name: str, instance: Instance, theta: float = 1.0):
@@ -259,6 +269,7 @@ class BeliefPolicy(Policy):
         self.instance = instance
         self.theta = theta
         self._hazard = duration_table(instance.dist, instance.T).hazard
+        self._order = np.argsort(-instance.match_probs.T, axis=1, kind="stable")  # (S, V)
 
     def new_state(self):
         return BeliefState.all_active(self.instance.V, self.instance.T)
@@ -267,32 +278,33 @@ class BeliefPolicy(Policy):
         state.advance(self._hazard, t)
         return state
 
-    def record(self, state, t: int, notified0):
-        for v in notified0:
-            state.notify(v, t)
+    def record(self, state, t: int, notified):
+        state.notify(notified, t)
         return state
 
-    def _eligible0(self, state) -> list[int]:
-        """0-based indices of the volunteers believed active with probability >= theta."""
-        return np.flatnonzero(state.active >= self.theta - 1e-9).tolist()
+    def _eligible(self, state, episodes: int) -> np.ndarray:
+        """(episodes, V) mask of the volunteers believed active with probability >= theta."""
+        return np.broadcast_to(state.active >= self.theta - 1e-9, (episodes, self.instance.V))
 
-    def _by_descending_match(self, s: int, candidates) -> list[int]:
-        """Candidates (0-based) ordered by match probability for type s; ties to the lower index."""
-        return sorted(candidates, key=lambda v: (-self.instance.match_probs[v, s - 1], v))
+
+def _notify_ranked(V: int, order: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """(E, V) 0/1 notification probabilities of the volunteers order[e, j] with take[e, j]."""
+    probs = np.zeros((len(order), V))
+    np.put_along_axis(probs, order, take, axis=1)
+    return probs
 
 
 class RandomNPolicy(BeliefPolicy):
-    """Notifies n eligible volunteers sampled from the episode stream, or all when fewer."""
+    """Notifies the n eligible volunteers with the smallest policy draws, or all when fewer."""
 
     def __init__(self, name: str, instance: Instance, n: int, theta: float = 1.0):
         super().__init__(name, instance, theta)
         self.n = n
 
-    def decide(self, state, t: int, s: int, rng):
-        eligible0 = self._eligible0(state)
-        probs = np.zeros(self.instance.V)
-        probs[eligible0 if len(eligible0) <= self.n else rng.sample(eligible0, self.n)] = 1.0
-        return probs
+    def decide(self, state, t: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        eligible = self._eligible(state, len(s))
+        order = np.argsort(np.where(eligible, u, 2.0), axis=1, kind="stable")[:, :self.n]
+        return _notify_ranked(self.instance.V, order, np.take_along_axis(eligible, order, axis=1))
 
 
 class BestNPolicy(BeliefPolicy):
@@ -302,10 +314,11 @@ class BestNPolicy(BeliefPolicy):
         super().__init__(name, instance, theta)
         self.n = n
 
-    def decide(self, state, t: int, s: int, rng):
-        probs = np.zeros(self.instance.V)
-        probs[self._by_descending_match(s, self._eligible0(state))[:self.n]] = 1.0
-        return probs
+    def decide(self, state, t: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        order = self._order[s - 1]
+        take = np.take_along_axis(self._eligible(state, len(s)), order, axis=1)
+        take &= np.cumsum(take, axis=1) <= self.n
+        return _notify_ranked(self.instance.V, order, take)
 
 
 class UpToRhoPolicy(BeliefPolicy):
@@ -319,18 +332,12 @@ class UpToRhoPolicy(BeliefPolicy):
         super().__init__(name, instance, theta)
         self.rho = rho
 
-    def decide(self, state, t: int, s: int, rng):
-        probs = np.zeros(self.instance.V)
-        surviving = 1.0
-        for v in self._by_descending_match(s, range(self.instance.V)):
-            if 1.0 - surviving >= self.rho:
-                break
-            pa = self.instance.match_probs[v, s - 1] * state.active[v]
-            if pa <= 0.0:
-                continue
-            probs[v] = 1.0
-            surviving *= 1.0 - pa
-        return probs
+    def decide(self, state, t: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        order = self._order[s - 1]
+        pa = np.take_along_axis(self.instance.match_probs.T[s - 1] * state.active, order, axis=1)
+        # chance that nobody ranked before responds, multiplied in rank order
+        missed = np.cumprod(np.hstack([np.ones((len(s), 1)), 1.0 - pa[:, :-1]]), axis=1)
+        return _notify_ranked(self.instance.V, order, (pa > 0.0) & (1.0 - missed < self.rho))
 
 
 class RollingHorizonPolicy(BeliefPolicy):
@@ -348,24 +355,26 @@ class RollingHorizonPolicy(BeliefPolicy):
         self.horizon = default_rolling_horizon(instance) if horizon is None else horizon
         self._cache: dict = {}
 
-    def decide(self, state, t: int, s: int, rng):
-        eligible0 = tuple(self._eligible0(state))
-        key = (t, eligible0)
-        if key not in self._cache:
-            # solve once per (t, eligible) and keep all first-period columns
-            x_sub = None
-            if eligible0:
-                sub = Instance(
-                    arrival_rates=self.instance.arrival_rates[t - 1:t + self.horizon - 1],
-                    match_probs=self.instance.match_probs[list(eligible0)],
-                    dist=self.instance.dist,
-                )
-                x_sub = exante.benchmark_lp(sub).x_lp.x
-            self._cache[key] = x_sub
-        x_sub = self._cache[key]
-        probs = np.zeros(self.instance.V)
-        if x_sub is not None:
-            probs[list(eligible0)] = x_sub[:, s - 1, 0]
+    def decide(self, state, t: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        eligible = self._eligible(state, len(s))
+        probs = np.zeros(eligible.shape)
+        for e in np.flatnonzero(s).tolist():
+            eligible0 = tuple(np.flatnonzero(eligible[e]).tolist())
+            key = (t, eligible0)
+            if key not in self._cache:
+                # solve once per (t, eligible) and keep all first-period columns
+                x_sub = None
+                if eligible0:
+                    sub = Instance(
+                        arrival_rates=self.instance.arrival_rates[t - 1:t + self.horizon - 1],
+                        match_probs=self.instance.match_probs[list(eligible0)],
+                        dist=self.instance.dist,
+                    )
+                    x_sub = exante.benchmark_lp(sub).x_lp.x
+                self._cache[key] = x_sub
+            x_sub = self._cache[key]
+            if x_sub is not None:
+                probs[e, list(eligible0)] = x_sub[:, s[e] - 1, 0]
         return probs
 
 

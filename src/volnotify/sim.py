@@ -1,24 +1,34 @@
 """Seeded Monte-Carlo execution of notification policies.
 
-Each episode owns an independent random sub-stream derived from the run seed
-and the episode index, so episodes can be replayed or distributed across
-workers without changing results. Within an episode, draws happen in a fixed
-documented order per period: the arrival draw, any draws the policy itself
-makes while deciding, one notification coin per volunteer in ascending index,
-one response coin per notified active volunteer in ascending index, and one
-inactivity duration per notified active volunteer in ascending index.
-Notifying an inactive volunteer consumes her notification coin but changes
+One engine plays chunks of episodes at once, period by period, on (E, V)
+arrays. Every draw comes from numpy's counter-based Philox generator keyed by
+the run seed (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011). Each period owns 1 + 4V draws, in this fixed slot order: the
+arrival draw, one policy draw per volunteer, one notification coin per
+volunteer, one response coin per volunteer and one inactivity-duration
+uniform per volunteer, volunteers in ascending index. An episode's
+T (1 + 4V) draws, period after period, fill B = ceil(T (1 + 4V) / 4)
+four-word Philox blocks: episode k's blocks are those of the 256-bit counter
+values k * B + 1 through (k + 1) * B, in order, which are the first outputs
+of Philox(key=seed, counter=k * B) (numpy increments the counter before each
+block). So episode k's draws never depend on which other episodes run, and
+any episode can be replayed alone.
+A 64-bit output w becomes the uniform (w >> 11) * 2**-53. A slot a period
+does not need (no arrival, a volunteer not notified or inactive, a fixed
+duration) is skipped, never handed to the next draw, so every policy sees
+the same arrivals on the same seed. Notifying an inactive volunteer changes
 nothing. A volunteer whose inactivity ends at period t can be notified at t.
-Seeds and episode indices must lie in [0, 2**64), so no two (seed, episode)
-pairs share a stream; anything else is a ValidationError.
+Seeds and episode indices must lie in [0, 2**64); anything else is a
+ValidationError.
 """
 
 from __future__ import annotations
 
 import math
-import random
+import threading
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +37,6 @@ from .policies import Policy
 
 __all__ = [
     "CapacityError",
-    "episode_rng",
     "PeriodRecord",
     "EpisodeLog",
     "SimStats",
@@ -38,22 +47,22 @@ __all__ = [
     "brute_force_optimal_online",
 ]
 
+# Philox outputs generated per chunk. It bounds a run's memory, whatever its
+# episode count; results do not depend on it.
+_DRAW_BUDGET = 2**20
+# Most 64-bit elements (64 KiB) the engine draws or derives in one array,
+# once E * V allows. glibc serves blocks below its mmap threshold (128 KiB
+# until it adapts, or where pinned) from its heap, recycled from call to
+# call, but maps each larger block afresh and page-faults it in: on runs of
+# 25 episodes those faults took about a tenth of the time, and a varying
+# tenth, since their cost follows the load of the host. For the same reason
+# the chunk's uniforms go to a buffer kept per thread (see _uniforms).
+_PIECE = 2**13
+_spare = threading.local()
+
 
 class CapacityError(RuntimeError):
     """State space of an exact computation exceeds the supported size."""
-
-
-def _stream_seed(seed: int, episode: int) -> int:
-    """(seed << 64) | episode, the seed of one episode's stream; both must lie in [0, 2**64)."""
-    if not (0 <= seed < 2**64 and 0 <= episode < 2**64):
-        raise ValidationError(
-            f"seed and episode index must lie in [0, 2**64), got {seed} and {episode}")
-    return (seed << 64) | episode
-
-
-def episode_rng(seed: int, episode: int) -> random.Random:
-    """Independent stream for one episode: the seed and index never collide."""
-    return random.Random(_stream_seed(seed, episode))
 
 
 @dataclass(frozen=True)
@@ -92,89 +101,137 @@ class SimStats:
     seed: int
 
 
-class _Ctx:
-    """Plain-python view of an instance for the episode inner loop."""
+class _Chunk(NamedTuple):
+    """The history of the episodes start .. start + E - 1, period-major."""
 
-    __slots__ = ("V", "S", "T", "cum", "p_rows", "dist")
-
-    def __init__(self, instance: Instance):
-        self.V = instance.V
-        self.S = instance.S
-        self.T = instance.T
-        self.cum = np.cumsum(instance.arrival_rates, axis=1).tolist()
-        self.p_rows = instance.match_probs.tolist()
-        self.dist = instance.dist
+    start: int
+    arrivals: np.ndarray  # (T, E) arrival type, 1-based; 0 when no task came
+    active: np.ndarray  # (T, E, V) active just before the period's arrival draw
+    notified: np.ndarray  # (T, E, V)
+    responded: np.ndarray  # (T, E, V)
 
 
-def _play(ctx: _Ctx, policy: Policy, rng: random.Random,
-          collect: bool = False, active_counts=None):
-    """One episode; returns (completed, per-volunteer counts, records or None)."""
-    V, S = ctx.V, ctx.S
-    inactive_until = [0] * V
-    state = policy.new_state()
-    completed = 0
-    attribution = [0] * V
-    records = [] if collect else None
-    draw = rng.random
-    for t in range(1, ctx.T + 1):
-        if t >= 2:
-            state = policy.advance(state, t)
-        if active_counts is not None:
-            for v in range(V):
-                if inactive_until[v] <= t:
-                    active_counts[v][t - 1] += 1
-        u = draw()
-        cum_row = ctx.cum[t - 1]
-        s0 = None
-        for j in range(S):
-            if u < cum_row[j]:
-                s0 = j
-                break
-        if s0 is None:
-            if collect:
-                records.append(PeriodRecord(None, (), (), None))
-            continue
-        probs = policy.decide(state, t, s0 + 1, rng)
-        if len(probs) != V:
-            raise ValidationError(
-                f"policy returned {len(probs)} probabilities for {V} volunteers")
-        notified = [v for v in range(V) if draw() < probs[v]]
-        responders = []
-        dropping = []
-        for v in notified:
-            if inactive_until[v] <= t:
-                if draw() < ctx.p_rows[v][s0]:
-                    responders.append(v)
-                dropping.append(v)
-        for v in dropping:
-            inactive_until[v] = t + ctx.dist.sample(rng)
-        if responders:
-            completed += 1
-            attribution[responders[0]] += 1
-        state = policy.record(state, t, notified)
-        if collect:
-            records.append(PeriodRecord(
-                s0 + 1,
-                tuple(v + 1 for v in notified),
-                tuple(v + 1 for v in responders),
-                responders[0] + 1 if responders else None,
-            ))
-    return completed, attribution, records
+def _uniforms(bitgen: np.random.Philox, n: int) -> np.ndarray:
+    """The next n outputs w of bitgen as the uniforms (w >> 11) * 2**-53.
+
+    They are written into the calling thread's spare buffer, which the
+    caller hands back (_spare.buffer = out.base) once it has read them; a
+    nested call finds no spare and allocates its own. The raw words are
+    drawn _PIECE at a time.
+    """
+    buf = getattr(_spare, "buffer", None)
+    _spare.buffer = None
+    if buf is None or buf.size < n:
+        buf = np.empty(n)
+    out = buf[:n]
+    for lo in range(0, n, _PIECE):
+        words = bitgen.random_raw(min(_PIECE, n - lo))
+        words >>= 11
+        np.multiply(words, 2.0**-53, out=out[lo:lo + len(words)])
+    return out
 
 
-def run_episode(instance: Instance, policy: Policy, rng: random.Random) -> EpisodeLog:
-    """Play one full episode against the policy and return its trace."""
-    completed, _, records = _play(_Ctx(instance), policy, rng, collect=True)
-    return EpisodeLog(completed=completed, periods=tuple(records))
+def _chunks(instance: Instance, policy: Policy, seed: int, first: int, episodes: int):
+    """Play episodes first .. first + episodes - 1, yielding one _Chunk per chunk of them.
+
+    The policy is reached only through new_state, advance, decide and
+    record, once per chunk and period, on all of the chunk's episodes.
+    """
+    if not (0 <= seed < 2**64 and 0 <= first and first + episodes <= 2**64):
+        raise ValidationError(
+            f"seed and episode indices must lie in [0, 2**64), got seed {seed} "
+            f"and episodes {first} .. {first + episodes - 1}")
+    V, S, T = instance.V, instance.S, instance.T
+    slots = 1 + 4 * V
+    blocks = -(-T * slots // 4)
+    size = max(1, _DRAW_BUDGET // (4 * blocks))
+    cum = np.cumsum(instance.arrival_rates, axis=1)[:, None, :]  # (T, 1, S)
+    match = np.vstack([instance.match_probs.T, np.zeros(V)])  # (S + 1, V); row S: no task
+    periods = np.arange(1.0, T + 1.0)[:, None]
+    for start in range(first, first + episodes, size):
+        E = min(size, first + episodes - start)
+        bitgen = np.random.Philox(key=seed, counter=start * blocks)
+        tape = _uniforms(bitgen, E * blocks * 4)
+        u = tape.reshape(E, 4 * blocks)[:, :T * slots].reshape(E, T, slots)
+        types0 = (u[:, :, 0].T[:, :, None] >= cum).sum(axis=2)  # (T, E); S when no task came
+        arrivals = np.where(types0 < S, types0 + 1, 0)
+        arriving = arrivals[:, :, None] > 0
+        any_arrival = arrivals.any(axis=1).tolist()
+        until = np.zeros((E, V))
+        active = np.empty((T, E, V), dtype=bool)
+        notified = np.zeros((T, E, V), dtype=bool)
+        responded = np.zeros((T, E, V), dtype=bool)
+        state = policy.new_state()
+        # Response coins and return periods are derived `step` periods at a
+        # time, so that no array of them outgrows a piece.
+        step = max(1, _PIECE // (E * V))
+        for i0 in range(0, T, step):
+            part = u[:, i0:i0 + step]  # (E, P, slots)
+            would_respond = part[:, :, 1 + 2 * V:1 + 3 * V] < match[types0[i0:i0 + step].T]
+            # inactive until then
+            ends = instance.dist.sample(part[:, :, 1 + 3 * V:]) + periods[i0:i0 + step]
+            for j in range(part.shape[1]):
+                i = i0 + j
+                t = i + 1
+                if t >= 2:
+                    state = policy.advance(state, t)
+                np.less_equal(until, t, out=active[i])
+                if not any_arrival[i]:
+                    continue
+                probs = policy.decide(state, t, arrivals[i], part[:, j, 1:1 + V])
+                if np.shape(probs) != (E, V):
+                    raise ValidationError(
+                        f"policy returned probabilities of shape {np.shape(probs)} for "
+                        f"{E} episodes and {V} volunteers")
+                np.less(part[:, j, 1 + V:1 + 2 * V], probs, out=notified[i])
+                notified[i] &= arriving[i]
+                fresh = notified[i] & active[i]
+                np.copyto(until, ends[:, j], where=fresh)
+                np.logical_and(fresh, would_respond[:, j], out=responded[i])
+                state = policy.record(state, t, notified[i])
+        _spare.buffer = tape.base  # read to the end: hand the buffer back
+        yield _Chunk(start, arrivals, active, notified, responded)
+
+
+def _credits(chunk: _Chunk) -> np.ndarray:
+    """(E, V) completions per episode and volunteer, each credited to its lowest-index responder."""
+    _, E, V = chunk.responded.shape
+    hit = chunk.responded.any(axis=2)  # (T, E)
+    first = chunk.responded.argmax(axis=2)
+    episode = np.broadcast_to(np.arange(E), hit.shape)
+    return np.bincount(episode[hit] * V + first[hit], minlength=E * V).reshape(E, V)
+
+
+def _episode_log(chunk: _Chunk, e: int) -> EpisodeLog:
+    """The trace of the chunk's episode e (0-based within the chunk)."""
+    periods = []
+    for i, s in enumerate(chunk.arrivals[:, e].tolist()):
+        responders = tuple((np.flatnonzero(chunk.responded[i, e]) + 1).tolist())
+        periods.append(PeriodRecord(
+            s or None,
+            tuple((np.flatnonzero(chunk.notified[i, e]) + 1).tolist()),
+            responders,
+            responders[0] if responders else None,
+        ))
+    return EpisodeLog(completed=sum(p.completer is not None for p in periods),
+                      periods=tuple(periods))
+
+
+def run_episode(instance: Instance, policy: Policy, seed: int, episode: int) -> EpisodeLog:
+    """Play episode `episode` of the run seeded `seed` alone and return its trace."""
+    (chunk,) = _chunks(instance, policy, seed, episode, 1)
+    return _episode_log(chunk, 0)
 
 
 def _drive(instance: Instance, policy: Policy, episodes: int, seed: int, nbatches: int = 1,
            active_counts=None):
-    """The one episode loop: episode ep plays on the stream seeded (seed << 64) | ep.
+    """The one observer of the engine behind simulate, simulate_batched and empirical_active_prob.
 
-    Episodes run in order, split into min(nbatches, episodes) contiguous
-    batches whose sizes differ by at most one. Returns (batch sizes, batch
-    completion totals, sum of squared completions, per-volunteer completions).
+    Episodes 0 .. episodes - 1 are split into min(nbatches, episodes)
+    contiguous batches whose sizes differ by at most one. Returns (batch
+    sizes, batch completion totals, sum of squared completions,
+    per-volunteer completions); active_counts, a (V, T) integer array, gains
+    the number of episodes with each volunteer active at each period.
     """
     if episodes < 1:
         raise ValidationError(f"episode count must be >= 1, got {episodes}")
@@ -182,24 +239,20 @@ def _drive(instance: Instance, policy: Policy, episodes: int, seed: int, nbatche
         raise ValidationError(f"batch count must be >= 1, got {nbatches}")
     nb = min(nbatches, episodes)
     sizes = [episodes // nb + (1 if b < episodes % nb else 0) for b in range(nb)]
-    ctx = _Ctx(instance)
-    rng = random.Random()
-    totals = []
+    ends = np.cumsum(sizes)
+    totals = np.zeros(nb, dtype=np.int64)
     total_sq = 0
-    attr = [0] * ctx.V
-    start = 0
-    for size in sizes:
-        batch_total = 0
-        for ep in range(start, start + size):
-            rng.seed(_stream_seed(seed, ep))
-            completed, a, _ = _play(ctx, policy, rng, active_counts=active_counts)
-            batch_total += completed
-            total_sq += completed * completed
-            for v in range(ctx.V):
-                attr[v] += a[v]
-        start += size
-        totals.append(batch_total)
-    return sizes, totals, total_sq, attr
+    attr = np.zeros(instance.V, dtype=np.int64)
+    for chunk in _chunks(instance, policy, seed, 0, episodes):
+        credits = _credits(chunk)
+        completed = credits.sum(axis=1)
+        batch = np.searchsorted(ends, chunk.start + np.arange(len(completed)), side="right")
+        np.add.at(totals, batch, completed)
+        total_sq += int(completed @ completed)
+        attr += credits.sum(axis=0)
+        if active_counts is not None:
+            active_counts += chunk.active.sum(axis=1).T
+    return sizes, totals.tolist(), total_sq, attr.tolist()
 
 
 def _aggregate(seed, lp_value, sizes, totals, total_sq, attr) -> SimStats:
@@ -226,7 +279,7 @@ def _aggregate(seed, lp_value, sizes, totals, total_sq, attr) -> SimStats:
 
 def simulate(instance: Instance, policy: Policy, episodes: int, seed: int,
              lp_value: float | None = None) -> SimStats:
-    """Run independent episodes on sub-streams derived from (seed, episode index).
+    """Run episodes 0 .. episodes - 1 on the streams of (seed, episode index).
 
     Identical arguments reproduce identical statistics; episode aggregation is
     a commutative sum, so splitting the episode range across workers cannot
@@ -258,9 +311,9 @@ def simulate_batched(instance: Instance, policy: Policy, episodes: int, seed: in
 def empirical_active_prob(instance: Instance, policy: Policy, episodes: int,
                           seed: int) -> np.ndarray:
     """Fraction of episodes with each volunteer active just before each period's arrival draw."""
-    counts = [[0] * instance.T for _ in range(instance.V)]
+    counts = np.zeros((instance.V, instance.T), dtype=np.int64)
     _drive(instance, policy, episodes, seed, active_counts=counts)
-    return np.array(counts, dtype=float) / episodes
+    return counts / episodes
 
 
 # ---------------------------------------------------------------------------

@@ -105,48 +105,58 @@ class TestDistributions:
 
     def test_sample_deterministic(self):
         rng = random.Random(1)
-        assert all(Deterministic(7).sample(rng) == 7 for _ in range(50))
+        u = np.array([rng.random() for _ in range(50)])
+        assert Deterministic(7).sample(u).tolist() == [7.0] * 50
 
     def test_sample_degenerate_tabulated(self):
         rng = random.Random(2)
-        assert all(Tabulated((0.0, 1.0)).sample(rng) == 2 for _ in range(50))
+        u = np.array([rng.random() for _ in range(50)])
+        assert Tabulated((0.0, 1.0)).sample(u).tolist() == [2.0] * 50
 
     def test_sample_geometric_mean(self):
         rng = random.Random(3)
         dist = Geometric(0.5)
         n = 10**5
-        draws = [dist.sample(rng) for _ in range(n)]
+        draws = dist.sample(np.array([rng.random() for _ in range(n)]))
         se = math.sqrt(0.5) / 0.5 / math.sqrt(n)  # duration std is sqrt(1-q)/q
-        assert abs(sum(draws) / n - 2.0) <= 3 * se
-        assert min(draws) >= 1
+        assert abs(draws.mean() - 2.0) <= 3 * se
+        assert draws.min() >= 1
+        assert dist.sample(np.array([0.0])).tolist() == [1.0]  # the lowest uniform
 
     def test_sample_matches_pmf(self):
         rng = random.Random(4)
         dist = Tabulated((0.2, 0.3, 0.5))
         n = 20000
         pmf = duration_table(dist, 3).pmf
-        counts = [0, 0, 0]
-        for _ in range(n):
-            counts[dist.sample(rng) - 1] += 1
+        draws = dist.sample(np.array([rng.random() for _ in range(n)]))
+        counts = np.bincount(draws.astype(int), minlength=4)
         for tau in range(1, 4):
             se = math.sqrt(pmf[tau] * (1 - pmf[tau]) / n)
-            assert abs(counts[tau - 1] / n - pmf[tau]) <= 4 * se
+            assert abs(counts[tau] / n - pmf[tau]) <= 4 * se
 
-    @pytest.mark.parametrize("dist, seed, draws, consumed", [
-        (Geometric(0.3), 12, [2, 4, 4, 1, 1, 2, 1, 5, 4, 3, 3, 4, 1, 2, 1, 7, 1, 5, 1, 4], 20),
-        (Geometric(1.0), 13, [1] * 20, 0),
-        (Deterministic(4), 14, [4] * 20, 0),
+    @pytest.mark.parametrize("dist, seed, draws", [
+        (Geometric(0.3), 12, [2, 4, 4, 1, 1, 2, 1, 5, 4, 3, 3, 4, 1, 2, 1, 7, 1, 5, 1, 4]),
+        (Geometric(1.0), 13, [1] * 20),
+        (Deterministic(4), 14, [4] * 20),
         (Tabulated((0.4, 0.3, 0.2, 0.1)), 12,
-         [2, 2, 2, 1, 1, 1, 1, 3, 2, 2, 2, 2, 1, 2, 1, 4, 1, 3, 1, 2], 20),
+         [2, 2, 2, 1, 1, 1, 1, 3, 2, 2, 2, 2, 1, 2, 1, 4, 1, 3, 1, 2]),
     ], ids=["Geometric(0.3)", "Geometric(1.0)", "Deterministic(4)", "Tabulated(0.4,0.3,0.2,0.1)"])
-    def test_samples_on_fixed_streams(self, dist, seed, draws, consumed):
-        # Literals recorded from the per-element samplers; each sampler takes
-        # one uniform draw per sample or, when the duration is certain, none.
-        rng, reference = random.Random(seed), random.Random(seed)
-        assert [dist.sample(rng) for _ in range(20)] == draws
-        for _ in range(consumed):
-            reference.random()
-        assert rng.getstate() == reference.getstate()
+    def test_samples_on_fixed_streams(self, dist, seed, draws):
+        # Literals recorded from the per-draw samplers, which inverted the cdf
+        # at each of these uniforms one at a time.
+        rng = random.Random(seed)
+        u = np.array([rng.random() for _ in range(20)])
+        assert dist.sample(u).tolist() == draws
+        assert dist.sample(u.reshape(4, 5)).tolist() == np.reshape(draws, (4, 5)).tolist()
+
+    @pytest.mark.parametrize("make, value", [
+        (Geometric, "0.5"), (Geometric, None), (Geometric, [0.5]),
+        (Tabulated, ("0.5", "0.5")), (Tabulated, (0.0, True)), (Tabulated, (np.True_,)),
+        (Tabulated, (None, 1.0)),
+    ], ids=repr)
+    def test_non_numbers_rejected(self, make, value):
+        with pytest.raises(ValidationError):
+            make(value)
 
 
 TABLE_DISTS = [Geometric(0.3), Geometric(0.999), Geometric(1.0), Deterministic(1), Deterministic(4),
@@ -190,6 +200,16 @@ class TestDurationTable:
                 assert table.hazard[e] == 1.0  # exhausted support returns at once
             else:
                 assert table.hazard[e] == min(table.pmf[e] / table.sf[e - 1], 1.0)
+
+    @pytest.mark.parametrize("dist", TABLE_DISTS, ids=repr)
+    def test_survival_matrix_cached_and_read_only(self, dist):
+        matrix = survival_matrix(dist, 6)
+        assert survival_matrix(dist, 6) is matrix
+        sf = duration_table(dist, 6).sf
+        assert matrix.tolist() == [[sf[t - tau] if tau <= t else 0.0 for tau in range(6)]
+                                   for t in range(6)]
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.5
 
     def test_zero_mass_has_zero_hazard(self):
         hazard = duration_table(Tabulated((0.1, 0.0, 0.5, 0.4)), 6).hazard

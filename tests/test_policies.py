@@ -31,7 +31,10 @@ from volnotify.policies import (
     sdn_offline,
     sn_offline,
 )
-from volnotify.sim import episode_rng, run_episode, simulate
+from volnotify.sim import run_episode, simulate
+
+
+U1 = np.full((1, 1), 0.5)  # one episode's policy uniforms on a one-volunteer instance
 
 
 def make_i4(q=0.1, eps=1e-3):
@@ -123,16 +126,16 @@ class TestSparseNotification:
         # the policy is asked only on an arrival, so a period without one notifies nobody
         policy = make_policy("sn", inst, x_star=i4_ones())
         quiet = [period for ep in range(20)
-                 for period in run_episode(inst, policy, episode_rng(1, ep)).periods
+                 for period in run_episode(inst, policy, 1, ep).periods
                  if period.arrival is None]
         assert quiet and all(period.notified == () for period in quiet)
 
     def test_decide_index_errors(self):
         policy = make_policy("sn", make_i4(), x_star=i4_ones())
         with pytest.raises(IndexError):
-            policy.decide(None, 3, 1, random.Random(1))
+            policy.decide(None, 3, np.array([1]), np.zeros((1, 1)))
         with pytest.raises(IndexError):
-            policy.decide(None, 1, 5, random.Random(1))
+            policy.decide(None, 1, np.array([5]), np.zeros((1, 1)))
 
     def test_requires_feasible_input(self):
         inst = make_i4()
@@ -268,53 +271,53 @@ def belief_policy(dist, T):
 class TestBeliefFilter:
     def test_deterministic_cycle(self):
         policy = belief_policy(Deterministic(7), 10)
-        state = policy.record(policy.new_state(), 1, [0])
-        assert state.active[0] == 0.0
+        state = policy.record(policy.new_state(), 1, np.array([[True]]))
+        assert state.active[0, 0] == 0.0
         for t in range(2, 8):
             assert policy.advance(state, t) is state  # updated in place
-            assert state.active[0] == 0.0  # not eligible for 6 periods after
-            assert policy._eligible0(state) == []
+            assert state.active[0, 0] == 0.0  # not eligible for 6 periods after
+            assert policy._eligible(state, 1).tolist() == [[False]]
         state = policy.advance(state, 8)
-        assert state.active[0] == 1.0
-        assert policy._eligible0(state) == [0]
+        assert state.active[0, 0] == 1.0
+        assert policy._eligible(state, 1).tolist() == [[True]]
 
     def test_geometric_moves_constant_fraction(self):
         q = 0.3
         policy = belief_policy(Geometric(q), 5)
-        state = policy.record(policy.new_state(), 1, [0])
+        state = policy.record(policy.new_state(), 1, np.array([[True]]))
         a = 0.0
         for t in range(2, 6):
             state = policy.advance(state, t)
             expected = a + q * (1.0 - a)
-            assert state.active[0] == pytest.approx(expected, abs=1e-12)
+            assert state.active[0, 0] == pytest.approx(expected, abs=1e-12)
             a = expected
 
     def test_tabulated_example(self):
         policy = belief_policy(Tabulated((0.2, 0.8)), 3)
-        state = policy.record(policy.new_state(), 1, [0])
+        state = policy.record(policy.new_state(), 1, np.array([[True]]))
         state = policy.advance(state, 2)
-        assert state.active[0] == pytest.approx(0.2, abs=1e-12)
+        assert state.active[0, 0] == pytest.approx(0.2, abs=1e-12)
         state = policy.advance(state, 3)
-        assert state.active[0] == pytest.approx(1.0, abs=1e-12)
+        assert state.active[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_notify_moves_active_mass(self):
         state = BeliefState.all_active(1, 4)
-        state.notify(0, 3)
-        assert state.active[0] == 0.0
-        assert state.pending[0].tolist() == [0.0, 0.0, 1.0, 0.0]
+        state.notify(np.array([[True]]), 3)
+        assert state.active[0, 0] == 0.0
+        assert state.pending[0, 0].tolist() == [0.0, 0.0, 1.0, 0.0]
 
     def test_notify_inactive_is_noop(self):
-        state = BeliefState(active=np.array([0.0]), pending=np.array([[1.0, 0.0, 0.0, 0.0]]))
-        state.notify(0, 4)
-        assert state.active[0] == 0.0
-        assert state.pending[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        state = BeliefState(active=np.array([[0.0]]), pending=np.array([[[1.0, 0.0, 0.0, 0.0]]]))
+        state.notify(np.array([[True]]), 4)
+        assert state.active[0, 0] == 0.0
+        assert state.pending[0, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_notify_partial_mass_conserved(self):
-        state = BeliefState(active=np.array([0.4]), pending=np.array([[0.6, 0.0, 0.0, 0.0]]))
-        state.notify(0, 3)
-        assert state.active[0] == 0.0
-        assert state.pending[0].tolist() == [0.6, 0.0, 0.4, 0.0]
-        assert state.active[0] + state.pending[0].sum() == pytest.approx(1.0, abs=1e-9)
+        state = BeliefState(active=np.array([[0.4]]), pending=np.array([[[0.6, 0.0, 0.0, 0.0]]]))
+        state.notify(np.array([[True]]), 3)
+        assert state.active[0, 0] == 0.0
+        assert state.pending[0, 0].tolist() == [0.6, 0.0, 0.4, 0.0]
+        assert state.active[0, 0] + state.pending[0, 0].sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_mass_conservation_under_random_history(self):
         rng = random.Random(109)
@@ -325,8 +328,8 @@ class TestBeliefFilter:
             for t in range(2, inst.T + 1):
                 state.advance(hazard, t)
                 if rng.random() < 0.5:
-                    state.notify(rng.randint(1, inst.V) - 1, t)
-                totals = state.active + state.pending.sum(axis=1)
+                    state.notify(np.arange(inst.V)[None, :] == rng.randint(1, inst.V) - 1, t)
+                totals = state.active[0] + state.pending[0].sum(axis=1)
                 assert totals == pytest.approx(np.ones(inst.V), abs=1e-9)
 
     def test_matches_dict_filter_bit_for_bit(self):
@@ -340,15 +343,42 @@ class TestBeliefFilter:
                 if t >= 2:
                     state.advance(table.hazard, t)
                     dict_filter_step(active, pending, table, t)
-                assert state.active.tolist() == active
+                assert state.active[0].tolist() == active
                 assert [{tau + 1: m for tau, m in enumerate(row) if m} for row in
-                        state.pending.tolist()] == pending
+                        state.pending[0].tolist()] == pending
+                notified = np.zeros((1, inst.V), dtype=bool)
                 for v in range(inst.V):
                     if rng.random() < 0.3:
-                        state.notify(v, t)
+                        notified[0, v] = True
                         if active[v] > 0.0:
                             pending[v][t] = active[v]
                             active[v] = 0.0
+                state.notify(notified, t)
+
+    def test_batched_updates_equal_single_episode_updates(self):
+        # A chunk of E episodes, starting from the one shared row the engine
+        # begins with, against E one-episode states fed the same histories.
+        rng = random.Random(131)
+        for _ in range(20):
+            inst = random_instance(rng, max_v=4, max_t=12)
+            hazard = duration_table(inst.dist, inst.T).hazard
+            E = rng.randint(2, 6)
+            batch = BeliefState.all_active(inst.V, inst.T)
+            singles = [BeliefState.all_active(inst.V, inst.T) for _ in range(E)]
+            for t in range(1, inst.T + 1):
+                if t >= 2:
+                    batch.advance(hazard, t)
+                    for single in singles:
+                        single.advance(hazard, t)
+                notified = np.array([[rng.random() < 0.3 for _ in range(inst.V)]
+                                     for _ in range(E)])
+                batch.notify(notified, t)
+                for e, single in enumerate(singles):
+                    single.notify(notified[e:e + 1], t)
+                assert batch.active.shape == (E, inst.V)
+                for e, single in enumerate(singles):
+                    assert batch.active[e].tobytes() == single.active[0].tobytes()
+                    assert batch.pending[e].tobytes() == single.pending[0].tobytes()
 
     @pytest.mark.parametrize("dist", [Geometric(0.3), Deterministic(3),
                                       Tabulated((0.1, 0.0, 0.5, 0.4))], ids=repr)
@@ -367,12 +397,11 @@ class TestBeliefFilter:
                     state.advance(table.hazard, t)
                 reference = [1.0 - sum(knocked[v, tau - 1] * table.sf[t - tau]
                                        for tau in range(1, t)) for v in range(V)]
-                assert np.all(np.abs(state.active - reference) <= 1e-12)
-                assert np.all(np.abs(state.active + state.pending.sum(axis=1) - 1.0) <= 1e-12)
-                for v in range(V):
-                    if rng.random() < 0.4:
-                        knocked[v, t - 1] = reference[v]
-                        state.notify(v, t)
+                assert np.all(np.abs(state.active[0] - reference) <= 1e-12)
+                assert np.all(np.abs(state.active[0] + state.pending[0].sum(axis=1) - 1.0) <= 1e-12)
+                notified = np.array([[rng.random() < 0.4 for _ in range(V)]])
+                knocked[:, t - 1] = np.where(notified[0], reference, 0.0)
+                state.notify(notified, t)
 
 
 class TestHeuristics:
@@ -381,55 +410,57 @@ class TestHeuristics:
         p = np.array([[0.3, 0.3], [0.6, 0.6]])
         self.inst = Instance(arrival_rates=lam, match_probs=p, dist=Deterministic(2))
 
-    def decide(self, text, beliefs, t, s, rng, inst=None, x_star=None):
+    def decide(self, text, beliefs, t, s, u, inst=None, x_star=None):
+        """One episode's decision for arrival type s, given its policy uniforms u."""
         policy = make_policy(text, inst or self.inst, x_star=x_star)
-        return list(policy.decide(beliefs, t, s, rng))
+        return policy.decide(beliefs, t, np.array([s]), np.array([u]))[0].tolist()
 
     def test_notify_all(self):
-        probs = self.decide("all", None, 1, 1, random.Random(1))
+        probs = self.decide("all", None, 1, 1, [0.5, 0.5])
         assert probs == [1.0, 1.0]
 
     def test_upto_rho_stops_at_threshold(self):
-        probs = self.decide("upto:0.5", BeliefState.all_active(2, 1), 1, 2, random.Random(1))
+        probs = self.decide("upto:0.5", BeliefState.all_active(2, 1), 1, 2, [0.5, 0.5])
         assert probs == [0.0, 1.0]  # 0.6 already clears the bar
 
     def test_upto_rho_unreachable_notifies_all_positive(self):
-        probs = self.decide("upto:0.99", BeliefState.all_active(2, 1), 1, 1, random.Random(1))
+        probs = self.decide("upto:0.99", BeliefState.all_active(2, 1), 1, 1, [0.5, 0.5])
         assert probs == [1.0, 1.0]
 
     def test_upto_rho_all_zero_notifies_nobody(self):
         inst = Instance(arrival_rates=np.array([[0.5]]), match_probs=np.zeros((2, 1)),
                         dist=Deterministic(2))
-        probs = self.decide("upto:0.5", BeliefState.all_active(2, 1), 1, 1, random.Random(1), inst)
+        probs = self.decide("upto:0.5", BeliefState.all_active(2, 1), 1, 1, [0.5, 0.5], inst)
         assert probs == [0.0, 0.0]
 
     def test_best_n_picks_largest_match(self):
-        probs = self.decide("best:1", BeliefState.all_active(2, 1), 1, 1, random.Random(1))
+        probs = self.decide("best:1", BeliefState.all_active(2, 1), 1, 1, [0.5, 0.5])
         assert probs == [0.0, 1.0]
 
     def test_best_n_tie_goes_to_lower_index(self):
         inst = Instance(arrival_rates=np.array([[0.5]]), match_probs=np.array([[0.4], [0.4]]),
                         dist=Deterministic(2))
-        probs = self.decide("best:1", BeliefState.all_active(2, 1), 1, 1, random.Random(1), inst)
+        probs = self.decide("best:1", BeliefState.all_active(2, 1), 1, 1, [0.5, 0.5], inst)
         assert probs == [1.0, 0.0]
 
     def test_random_n_with_few_eligible(self):
-        beliefs = BeliefState(active=np.array([1.0, 0.2]), pending=np.array([[0.0], [0.8]]))
-        probs = self.decide("random:3", beliefs, 1, 1, random.Random(1))
+        beliefs = BeliefState(active=np.array([[1.0, 0.2]]), pending=np.array([[[0.0], [0.8]]]))
+        probs = self.decide("random:3", beliefs, 1, 1, [0.5, 0.5])
         assert probs == [1.0, 0.0]
 
     def test_random_n_uniform_subset(self):
         rng = random.Random(5)
         counts = [0, 0]
         for _ in range(4000):
-            probs = self.decide("random:1", BeliefState.all_active(2, 1), 1, 1, rng)
+            probs = self.decide("random:1", BeliefState.all_active(2, 1), 1, 1,
+                                [rng.random(), rng.random()])
             counts[int(np.argmax(probs))] += 1
         assert abs(counts[0] / 4000 - 0.5) < 0.05
 
     def test_exante_plan_follows_x_star(self):
         x = np.zeros((2, 2, 1))
         x[0, 1, 0] = 0.25
-        probs = self.decide("exante", None, 1, 2, random.Random(1),
+        probs = self.decide("exante", None, 1, 2, [0.5, 0.5],
                             x_star=FractionalSolution(x))
         assert probs == [0.25, 0.0]
 
@@ -445,7 +476,7 @@ class TestHeuristics:
         lam = np.array([[1.0, 0.0], [0.0, 1.0]])
         p = np.array([[0.5, 0.0], [0.5, 0.4]])
         inst = Instance(arrival_rates=lam, match_probs=p, dist=Deterministic(2))
-        probs = self.decide("rolling:2", BeliefState.all_active(2, 2), 1, 1, random.Random(1), inst)
+        probs = self.decide("rolling:2", BeliefState.all_active(2, 2), 1, 1, [0.5, 0.5], inst)
         assert probs == [1.0, 1.0]  # window benchmark notifies both for task 1
 
 
@@ -521,18 +552,18 @@ class TestPolicyFactory:
         for text in ("sn", "sdn", "exante"):
             with pytest.raises(ValidationError, match="x_star"):
                 make_policy(text, inst)
-        assert make_policy("all", inst).decide(None, 1, 1, random.Random(1)) == [1.0]
+        assert make_policy("all", inst).decide(None, 1, np.array([1]), U1).tolist() == [[1.0]]
 
     def test_sn_policy_probabilities_match_plan(self):
         inst = make_i4()
         policy = make_policy("sn", inst, x_star=i4_ones())
-        assert policy.decide(None, 1, 1, random.Random(1)) == [0.0]
-        assert policy.decide(None, 2, 2, random.Random(1)) == [1.0]
+        assert policy.decide(None, 1, np.array([1]), U1).tolist() == [[0.0]]
+        assert policy.decide(None, 2, np.array([2]), U1).tolist() == [[1.0]]
 
     def test_sdn_policy_probabilities_match_plan(self):
         inst = make_i4()
         plan = sdn_offline(inst, i4_ones())
         policy = make_policy("sdn", inst, x_star=i4_ones())
         for t, s in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            probs = policy.decide(None, t, s, random.Random(1))
-            assert probs == plan.probs[:, s - 1, t - 1].tolist()
+            probs = policy.decide(None, t, np.array([s]), U1)
+            assert probs.tolist() == [plan.probs[:, s - 1, t - 1].tolist()]

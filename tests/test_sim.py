@@ -16,14 +16,16 @@ from volnotify.core import (
     evaluate_fv,
 )
 from volnotify.exante import benchmark_lp, select_ex_ante
+from volnotify import sim
 from volnotify.policies import BeliefState, StaticPlanPolicy, make_policy
 from volnotify.sim import (
     CapacityError,
-    _Ctx,
-    _play,
+    _chunks,
+    _credits,
+    _drive,
+    _episode_log,
     brute_force_optimal_online,
     empirical_active_prob,
-    episode_rng,
     run_episode,
     simulate,
     simulate_batched,
@@ -68,7 +70,7 @@ class TestEpisode:
                         dist=Deterministic(1))
         policy = make_policy("all", inst)
         for ep in range(20):
-            log = run_episode(inst, policy, episode_rng(3, ep))
+            log = run_episode(inst, policy, 3, ep)
             assert log.completed == 1
             assert log.periods[0].completer == 1
 
@@ -76,7 +78,7 @@ class TestEpisode:
         inst = Instance(arrival_rates=np.array([[1.0]]), match_probs=np.ones((3, 1)),
                         dist=Deterministic(1))
         policy = make_policy("all", inst)
-        log = run_episode(inst, policy, episode_rng(5, 0))
+        log = run_episode(inst, policy, 5, 0)
         assert log.periods[0].responders == (1, 2, 3)
         assert log.periods[0].completer == 1
 
@@ -94,15 +96,15 @@ class TestEpisode:
         inst = random_instance(rng)
         policy = make_policy("random:2", inst)
         for ep in range(5):
-            log1 = run_episode(inst, policy, episode_rng(42, ep))
-            log2 = run_episode(inst, policy, episode_rng(42, ep))
+            log1 = run_episode(inst, policy, 42, ep)
+            log2 = run_episode(inst, policy, 42, ep)
             assert log1 == log2
 
     def test_policy_dimension_mismatch(self):
         inst = make_i4()
         bad = StaticPlanPolicy("bad", np.ones((3, 2, 2)))
         with pytest.raises(ValidationError):
-            run_episode(inst, bad, episode_rng(1, 0))
+            run_episode(inst, bad, 1, 0)
 
 
 class TestSimulate:
@@ -139,11 +141,12 @@ class TestSimulate:
             with pytest.raises(ValidationError):
                 empirical_active_prob(inst, policy, 10, seed)
             with pytest.raises(ValidationError):
-                episode_rng(seed, 0)
+                run_episode(inst, policy, seed, 0)
         for episode in (-1, 2**64):
             with pytest.raises(ValidationError):
-                episode_rng(0, episode)
+                run_episode(inst, policy, 0, episode)
         assert simulate(inst, policy, 10, seed=2**64 - 1).episodes == 10
+        assert run_episode(inst, policy, 2**64 - 1, 2**64 - 1).periods
 
     def test_i4_exante_plan_moments(self):
         q, eps = 0.1, 1e-3
@@ -186,6 +189,91 @@ class TestSimulate:
             simulate_batched(inst, policy, 103, seed=5, nbatches=0)
 
 
+class TestEngineContract:
+    SPECS = ("all", "sdn", "best:2", "random:2", "upto:0.5", "rolling:2")
+
+    @staticmethod
+    def policies(inst):
+        x_star = select_ex_ante(inst, m=3).solution
+        return [make_policy(spec, inst, x_star=x_star, theta=0.5)
+                for spec in TestEngineContract.SPECS]
+
+    @staticmethod
+    def words_per_episode(inst):
+        return 4 * -(-inst.T * (1 + 4 * inst.V) // 4)
+
+    def test_results_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        rng = random.Random(53)
+        for variant in ("geometric", "deterministic", "tabulated"):
+            inst = random_instance(rng, max_v=4, max_s=3, max_t=8, variant=variant)
+            for policy in self.policies(inst):
+                runs = []
+                # one chunk, one episode per chunk, three episodes per chunk
+                for budget in (sim._DRAW_BUDGET, 1, 3 * self.words_per_episode(inst)):
+                    monkeypatch.setattr(sim, "_DRAW_BUDGET", budget)
+                    runs.append((simulate_batched(inst, policy, 23, 9, nbatches=5),
+                                 empirical_active_prob(inst, policy, 23, 9).tobytes()))
+                assert runs[0] == runs[1] == runs[2], policy.name
+
+    def test_run_episode_replays_episode_k_of_a_longer_run(self, monkeypatch):
+        rng = random.Random(59)
+        inst = random_instance(rng, max_v=4, max_s=3, max_t=8)
+        monkeypatch.setattr(sim, "_DRAW_BUDGET", 4 * self.words_per_episode(inst))
+        for policy in self.policies(inst):
+            logs = [_episode_log(chunk, e) for chunk in _chunks(inst, policy, 17, 0, 30)
+                    for e in range(chunk.arrivals.shape[1])]
+            assert sum(log.completed for log in logs) == sum(_drive(inst, policy, 30, 17)[1])
+            for k in (0, 3, 4, 29):
+                assert run_episode(inst, policy, 17, k) == logs[k], policy.name
+
+    def test_interleaved_and_nested_runs_keep_their_draws(self, monkeypatch):
+        # Runs that overlap on one thread (two chunk generators advanced in
+        # turn, a run started from inside a policy's decide) each keep their
+        # own uniforms.
+        inst = Instance(arrival_rates=np.full((8, 2), 0.4),
+                        match_probs=np.array([[0.3, 0.6], [0.5, 0.2], [0.4, 0.4]]),
+                        dist=Geometric(0.3))
+        half = StaticPlanPolicy("half", np.full((3, 2, 8), 0.5))
+        best = make_policy("best:2", inst)
+        monkeypatch.setattr(sim, "_DRAW_BUDGET", 3 * self.words_per_episode(inst))
+        alone = [[_credits(c).tobytes() for c in _chunks(inst, p, seed, 0, 20)]
+                 for p, seed in ((half, 3), (best, 4))]
+        pairs = zip(_chunks(inst, half, 3, 0, 20), _chunks(inst, best, 4, 0, 20))
+        assert [(_credits(a).tobytes(), _credits(b).tobytes()) for a, b in pairs] == \
+            list(zip(*alone))
+
+        class Nesting(StaticPlanPolicy):
+            def decide(self, state, t, s, u):
+                assert simulate(inst, best, 5, 4) == nested
+                return super().decide(state, t, s, u)
+
+        nested = simulate(inst, best, 5, 4)
+        assert simulate(inst, Nesting("nesting", half.probs), 20, 3) == simulate(inst, half, 20, 3)
+
+    def test_policies_see_common_arrivals(self):
+        rng = random.Random(61)
+        inst = random_instance(rng, max_v=4, max_s=3, max_t=8)
+        arrivals = [np.concatenate([chunk.arrivals for chunk in _chunks(inst, policy, 5, 0, 200)],
+                                   axis=1) for policy in self.policies(inst)]
+        assert all(np.array_equal(a, arrivals[0]) for a in arrivals)
+        assert np.any(arrivals[0] > 0) and np.any(arrivals[0] == 0)
+
+    @pytest.mark.parametrize("dist", [Geometric(0.3), Geometric(0.05), Geometric(1.0),
+                                      Deterministic(3), Tabulated((0.1, 0.0, 0.5, 0.4)),
+                                      Tabulated((0.5, 0.5, 0.0))], ids=repr)
+    def test_vectorized_sampler_matches_the_table(self, dist):
+        n, draws = 12, 10**6
+        u = np.random.Generator(np.random.Philox(7)).random(draws)
+        durations = dist.sample(u)
+        assert durations.min() >= 1.0 and np.all(durations == np.floor(durations))
+        counts = np.bincount(np.minimum(durations, n + 1).astype(int), minlength=n + 2)
+        table = duration_table(dist, n)
+        # masses of durations 0..n, then everything beyond n
+        expected = np.append(table.pmf, table.sf[n])
+        se = np.sqrt(expected * (1.0 - expected) / draws)
+        assert np.all(np.abs(counts / draws - expected) <= 4 * se)
+
+
 class TestActiveProbabilities:
     def test_initially_active_column(self):
         rng = random.Random(23)
@@ -224,24 +312,18 @@ class TestBeliefFilterExactness:
             probs = np.full((inst.V, inst.S, inst.T), 0.4)
             policy = StaticPlanPolicy("static", probs)
             hazard = duration_table(inst.dist, inst.T).hazard
-            ctx = _Ctx(inst)
             n = 4000
             dsum = np.zeros((inst.V, inst.T))
             dsq = np.zeros((inst.V, inst.T))
-            for ep in range(n):
-                counts = [[0] * inst.T for _ in range(inst.V)]
-                _, _, records = _play(ctx, policy, episode_rng(11, ep),
-                                      collect=True, active_counts=counts)
-                state = BeliefState.all_active(inst.V, inst.T)
-                for t, rec in enumerate(records, start=1):
+            for chunk in _chunks(inst, policy, 11, 0, n):
+                state = BeliefState.all_active(inst.V, inst.T)  # expanded by its first notify
+                for t in range(1, inst.T + 1):
                     if t >= 2:
                         state.advance(hazard, t)
-                    for v in range(inst.V):
-                        d = counts[v][t - 1] - state.active[v]
-                        dsum[v, t - 1] += d
-                        dsq[v, t - 1] += d * d
-                    for v in rec.notified:
-                        state.notify(v - 1, t)
+                    d = chunk.active[t - 1] - state.active
+                    dsum[:, t - 1] += d.sum(axis=0)
+                    dsq[:, t - 1] += (d * d).sum(axis=0)
+                    state.notify(chunk.notified[t - 1], t)
             mean = dsum / n
             var = np.maximum(dsq / n - mean * mean, 0.0)
             se = np.sqrt(var / n)
@@ -256,15 +338,13 @@ class TestScaledDownAttributionFloor:
             x_star = select_ex_ante(inst, m=3).solution
             policy = make_policy("sdn", inst, x_star=x_star)
             q = inst.dist.mdhr()
-            ctx = _Ctx(inst)
             n = 20000
             sums = np.zeros(inst.V)
             sqs = np.zeros(inst.V)
-            for ep in range(n):
-                _, attr, _ = _play(ctx, policy, episode_rng(13, ep))
-                for v in range(inst.V):
-                    sums[v] += attr[v]
-                    sqs[v] += attr[v] * attr[v]
+            for chunk in _chunks(inst, policy, 13, 0, n):
+                credits = _credits(chunk)
+                sums += credits.sum(axis=0)
+                sqs += (credits * credits).sum(axis=0)
             for v in range(1, inst.V + 1):
                 mean = sums[v - 1] / n
                 var = max(sqs[v - 1] / n - mean * mean, 0.0)
