@@ -10,6 +10,10 @@ ex-ante solution is whichever candidate scores best on the true objective.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -69,9 +73,11 @@ def solve_lp(objective, A_ub, b_ub, A_eq=None, b_eq=None) -> tuple[np.ndarray, f
     A_ub and A_eq may each be a dense 2-D array (or nested sequence), a
     scipy.sparse matrix or array (duplicate entries are summed, explicit
     zeros kept, as linprog does) or the package's own COO triplets; the
-    equality rows are optional. Deterministic for identical inputs; returns
-    (solution, optimal value) with constraints met within 1e-7 and the
-    objective within 1e-6 of optimal. Raises LpInfeasibleError or LpError.
+    equality rows are optional. A_ub may also be the package's own _Csc
+    rows, which carry their bounds: b_ub, A_eq and b_eq are then None.
+    Deterministic for identical inputs; returns (solution, optimal value)
+    with constraints met within 1e-7 and the objective within 1e-6 of
+    optimal. Raises LpInfeasibleError or LpError.
     """
     return _Lp(A_ub, b_ub, A_eq, b_eq).solve(objective)
 
@@ -110,25 +116,61 @@ def _stack(top: _Rows, bottom: _Rows) -> _Rows:
 _RESULT_TOL = np.sqrt(1e-9) * 10
 
 
+class _Csc(NamedTuple):
+    """The rows lower <= A @ x <= upper with A in the canonical CSC form linprog hands HiGHS.
+
+    Column j's entries are value[start[j]:start[j+1]] on the rows of the
+    same slice of index, ascending; equality rows (lower == upper) come last.
+    """
+
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def problem(self) -> tuple:
+        """The rows as solve_lp's (A_ub, b_ub, A_eq, b_eq)."""
+        n, m = self.start.size - 1, self.lower.size
+        col = np.repeat(np.arange(n), np.diff(self.start))
+        m_ub = int(np.count_nonzero(self.lower < self.upper))
+        ub = self.index < m_ub
+        A_ub = _Rows(self.index[ub], col[ub], self.value[ub], (m_ub, n))
+        if m_ub == m:
+            return A_ub, self.upper, None, None
+        A_eq = _Rows(self.index[~ub] - m_ub, col[~ub], self.value[~ub], (m - m_ub, n))
+        return A_ub, self.upper[:m_ub], A_eq, self.upper[m_ub:]
+
+
 class _Lp:
     """The program max c @ x, A_ub @ x <= b_ub, A_eq @ x == b_eq, 0 <= x <= 1, built once for any number of objectives.
 
-    The rows become one HiGHS model, built with numpy from COO triplets in
-    the canonical CSC form linprog hands HiGHS: inequality rows first, row
-    indices sorted within each column, row bounds equal on an equality row.
-    The first solve runs a fresh solver with linprog's options and checks,
-    so it is bitwise linprog's. Each later solve only changes the costs and
-    reruns that solver from the previous basis: a warm start, with the same
-    checks and the same optimal value, though it may end on another optimal
-    vertex than a fresh solve. A failed solve drops the solver, so the next
-    one starts fresh. Without scipy's HiGHS binding, each solve calls linprog.
+    The rows become one _Csc (unless given as one), built with numpy from
+    COO triplets: inequality rows first, row bounds equal on an equality
+    row. The first solve loads it into a fresh solver with linprog's
+    options and checks, so it is bitwise linprog's. Each later solve only
+    changes the costs and reruns that solver from the previous basis: a
+    warm start, with the same checks and the same optimal value, though it
+    may end on another optimal vertex than a fresh solve. A failed solve
+    drops the solver, so the next one starts fresh. Without scipy's HiGHS
+    binding, each solve calls linprog.
     """
 
-    def __init__(self, A_ub, b_ub, A_eq=None, b_eq=None):
+    def __init__(self, A_ub, b_ub=None, A_eq=None, b_eq=None):
+        rows = A_ub if isinstance(A_ub, _Csc) else None
+        if rows is not None and _highs is None:
+            A_ub, b_ub, A_eq, b_eq = rows.problem()
         self.A_ub, self.b_ub, self.A_eq, self.b_eq = A_ub, b_ub, A_eq, b_eq
-        self._model = self._solver = None
+        self._rows = self._solver = None
         if _highs is None:
             return
+        if rows is None:
+            rows = self._sorted(A_ub, b_ub, A_eq, b_eq)
+        self._rows, self._eq = rows, rows.lower == rows.upper
+        self._cols = np.arange(rows.start.size - 1, dtype=np.int32)
+
+    @staticmethod
+    def _sorted(A_ub, b_ub, A_eq, b_eq) -> _Csc:
         A = _triplets(A_ub)
         upper = np.asarray(b_ub, dtype=float).reshape(-1)
         if upper.shape != (A.shape[0],):
@@ -143,26 +185,13 @@ class _Lp:
             lower, upper = np.concatenate([lower, b_eq]), np.concatenate([upper, b_eq])
         if not (np.isfinite(A.val).all() and np.isfinite(upper).all()):
             raise ValueError("A_ub, b_ub, A_eq and b_eq must not contain inf or nan")
-        m, n = A.shape
         order = np.lexsort((A.row, A.col))
-        start = np.concatenate([[0], np.cumsum(np.bincount(A.col, minlength=n))])
-        self._upper, self._eq, self._cols = upper, lower == upper, np.arange(n, dtype=np.int32)
-        lp = self._model = _highs.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = n
-        lp.num_row_ = lp.a_matrix_.num_row_ = m
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        # The binding copies sequences element by element; lists copy fastest.
-        lp.a_matrix_.start_ = start.tolist()
-        lp.a_matrix_.index_ = A.row[order].tolist()
-        lp.a_matrix_.value_ = A.val[order].tolist()
-        lp.col_lower_ = [0.0] * n
-        lp.col_upper_ = [1.0] * n
-        lp.row_lower_ = lower.tolist()
-        lp.row_upper_ = upper.tolist()
+        start = np.concatenate([[0], np.cumsum(np.bincount(A.col, minlength=A.shape[1]))])
+        return _Csc(start, A.row[order], A.val[order], lower, upper)
 
     def solve(self, objective) -> tuple[np.ndarray, float]:
         cost = -np.asarray(objective, dtype=float)
-        if self._model is None:
+        if self._rows is None:
             A_ub, A_eq = (coo_array((A.val, (A.row, A.col)), shape=A.shape) if isinstance(A, _Rows) else A
                           for A in (self.A_ub, self.A_eq))
             res = linprog(cost, A_ub=A_ub, b_ub=self.b_ub, A_eq=A_eq, b_eq=self.b_eq,
@@ -175,47 +204,70 @@ class _Lp:
         # Every check comes before the solver is touched: the binding crashes
         # on a model run without costs.
         cost = cost.reshape(-1)
-        if cost.shape != (self._model.num_col_,):
+        if cost.shape != (self._cols.size,):
             raise ValueError(f"objective must have one entry per column of A_ub, got {cost.shape}")
         if not np.isfinite(cost).all():
             raise ValueError("objective must not contain inf or nan")
         if self._solver is None:
-            self._model.col_cost_ = cost.tolist()
-            solver = _highs._Highs()
-            solver.passOptions(_HIGHS_OPTIONS)
-            if solver.passModel(self._model) == _highs.HighsStatus.kError:
-                raise LpError("linear program failed: HiGHS rejected the model")
-            self._solver = solver
+            self._solver = _load(_solver(), self._rows, cost)
         else:
             self._solver.changeColsCost(self._cols.size, self._cols, cost)
         try:
-            return self._run()
+            return _result(self._solver, self._solver.run(), self._rows.upper, self._eq)
         except LpError:
             self._solver = None
             raise
 
-    def _run(self) -> tuple[np.ndarray, float]:
-        solver = self._solver
-        ran = solver.run() != _highs.HighsStatus.kError
-        status = solver.getModelStatus()
-        if not ran or status != _highs.HighsModelStatus.kOptimal:
-            primal = solver.getInfo().primal_solution_status
-            message = (f"HiGHS status {int(status)}: model_status is "
-                       f"{solver.modelStatusToString(status)}; primal_status is "
-                       f"{solver.solutionStatusToString(primal)}")
-            if status == _highs.HighsModelStatus.kInfeasible:
-                raise LpInfeasibleError(f"infeasible linear program: {message}")
-            raise LpError(f"linear program failed: {message}")
-        solution = solver.getSolution()
-        x = np.array(solution.col_value)
-        fun = solver.getObjectiveValue()
-        slack = self._upper - solution.row_value  # equality rows: the residual
-        # Positive tests: every comparison with NaN is false, so NaN fails each one.
-        if not (fun == fun and ((x >= -_RESULT_TOL) & (x <= 1.0 + _RESULT_TOL)).all()
-                and (slack >= -_RESULT_TOL).all() and (np.abs(slack[self._eq]) <= _RESULT_TOL).all()):
-            raise LpError(f"linear program failed: the solution misses the constraints by more "
-                          f"than {_RESULT_TOL:.2E}")
-        return x, float(-fun)
+
+def _solver():
+    """A fresh HiGHS solver with linprog's options."""
+    solver = _highs._Highs()
+    solver.passOptions(_HIGHS_OPTIONS)
+    return solver
+
+
+def _load(solver, rows: _Csc, cost: np.ndarray):
+    """solver, holding the program min cost @ x over rows and 0 <= x <= 1 in place of anything it held.
+
+    passModel clears the solver's earlier model, basis and solution, so a
+    reloaded solver solves as a fresh one does.
+    """
+    n = cost.size
+    # Every column is continuous; the binding needs the integrality array to say so.
+    status = solver.passModel(n, rows.lower.size, rows.index.size, _highs.MatrixFormat.kColwise,
+                              _highs.ObjSense.kMinimize, 0.0, cost, np.zeros(n), np.ones(n),
+                              rows.lower, rows.upper, rows.start.astype(np.int32),
+                              rows.index.astype(np.int32), rows.value, np.zeros(n, dtype=np.int32))
+    if status == _highs.HighsStatus.kError:
+        raise LpError("linear program failed: HiGHS rejected the model")
+    return solver
+
+
+def _result(solver, run_status, upper: np.ndarray, eq: np.ndarray) -> tuple[np.ndarray, float]:
+    """The checked (solution, optimal value) of a run() that returned run_status, as solve_lp returns them.
+
+    upper holds the row upper bounds and eq marks the equality rows.
+    """
+    ran = run_status != _highs.HighsStatus.kError
+    status = solver.getModelStatus()
+    if not ran or status != _highs.HighsModelStatus.kOptimal:
+        primal = solver.getInfo().primal_solution_status
+        message = (f"HiGHS status {int(status)}: model_status is "
+                   f"{solver.modelStatusToString(status)}; primal_status is "
+                   f"{solver.solutionStatusToString(primal)}")
+        if status == _highs.HighsModelStatus.kInfeasible:
+            raise LpInfeasibleError(f"infeasible linear program: {message}")
+        raise LpError(f"linear program failed: {message}")
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    fun = solver.getObjectiveValue()
+    slack = upper - solution.row_value  # equality rows: the residual
+    # Positive tests: every comparison with NaN is false, so NaN fails each one.
+    if not (fun == fun and ((x >= -_RESULT_TOL) & (x <= 1.0 + _RESULT_TOL)).all()
+            and (slack >= -_RESULT_TOL).all() and (np.abs(slack[eq]) <= _RESULT_TOL).all()):
+        raise LpError(f"linear program failed: the solution misses the constraints by more "
+                      f"than {_RESULT_TOL:.2E}")
+    return x, float(-fun)
 
 
 # ---------------------------------------------------------------------------
@@ -312,42 +364,159 @@ def benchmark_lp(instance: Instance) -> BenchmarkResult:
     (_load_rows), at K + v*T. Slots with zero arrival rate get no variables
     and their tensor entries stay 0.
     """
-    ts, ss, budget = _slots(instance)
-    V, K = instance.V, ts.size
-    x = np.zeros((V, instance.S, instance.T))
-    if K == 0:
-        return BenchmarkResult(FractionalSolution(x), 0.0)
-    A_ub, b_ub, A_eq, b_eq = _benchmark_rows(instance, ts, ss, budget)
-    c = np.zeros(A_ub.shape[1])
-    c[V * K:(V + 1) * K] = instance.arrival_rates[ts, ss]
-    sol, value = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
-    x[:, ss, ts] = _snap(sol[:V * K].reshape(V, K), budget)
-    return BenchmarkResult(FractionalSolution(x), value)
+    lp = _Benchmark(instance)
+    if lp.ts.size == 0:
+        return BenchmarkResult(FractionalSolution(lp.tensor(None, instance.V)), 0.0)
+    c, rows = lp.model(instance.match_probs)
+    sol, value = solve_lp(c, rows, None)
+    return BenchmarkResult(FractionalSolution(lp.tensor(sol, instance.V)), value)
 
 
-def _benchmark_rows(instance: Instance, ts: np.ndarray, ss: np.ndarray, budget: np.ndarray):
-    """The benchmark LP's rows as (A_ub, b_ub, A_eq, b_eq); the equality rows are the load-state rows.
+class _Benchmark:
+    """The benchmark LP over one instance's arrival slots, for any n <= V volunteers.
 
-    Only nonzero entries, as a dense matrix's conversion keeps, so HiGHS
-    sees the same model however the matrix is built.
+    Everything but the caps' match probabilities is built once, already in
+    canonical CSC order: one volunteer's columns, in which each slot column
+    leads with its cap row and then has its budget or load-state rows
+    (_load_rows) shifted past the K cap rows, copied once per volunteer.
+    Every volunteer's copy is the same, so the slot columns of n volunteers
+    are a prefix of those of all V, and so are their rows and load columns:
+    a model needs neither a sort nor a per-volunteer loop.
     """
-    V, K, T = instance.V, ts.size, instance.T
-    k = np.arange(K)
-    pv, pk = np.nonzero(instance.match_probs[:, ss])
-    one = _load_rows(instance, ts, ss)  # one volunteer's rows: load-state rows, or the budget rows
-    if one is None:
-        rows, cols = np.nonzero(budget)
-        one = _Rows(rows, cols, budget[rows, cols], budget.shape)
-    n = (V + 1) * K + V * (one.shape[1] - K)
-    caps = _Rows(np.concatenate([k, pk]), np.concatenate([V * K + k, pv * K + pk]),
-                 np.concatenate([np.ones(K), -instance.match_probs[pv, ss[pk]]]), (K, n))
-    # volunteer v's copy: slot column k sits at v*K + k, load column K + t at (V+1)*K + v*T + t
-    v = np.arange(V)[:, None]
-    every = _Rows((v * T + one.row).ravel(), (one.col + np.where(one.col < K, v * K, V * K + v * T)).ravel(),
-                  np.tile(one.val, V), (V * T, n))
-    if one.shape[1] == K:
-        return _stack(caps, every), np.concatenate([np.zeros(K), np.ones(V * T)]), None, None
-    return caps, np.zeros(K), every, np.zeros(V * T)
+
+    def __init__(self, instance: Instance):
+        self.ts, self.ss, self.budget = _slots(instance)
+        self._rates = instance.arrival_rates[self.ts, self.ss]
+        self._shape = (instance.S, instance.T)
+        (T, K), V = self.budget.shape, instance.V
+        one = _load_rows(instance, self.ts, self.ss)
+        equal = one is not None  # load-state rows == 0; budget rows <= 1 otherwise
+        if one is None:
+            rows, cols = np.nonzero(self.budget)
+            one = _Rows(rows, cols, self.budget[rows, cols], self.budget.shape)
+        row, col = np.concatenate([np.arange(K), K + one.row]), np.concatenate([np.arange(K), one.col])
+        order = np.lexsort((row, col))
+        index, value = row[order], np.concatenate([np.zeros(K), one.val])[order]
+        count = np.bincount(col, minlength=one.shape[1])
+        slot = int(count[:K].sum())
+        shift = (np.arange(V) * T)[:, None]  # volunteer v's rows start at K + v*T
+        # all V volunteers' slot columns, with the bounds of all K + V*T rows
+        self._slot = _Csc(np.concatenate([[0], np.cumsum(np.tile(count[:K], V))]),
+                          (index[:slot] + shift * (order[:slot] >= K)).ravel(), np.tile(value[:slot], V),
+                          np.concatenate([np.full(K, -np.inf), np.full(V * T, 0.0 if equal else -np.inf)]),
+                          np.concatenate([np.zeros(K), np.full(V * T, 0.0 if equal else 1.0)]))
+        self._caps = np.flatnonzero(np.tile(order[:slot] < K, V))  # volunteer-major, as p[:, ss]
+        # the load columns, as start, index, value: T per volunteer, or none
+        self._loads = (np.concatenate([[0], np.cumsum(np.tile(count[K:], V))]),
+                       (index[slot:] + shift).ravel(), np.tile(value[slot:], V))
+        self._load_cols = count.size - K
+
+    def model(self, match_probs: np.ndarray) -> tuple[np.ndarray, _Csc]:
+        """The objective and rows of the benchmark LP of n volunteers with these (n, S) match probabilities."""
+        (T, K), n = self.budget.shape, len(match_probs)
+        start = self._slot.start[:n * K + 1]
+        caps = -match_probs[:, self.ss].ravel()
+        index = self._slot.index[:start[-1]]
+        value = self._slot.value[:start[-1]].copy()
+        value[self._caps[:n * K]] = caps
+        if not caps.all():  # a zero match probability has no cap entry
+            keep = np.ones(value.size, dtype=bool)
+            keep[self._caps[:n * K]] = caps != 0.0
+            index, value = index[keep], value[keep]
+            start = np.concatenate([[0], np.cumsum(np.diff(start) - (caps == 0.0))])
+        load_start, load_index, load_value = self._loads
+        loads = load_start[:n * self._load_cols + 1]
+        c = np.zeros(n * K + K + loads.size - 1)
+        c[n * K:(n + 1) * K] = self._rates
+        m = K + n * T
+        return c, _Csc(np.concatenate([start, start[-1] + np.arange(1, K + 1), start[-1] + K + loads[1:]]),
+                       np.concatenate([index, np.arange(K), load_index[:loads[-1]]]),
+                       np.concatenate([value, np.ones(K), load_value[:loads[-1]]]),
+                       self._slot.lower[:m], self._slot.upper[:m])
+
+    def tensor(self, sol: np.ndarray | None, n: int) -> np.ndarray:
+        """The (n, S, T) notification tensor of a solution of n volunteers' model, snapped (_snap)."""
+        K = self.ts.size
+        x = np.zeros((n, *self._shape))
+        if K:
+            x[:, self.ss, self.ts] = _snap(sol[:n * K].reshape(n, K), self.budget)
+        return x
+
+    def solve(self, match_probs: list, spares: list) -> list[np.ndarray]:
+        """The tensor() of the benchmark LP of each of several volunteer sets, in order.
+
+        Each is a fresh solve, bitwise the same as benchmark_lp's on an
+        instance of that set. Each model is built, loaded into a spare
+        solver (from spares, which the call refills, or a new one) and run
+        before the next is built: on a worker of _pool() if one is free,
+        and here otherwise, since this thread would only wait. Only run()
+        leaves the calling thread: every check of solve_lp happens here, in
+        order, and the first failure raises once every run still in flight
+        has ended. Without scipy's HiGHS binding, each set goes to solve_lp
+        in turn.
+        """
+        if not self.ts.size:
+            return [self.tensor(None, len(p)) for p in match_probs]
+        if _highs is None:
+            return [self.tensor(solve_lp(*self.model(p), None)[0], len(p)) for p in match_probs]
+        (pool, workers), pending, done = _pool(), deque(), []
+        try:
+            for p in match_probs:
+                if len(pending) == 2 * (workers + 1):  # two runs per thread, at most, not yet checked
+                    done.append(self._collect(*pending.popleft(), spares))
+                c, rows = self.model(p)
+                solver = _load(spares.pop() if spares else _solver(), rows, -c)
+                if sum(not future.done() for future, *_ in pending) < workers:
+                    future = pool.submit(solver.run)
+                else:
+                    future = Future()
+                    future.set_result(solver.run())
+                pending.append((future, solver, rows, len(p)))
+            while pending:
+                done.append(self._collect(*pending.popleft(), spares))
+        finally:
+            wait([future for future, *_ in pending])
+        return done
+
+    def _collect(self, future, solver, rows: _Csc, n: int, spares: list) -> np.ndarray:
+        sol, _ = _result(solver, future.result(), rows.upper, rows.lower == rows.upper)
+        solver.clearSolver()  # a spare keeps no solve data: about 0.25 MB each
+        spares.append(solver)  # a solver whose solve failed is dropped
+        return self.tensor(sol, n)
+
+
+def _pool() -> tuple[ThreadPoolExecutor | None, int]:
+    """The process's pool for HiGHS run() calls and its size, started on first use.
+
+    run() releases the interpreter lock, so the runs of a batch overlap each
+    other and the Python that builds the next model. The calling thread runs
+    whatever no worker is free for, so the pool has one thread per other CPU
+    the process may use, and none on one CPU. One thread builds and checks every model, so
+    more than _MAX_WORKERS would sit idle; each thread that runs HiGHS also
+    keeps its own HiGHS scheduler and malloc arena, about 1 MB.
+    """
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            workers = min(cpus - 1, _MAX_WORKERS)
+            _executor = (ThreadPoolExecutor(workers, thread_name_prefix="volnotify-highs") if workers else None,
+                         workers)
+        return _executor
+
+
+def _forget_pool():
+    # A forked child has none of its parent's threads (the lock may have been
+    # held by one), so it starts a pool of its own.
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+_MAX_WORKERS = 3
+_executor: tuple | None = None
+_executor_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 # ---------------------------------------------------------------------------

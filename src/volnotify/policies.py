@@ -189,10 +189,16 @@ class BeliefState:
         """Move to the start of period t >= 2: each pending mass returns with its elapsed hazard.
 
         hazard is a duration table's hazard array; the mass notified at tau
-        has been inactive for t - tau periods.
+        has been inactive for t - tau periods. Only the masses inactive for
+        at most len(hazard) - 1 periods are touched. For a law of finite
+        support the table may stop at its support_max, with the same
+        result bit for bit: an older mass has hazard 1, so it was zeroed
+        when its support ran out, or hazard exactly 0 (a tabulated law whose
+        masses sum to just under 1), so it adds an exact zero and stays.
         """
-        h = hazard[t - 1:0:-1]
-        mass = self.pending[:, :, :t - 1]
+        oldest = max(1, t + 1 - len(hazard))  # period of the oldest mass touched
+        h = hazard[t - oldest:0:-1]
+        mass = self.pending[:, :, oldest - 1:t - 1]
         # summed in ascending tau, the order the masses were notified in
         self.active += np.cumsum(h * mass, axis=2)[:, :, -1]
         mass *= 1.0 - h
@@ -268,7 +274,9 @@ class BeliefPolicy(Policy):
         self.name = name
         self.instance = instance
         self.theta = theta
-        self._hazard = duration_table(instance.dist, instance.T).hazard
+        support = instance.dist.support_max
+        # up to the support: BeliefState.advance adds nothing for older masses
+        self._hazard = duration_table(instance.dist, instance.T).hazard[:None if support is None else support + 1]
         self._order = np.argsort(-instance.match_probs.T, axis=1, kind="stable")  # (S, V)
 
     def new_state(self):
@@ -345,8 +353,12 @@ class RollingHorizonPolicy(BeliefPolicy):
 
     The program covers periods t .. min(t + horizon - 1, T) with only the
     eligible volunteers, all treated as active at the start of the window. It
-    depends only on the period and the eligible set, so repeat arrivals reuse
-    the solved plan. A horizon of None is default_rolling_horizon(instance).
+    depends only on the period and the eligible set, so each (t, eligible)
+    window is solved once and its first-period columns, an (n_eligible, S)
+    array, are cached for repeat arrivals; later periods of the window are
+    never read. The windows a decide misses are solved as one batch
+    (exante._Benchmark.solve), each bitwise the same as benchmark_lp on the
+    window's instance. A horizon of None is default_rolling_horizon(instance).
     """
 
     def __init__(self, name: str, instance: Instance, horizon: int | None = None,
@@ -354,28 +366,35 @@ class RollingHorizonPolicy(BeliefPolicy):
         super().__init__(name, instance, theta)
         self.horizon = default_rolling_horizon(instance) if horizon is None else horizon
         self._cache: dict = {}
+        self._window = None  # (t, exante._Benchmark over periods t .. t + horizon - 1) of the last miss
+        self._spares: list = []  # HiGHS solvers free for the next batch
 
     def decide(self, state, t: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
         eligible = self._eligible(state, len(s))
+        rows = np.flatnonzero(s).tolist()
+        keys = [(t, tuple(np.flatnonzero(eligible[e]).tolist())) for e in rows]
+        missing = [key for key in dict.fromkeys(keys) if key not in self._cache]
+        if missing:
+            self._cache.update(zip(missing, self._solve(t, [key[1] for key in missing])))
         probs = np.zeros(eligible.shape)
-        for e in np.flatnonzero(s).tolist():
-            eligible0 = tuple(np.flatnonzero(eligible[e]).tolist())
-            key = (t, eligible0)
-            if key not in self._cache:
-                # solve once per (t, eligible) and keep all first-period columns
-                x_sub = None
-                if eligible0:
-                    sub = Instance(
-                        arrival_rates=self.instance.arrival_rates[t - 1:t + self.horizon - 1],
-                        match_probs=self.instance.match_probs[list(eligible0)],
-                        dist=self.instance.dist,
-                    )
-                    x_sub = exante.benchmark_lp(sub).x_lp.x
-                self._cache[key] = x_sub
-            x_sub = self._cache[key]
-            if x_sub is not None:
-                probs[e, list(eligible0)] = x_sub[:, s[e] - 1, 0]
+        for e, key in zip(rows, keys):
+            first = self._cache[key]
+            if first is not None:
+                probs[e, list(key[1])] = first[:, s[e] - 1]
         return probs
+
+    def _solve(self, t: int, subsets: list) -> list:
+        """The first-period columns of the window at t for each eligible set; None for an empty one."""
+        if self._window is None or self._window[0] != t:
+            sub = Instance(arrival_rates=self.instance.arrival_rates[t - 1:t + self.horizon - 1],
+                           match_probs=self.instance.match_probs, dist=self.instance.dist)
+            self._window = (t, exante._Benchmark(sub))
+        window = self._window[1]
+        p = self.instance.match_probs
+        solved = iter(window.solve([p[list(volunteers)] for volunteers in subsets if volunteers],
+                                   self._spares))
+        return [np.ascontiguousarray(next(solved)[:, :, 0]) if volunteers else None
+                for volunteers in subsets]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from volnotify import exante
 from volnotify.exante import (
     LpError,
     LpInfeasibleError,
-    _benchmark_rows,
+    _Benchmark,
     _load_rows,
     _slots,
     _snap,
@@ -97,6 +97,14 @@ def dense_benchmark(inst):
     c = np.concatenate([np.zeros(V * K), inst.arrival_rates[ts, ss]])
     b = np.concatenate([np.zeros(K), np.ones(V * T)])
     return solve_lp(c, A, b)
+
+
+def with_zero_matches(rng, inst):
+    """inst with about a third of its match probabilities set to 0 (their benchmark caps have no entry)."""
+    zero = np.array([[rng.random() < 0.3 for _ in range(inst.S)] for _ in range(inst.V)])
+    zero[0, 0] = True
+    return Instance(arrival_rates=inst.arrival_rates, match_probs=np.where(zero, 0.0, inst.match_probs),
+                    dist=inst.dist)
 
 
 def on_each_path(monkeypatch):
@@ -171,9 +179,9 @@ def _scipy_model(A_ub, b_ub, A_eq=None, b_eq=None):
 
 
 def _model_arrays(lp):
-    model = lp._model
-    return (model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_,
-            model.row_lower_, model.row_upper_)
+    """The arrays lp hands HiGHS, (start, index, value, lower, upper), and the column bounds HiGHS holds."""
+    model = exante._load(exante._solver(), lp._rows, np.zeros(lp._cols.size)).getLp()
+    return lp._rows, (model.col_lower_, model.col_upper_)
 
 
 class TestSolveLp:
@@ -319,19 +327,25 @@ class TestKernelMatchesLinprog:
     def test_model_is_scipys_csc(self):
         # The kernel builds HiGHS's column-wise arrays from triplets with
         # numpy; they must be scipy's CSC arrays for the same rows, array for
-        # array, with row bounds (-inf, b_ub] and then [b_eq, b_eq].
+        # array, with row bounds (-inf, b_ub] and then [b_eq, b_eq]. The
+        # benchmark LP's own arrays, assembled without a sort, must be too.
         problems = [p[1:] for p in _lp_cases()]
         rng = random.Random(17)
         instances = [random_instance(rng, max_v=5, max_s=3, max_t=12, variant=v) for v in VARIANTS * 3]
         instances += fuzz_draws(200)
         instances += [make_instance(parse_canonical_spec(f"I{f}:n={n}")) for f in (2, 3) for n in (4, 10, 12)]
+        instances += [with_zero_matches(rng, random_instance(rng, max_v=5, max_s=3, max_t=12, variant=v))
+                      for v in VARIANTS]
         families = set()
         for inst in instances:
             ts, ss, budget = _slots(inst)
             if ts.size == 0:
                 continue
             families.add(type(inst.dist))
-            problems.append(_benchmark_rows(inst, ts, ss, budget))
+            rows = _Benchmark(inst).model(inst.match_probs)[1]
+            problems.append(rows.problem())
+            for got, want in zip(rows, _scipy_model(*problems[-1])):
+                assert np.asarray(got, dtype=want.dtype).tobytes() == want.tobytes()
             load = _load_rows(inst, ts, ss)
             T, K = budget.shape
             problems.append((budget, np.ones(T)) if load is None else
@@ -339,10 +353,11 @@ class TestKernelMatchesLinprog:
         assert len(families) == 3
         for problem in problems:
             lp, reference = exante._Lp(*problem), _scipy_model(*problem)
-            for got, want in zip(_model_arrays(lp), reference):
+            arrays, (col_lower, col_upper) = _model_arrays(lp)
+            for got, want in zip(arrays, reference):
                 assert np.asarray(got, dtype=want.dtype).tobytes() == want.tobytes()
             n = reference[0].size - 1
-            assert (lp._model.col_lower_, lp._model.col_upper_) == ([0.0] * n, [1.0] * n)
+            assert (list(col_lower), list(col_upper)) == ([0.0] * n, [1.0] * n)
 
     def test_internal_paths_build_no_sparse_matrix(self, monkeypatch):
         # The benchmark LP, the AA/SQ oracles and the rolling windows hand
@@ -416,8 +431,10 @@ class TestBenchmark:
         # model, so the solutions agree exactly; geometric durations use
         # load-state rows, which must reach the same value.
         rng = random.Random(71)
-        for variant in VARIANTS * 4:
-            inst = random_instance(rng, variant=variant)
+        cases = [(variant, random_instance(rng, variant=variant)) for variant in VARIANTS * 4]
+        cases += [(variant, with_zero_matches(random.Random(73 + i), random_instance(rng, variant=variant)))
+                  for i, variant in enumerate(VARIANTS * 2)]
+        for variant, inst in cases:
             ts, ss, budget = _slots(inst)
             sol, value = dense_benchmark(inst)
             res = benchmark_lp(inst)

@@ -1,4 +1,7 @@
+import os
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from volnotify.core import (
     evaluate_fv,
 )
 from volnotify import exante
-from volnotify.exante import select_ex_ante
+from volnotify.exante import LpError, benchmark_lp, select_ex_ante
 from volnotify.policies import (
     BeliefPolicy,
     BeliefState,
@@ -380,6 +383,31 @@ class TestBeliefFilter:
                     assert batch.active[e].tobytes() == single.active[0].tobytes()
                     assert batch.pending[e].tobytes() == single.pending[0].tobytes()
 
+    @pytest.mark.parametrize("dist", [
+        Deterministic(1), Deterministic(2), Deterministic(4), Deterministic(7),
+        Tabulated((0.2, 0.8)), Tabulated((0.1, 0.0, 0.5, 0.4, 0.0)), Tabulated((0.3, 0.3, 0.2, 0.2)),
+        Tabulated((0.25, 0.25, 0.5 - 5e-10))], ids=repr)
+    def test_support_window_matches_full_horizon_bit_for_bit(self, dist):
+        # A finite-support law's policy keeps its hazard table up to the
+        # support only; the filter must equal the one over every earlier
+        # period, bit for bit, on random multi-episode histories.
+        V, T = 3, 30
+        policy = belief_policy(dist, T)
+        assert len(policy._hazard) == dist.support_max + 1
+        full = duration_table(dist, T).hazard
+        rng = random.Random(139)
+        for _ in range(10):
+            short, ref = BeliefState.all_active(V, T), BeliefState.all_active(V, T)
+            for t in range(1, T + 1):
+                if t >= 2:
+                    short.advance(policy._hazard, t)
+                    ref.advance(full, t)
+                assert short.active.tobytes() == ref.active.tobytes()
+                assert short.pending.tobytes() == ref.pending.tobytes()
+                notified = np.array([[rng.random() < 0.3 for _ in range(V)] for _ in range(4)])
+                short.notify(notified, t)
+                ref.notify(notified, t)
+
     @pytest.mark.parametrize("dist", [Geometric(0.3), Deterministic(3),
                                       Tabulated((0.1, 0.0, 0.5, 0.4))], ids=repr)
     def test_matches_closed_form_reference(self, dist):
@@ -509,6 +537,114 @@ class TestRollingWindowsOnEachPath:
                 for key, x in windows.items():
                     ref = ref_windows[key]
                     assert (x is None and ref is None) or x.tobytes() == ref.tobytes()
+
+
+class RecordingPool:
+    """Stands in for exante's run() pool: submits to pool and keeps every callable and future."""
+
+    def __init__(self, pool):
+        self.pool, self.calls, self.futures = pool, [], []
+
+    def submit(self, fn, *args):
+        self.calls.append(fn)
+        self.futures.append(self.pool.submit(fn, *args))
+        return self.futures[-1]
+
+
+def os_threads():
+    """The process's thread count, where the system shows it."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
+
+
+class TestRollingWindowBatches:
+    # The windows a decide misses go to HiGHS as one pipelined batch: built
+    # and checked on the calling thread, only run() on the pool.
+    instance = staticmethod(TestRollingWindowsOnEachPath.instance)
+
+    def test_windows_equal_benchmark_lp_of_the_window(self):
+        rng = random.Random(2003)
+        for dist, zeros in ((Geometric(0.25), False), (Deterministic(4), False),
+                            (Tabulated((0.1, 0.0, 0.5, 0.4)), False), (Deterministic(3), True)):
+            inst = self.instance(rng, dist)
+            if zeros:  # a zero match probability has no cap entry in a window's model
+                inst = Instance(arrival_rates=inst.arrival_rates, dist=dist,
+                                match_probs=np.where(np.arange(inst.V)[:, None] % 3 == np.arange(inst.S),
+                                                     0.0, inst.match_probs))
+            policy = make_policy("rolling", inst)
+            simulate(inst, policy, 10, 5)
+            solved = 0
+            for (t, eligible), first in policy._cache.items():
+                if not eligible:
+                    assert first is None
+                    continue
+                sub = Instance(arrival_rates=inst.arrival_rates[t - 1:t + policy.horizon - 1],
+                               match_probs=inst.match_probs[list(eligible)], dist=dist)
+                assert first.shape == (len(eligible), inst.S)
+                assert first.tobytes() == benchmark_lp(sub).x_lp.x[:, :, 0].tobytes()
+                solved += 1
+            assert solved > 20
+
+    def test_any_pool_size_agrees(self, monkeypatch):
+        # No pool (every run on the calling thread), one worker and three.
+        rng = random.Random(2002)
+        for dist in (Geometric(0.25), Deterministic(4)):
+            inst = self.instance(rng, dist)
+            runs = []
+            with ThreadPoolExecutor(1) as one, ThreadPoolExecutor(3) as three:
+                for pool, workers in ((None, 0), (RecordingPool(one), 1), (RecordingPool(three), 3)):
+                    with monkeypatch.context() as m:
+                        m.setattr(exante, "_pool", lambda: (pool, workers))
+                        policy = make_policy("rolling", inst)
+                        runs.append((simulate(inst, policy, 20, 7), policy._cache))
+                    # only the binding's run() leaves the calling thread
+                    assert pool is None or pool.calls and all(
+                        fn.__name__ == "run" and isinstance(fn.__self__, exante._highs._Highs)
+                        for fn in pool.calls)
+            stats, windows = runs[0]
+            for other_stats, other_windows in runs[1:]:
+                assert other_stats == stats
+                assert other_windows.keys() == windows.keys()
+                for key, first in windows.items():
+                    other = other_windows[key]
+                    assert (first is None and other is None) or first.tobytes() == other.tobytes()
+
+    def test_failed_window_raises_on_calling_thread(self, monkeypatch):
+        inst = self.instance(random.Random(2002), Deterministic(4))
+        reference = simulate(inst, make_policy("rolling", inst), 20, 7)
+        checked = []
+        result = exante._result
+
+        def failing(*args):
+            checked.append(threading.current_thread())
+            if len(checked) == 3:
+                raise LpError("linear program failed: injected")
+            return result(*args)
+
+        with ThreadPoolExecutor(2) as executor, monkeypatch.context() as m:
+            pool = RecordingPool(executor)
+            m.setattr(exante, "_pool", lambda: (pool, 2))
+            m.setattr(exante, "_result", failing)
+            with pytest.raises(LpError, match="injected"):
+                simulate(inst, make_policy("rolling", inst), 20, 7)
+            # every run of the failed batch had ended when the error came out
+            assert len(pool.futures) > 2 and all(future.done() for future in pool.futures)
+        assert checked == [threading.main_thread()] * 3
+        assert simulate(inst, make_policy("rolling", inst), 20, 7) == reference
+
+    def test_thread_count_stays_bounded(self):
+        inst = self.instance(random.Random(2002), Deterministic(4))
+        simulate(inst, make_policy("rolling", inst), 5, 1)
+        python_threads, system_threads = threading.active_count(), os_threads()
+        for seed in range(2, 7):
+            simulate(inst, make_policy("rolling", inst), 5, seed)
+        workers = [t for t in threading.enumerate() if t.name.startswith("volnotify-highs")]
+        assert len(workers) <= exante._pool()[1] <= min(exante._MAX_WORKERS, os.cpu_count() - 1)
+        assert threading.active_count() <= python_threads
+        if system_threads is not None:
+            assert os_threads() <= system_threads
 
 
 class TestPolicyFactory:
