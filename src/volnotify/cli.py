@@ -22,6 +22,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -76,6 +77,30 @@ def _csv_text(columns, rows) -> str:
     for row in rows:
         writer.writerow([_fmt(row[c]) for c in columns])
     return buf.getvalue()
+
+
+# One triple of solution_to_triples as json.dumps(doc, indent=2, sort_keys=True)
+# lays it out one level below the document.
+_TRIPLE = '    {\n      "s": %d,\n      "t": %d,\n      "v": %d,\n      "value": %s\n    }'
+
+
+def _plan_document(doc: dict) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True) + "\n" for a doc whose "solution" holds triples.
+
+    CPython's json writes with its C encoder only when indent is None, so
+    json lays out the document around an empty "solution" and the triples,
+    tens of thousands on a large instance, are formatted here in its layout,
+    a non-finite value in its spelling. Only a top-level key starts a line
+    with two spaces and a quote, so the splice cannot land in another value.
+    """
+    text = json.dumps({**doc, "solution": []}, indent=2, sort_keys=True) + "\n"
+    if not doc["solution"]:
+        return text
+    triples = ",\n".join([
+        _TRIPLE % (d["s"], d["t"], d["v"],
+                   repr(d["value"]) if math.isfinite(d["value"]) else json.dumps(d["value"]))
+        for d in doc["solution"]])
+    return text.replace('\n  "solution": []', '\n  "solution": [\n' + triples + "\n  ]", 1)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -207,9 +232,8 @@ def perturb_instance(instance: Instance, spec: PerturbationSpec, replicate: int)
     p = np.array(instance.match_probs, copy=True)
     target = p if spec.target == "match_probs" else lam
     w = spec.width
-    for i in range(target.shape[0]):
-        for j in range(target.shape[1]):
-            target[i, j] *= 1.0 - w + 2.0 * w * rng.random()
+    draws = np.array([rng.random() for _ in range(target.size)]).reshape(target.shape)  # row-major
+    target *= 1.0 - w + 2.0 * w * draws
     if spec.target == "match_probs":
         np.clip(p, 0.0, 1.0, out=p)
     else:
@@ -316,7 +340,7 @@ def _cmd_bench(args) -> None:
         "lp_value": float(f"{result.lp_value:.12g}"),
         "solution": solution_to_triples(result.x_lp),
     }
-    _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(args.out, _plan_document(doc))
 
 
 def _cmd_exante(args) -> None:
@@ -328,7 +352,7 @@ def _cmd_exante(args) -> None:
         "f_value": float(f"{result.f_value:.12g}"),
         "solution": solution_to_triples(result.solution),
     }
-    _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(args.out, _plan_document(doc))
 
 
 def _cmd_simulate(args) -> None:

@@ -623,12 +623,6 @@ def select_ex_ante(instance: Instance, m: int = DEFAULT_STEP_COUNT) -> ExAnteSol
 
 def solution_to_triples(solution: FractionalSolution) -> list[dict]:
     """Sparse 1-indexed export of a solution tensor, zeros omitted, 12 significant digits."""
-    out = []
-    for v, s, t in np.argwhere(solution.x != 0.0):
-        out.append({
-            "v": int(v) + 1,
-            "s": int(s) + 1,
-            "t": int(t) + 1,
-            "value": float(f"{solution.x[v, s, t]:.12g}"),
-        })
-    return out
+    kept = solution.x != 0.0
+    return [{"v": v + 1, "s": s + 1, "t": t + 1, "value": float(f"{value:.12g}")}
+            for (v, s, t), value in zip(np.argwhere(kept).tolist(), solution.x[kept].tolist())]

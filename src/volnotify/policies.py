@@ -232,7 +232,9 @@ class Policy:
     the (E, V) notification probabilities. record gets the (E, V) boolean
     mask of the notified volunteers. The arrays passed in are views that
     the engine reuses, valid only during the call. Non-adaptive policies
-    keep no state.
+    keep no state; the engine reads a plain StaticPlanPolicy's tensor
+    directly and calls none of these methods on it, so a policy that must
+    be called (to trace it, say) is a subclass or a wrapper.
     """
 
     name = "policy"

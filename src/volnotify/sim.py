@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Instance, ValidationError, duration_table
-from .policies import Policy
+from .policies import Policy, StaticPlanPolicy
 
 __all__ = [
     "CapacityError",
@@ -134,8 +134,13 @@ def _uniforms(bitgen: np.random.Philox, n: int) -> np.ndarray:
 def _chunks(instance: Instance, policy: Policy, seed: int, first: int, episodes: int):
     """Play episodes first .. first + episodes - 1, yielding one _Chunk per chunk of them.
 
-    The policy is reached only through new_state, advance, decide and
-    record, once per chunk and period, on all of the chunk's episodes.
+    A policy is reached through new_state, advance, decide and record, once
+    per chunk and period, on all of the chunk's episodes. A plain
+    StaticPlanPolicy (not a subclass) whose tensor has shape (V, S, T) is
+    not called at all: its plan entries are gathered for every period and
+    episode of a piece at once and compared with the notification coins in
+    one pass, with the same notifications bit for bit. Either way, the
+    activity recurrence runs over a piece once its notifications are in.
     """
     if not (0 <= seed < 2**64 and 0 <= first and first + episodes <= 2**64):
         raise ValidationError(
@@ -148,6 +153,16 @@ def _chunks(instance: Instance, policy: Policy, seed: int, first: int, episodes:
     cum = np.cumsum(instance.arrival_rates, axis=1)[:, None, :]  # (T, 1, S)
     match = np.vstack([instance.match_probs.T, np.zeros(V)])  # (S + 1, V); row S: no task
     periods = np.arange(1.0, T + 1.0)[:, None]
+    times = periods[:, 0].tolist()
+    if type(policy) is StaticPlanPolicy and policy.probs.shape == (V, S, T):
+        # row t * (S + 1) + s holds the plan at period t + 1 for type s + 1;
+        # row t * (S + 1) + S, a period with no task, notifies nobody
+        plan = np.zeros((T, S + 1, V))
+        plan[:, :S] = policy.probs.transpose(2, 1, 0)
+        plan = plan.reshape(T * (S + 1), V)
+        first_row = np.arange(0, T * (S + 1), S + 1)[:, None]
+    else:
+        plan = None
     for start in range(first, first + episodes, size):
         E = min(size, first + episodes - start)
         bitgen = np.random.Philox(key=seed, counter=start * blocks)
@@ -161,34 +176,48 @@ def _chunks(instance: Instance, policy: Policy, seed: int, first: int, episodes:
         active = np.empty((T, E, V), dtype=bool)
         notified = np.zeros((T, E, V), dtype=bool)
         responded = np.zeros((T, E, V), dtype=bool)
-        state = policy.new_state()
+        if plan is None:
+            state = policy.new_state()
+        else:
+            rows = types0 + first_row  # (T, E) rows of plan
         # Response coins and return periods are derived `step` periods at a
         # time, so that no array of them outgrows a piece.
         step = max(1, _PIECE // (E * V))
         for i0 in range(0, T, step):
-            part = u[:, i0:i0 + step]  # (E, P, slots)
-            would_respond = part[:, :, 1 + 2 * V:1 + 3 * V] < match[types0[i0:i0 + step].T]
+            i1 = min(i0 + step, T)
+            part = u[:, i0:i1].transpose(1, 0, 2)  # (P, E, slots)
+            would_respond = part[:, :, 1 + 2 * V:1 + 3 * V] < match[types0[i0:i1]]
             # inactive until then
-            ends = instance.dist.sample(part[:, :, 1 + 3 * V:]) + periods[i0:i0 + step]
-            for j in range(part.shape[1]):
-                i = i0 + j
-                t = i + 1
-                if t >= 2:
-                    state = policy.advance(state, t)
-                np.less_equal(until, t, out=active[i])
-                if not any_arrival[i]:
-                    continue
-                probs = policy.decide(state, t, arrivals[i], part[:, j, 1:1 + V])
-                if np.shape(probs) != (E, V):
-                    raise ValidationError(
-                        f"policy returned probabilities of shape {np.shape(probs)} for "
-                        f"{E} episodes and {V} volunteers")
-                np.less(part[:, j, 1 + V:1 + 2 * V], probs, out=notified[i])
-                notified[i] &= arriving[i]
-                fresh = notified[i] & active[i]
-                np.copyto(until, ends[:, j], where=fresh)
-                np.logical_and(fresh, would_respond[:, j], out=responded[i])
-                state = policy.record(state, t, notified[i])
+            ends = instance.dist.sample(part[:, :, 1 + 3 * V:]) + periods[i0:i1, :, None]
+            if plan is not None:
+                np.less(part[:, :, 1 + V:1 + 2 * V], plan[rows[i0:i1]], out=notified[i0:i1])
+            else:
+                for j in range(i1 - i0):
+                    i = i0 + j
+                    t = i + 1
+                    if t >= 2:
+                        state = policy.advance(state, t)
+                    if not any_arrival[i]:
+                        continue
+                    probs = policy.decide(state, t, arrivals[i], part[j, :, 1:1 + V])
+                    if np.shape(probs) != (E, V):
+                        raise ValidationError(
+                            f"policy returned probabilities of shape {np.shape(probs)} for "
+                            f"{E} episodes and {V} volunteers")
+                    np.less(part[j, :, 1 + V:1 + 2 * V], probs, out=notified[i])
+                    notified[i] &= arriving[i]
+                    state = policy.record(state, t, notified[i])
+            # No policy sees who is active, so the activity recurrence runs after
+            # the piece's notifications; responded[i] holds period i's fresh
+            # notifications until the response coins are applied to the piece.
+            for t, now, went, fresh, back, arrived in zip(
+                    times[i0:i1], active[i0:i1], notified[i0:i1], responded[i0:i1], ends,
+                    any_arrival[i0:i1]):
+                np.less_equal(until, t, out=now)
+                if arrived:
+                    np.logical_and(went, now, out=fresh)
+                    np.putmask(until, fresh, back)
+            responded[i0:i1] &= would_respond
         _spare.buffer = tape.base  # read to the end: hand the buffer back
         yield _Chunk(start, arrivals, active, notified, responded)
 

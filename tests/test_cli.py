@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import volnotify
 from conftest import random_instance
 from volnotify.bounds import make_instance, parse_canonical_spec
 from volnotify.cli import (
+    _plan_document,
     ExperimentConfig,
     PerturbationSpec,
     load_instance,
@@ -21,7 +23,8 @@ from volnotify.cli import (
     run_compare,
     run_robustness,
 )
-from volnotify.core import ValidationError, instance_to_json
+from volnotify.core import FractionalSolution, ValidationError, instance_to_json
+from volnotify.exante import solution_to_triples
 
 
 def write_config(path, **overrides):
@@ -191,6 +194,33 @@ class TestPerturbation:
         for out in outs:
             assert np.all(out.arrival_rates.sum(axis=1) <= 1.0 + 1e-9)
 
+    def test_draws_scale_entries_in_row_major_order(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            inst = random_instance(rng, max_v=6, max_s=4, max_t=12)
+            target = rng.choice(["match_probs", "arrival_rates"])
+            spec = PerturbationSpec(target=target, width=rng.choice([0.0, 0.05, rng.random()]),
+                                    replicates=3, seed=rng.randrange(2**64))
+            replicate = rng.randrange(3)
+            # the entries scaled one at a time, rows then columns
+            code = 1 if target == "match_probs" else 2
+            draws = random.Random((((spec.seed << 8) | code) << 64) | replicate)
+            expected = np.array(getattr(inst, target), copy=True)
+            w = spec.width
+            for i in range(expected.shape[0]):
+                for j in range(expected.shape[1]):
+                    expected[i, j] *= 1.0 - w + 2.0 * w * draws.random()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                out = perturb_instance(inst, spec, replicate)
+            if target == "match_probs":
+                expected = np.clip(expected, 0.0, 1.0)
+                assert out.match_probs.tobytes() == expected.tobytes()
+            else:
+                sums = expected.sum(axis=1)
+                expected[sums > 1.0] /= sums[sums > 1.0, None]
+                assert out.arrival_rates.tobytes() == expected.tobytes()
+
     def test_invalid_spec(self):
         with pytest.raises(ValidationError):
             PerturbationSpec(target="durations", width=0.1, replicates=1, seed=1)
@@ -293,6 +323,33 @@ class TestRobustness:
         for r in rows:
             assert math.isfinite(float(r["pct_change"]))
             assert r["baseline_mean"] > 0
+
+
+class TestPlanDocuments:
+    @staticmethod
+    def documents(x):
+        triples = solution_to_triples(FractionalSolution(x))
+        yield {"instance": "I2:n=4", "lp_value": 1.25, "solution": triples}
+        yield {"instance": "caf\u00e9 \"x\"", "tag": "AA", "f_value": 0.5, "solution": triples}
+        # nested values and a look-alike of the spliced line keep json's own layout
+        yield {"meta": {"solution": [], "sizes": [1, [2, 3]]}, "note": '\n  "solution": []',
+               "aaa": [], "solution": triples, "zzz": {"solution": triples[:2]}}
+
+    def test_layout_is_json_dumps(self):
+        rng = np.random.default_rng(17)
+        specials = [1e-05, 1e16, 5e-324, 1.0, 0.1, 2.5e-7, 123456789012.5, -3.0]
+        tensors = [np.zeros((2, 3, 4))]
+        for _ in range(40):
+            shape = tuple(rng.integers(1, 6, size=3))
+            x = np.where(rng.random(shape) < 0.3, rng.random(shape), 0.0)
+            picks = rng.random(shape) < 0.1
+            x[picks] = rng.choice(specials, size=int(picks.sum()))
+            tensors.append(x)
+        tensors.append(np.array([[[np.nan, np.inf, -np.inf, 0.5]]]))
+        for x in tensors:
+            for doc in self.documents(x):
+                assert _plan_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert '"solution": []' in _plan_document(next(self.documents(tensors[0])))
 
 
 class TestMain:

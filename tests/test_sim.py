@@ -17,7 +17,7 @@ from volnotify.core import (
 )
 from volnotify.exante import benchmark_lp, select_ex_ante
 from volnotify import sim
-from volnotify.policies import BeliefState, StaticPlanPolicy, make_policy
+from volnotify.policies import BeliefState, Policy, StaticPlanPolicy, make_policy
 from volnotify.sim import (
     CapacityError,
     _chunks,
@@ -245,10 +245,77 @@ class TestEngineContract:
         class Nesting(StaticPlanPolicy):
             def decide(self, state, t, s, u):
                 assert simulate(inst, best, 5, 4) == nested
+                decided.append(t)
                 return super().decide(state, t, s, u)
 
         nested = simulate(inst, best, 5, 4)
+        decided = []
         assert simulate(inst, Nesting("nesting", half.probs), 20, 3) == simulate(inst, half, 20, 3)
+        assert decided  # a subclass is driven through its own decide
+
+    @staticmethod
+    def histories(inst, policy, seed, episodes):
+        return [(c.start,) + tuple(a.tobytes() for a in c[1:])
+                for c in _chunks(inst, policy, seed, 0, episodes)]
+
+    def test_static_plans_match_the_policy_protocol_bit_for_bit(self, monkeypatch):
+        # A plain StaticPlanPolicy is compared piece by piece without being
+        # called; a delegating wrapper drives the same tensor through
+        # new_state, advance, decide and record.
+        class Delegating(Policy):
+            def __init__(self, inner):
+                self.inner = inner
+
+            def new_state(self):
+                return self.inner.new_state()
+
+            def advance(self, state, t):
+                return self.inner.advance(state, t)
+
+            def decide(self, state, t, s, u):
+                return self.inner.decide(state, t, s, u)
+
+            def record(self, state, t, notified):
+                return self.inner.record(state, t, notified)
+
+        rng = random.Random(67)
+        for variant in ("geometric", "deterministic", "tabulated"):
+            for _ in range(2):
+                inst = random_instance(rng, max_v=4, max_s=3, max_t=9, variant=variant)
+                x_star = select_ex_ante(inst, m=3).solution
+                for spec in ("sn", "sdn", "exante", "all"):
+                    policy = make_policy(spec, inst, x_star=x_star)
+                    assert type(policy) is StaticPlanPolicy
+                    budgets = (sim._DRAW_BUDGET, 1, 3 * self.words_per_episode(inst))
+                    for budget, piece in [(b, sim._PIECE) for b in budgets] + [(sim._DRAW_BUDGET, 1)]:
+                        monkeypatch.setattr(sim, "_DRAW_BUDGET", budget)
+                        monkeypatch.setattr(sim, "_PIECE", piece)  # 1: pieces of one period
+                        assert self.histories(inst, policy, 9, 23) == \
+                            self.histories(inst, Delegating(policy), 9, 23), (variant, spec, budget)
+
+    def test_static_plans_are_not_called(self, monkeypatch):
+        inst = Instance(arrival_rates=np.full((6, 2), 0.4),
+                        match_probs=np.array([[0.3, 0.6], [0.5, 0.2]]), dist=Geometric(0.3))
+        half = StaticPlanPolicy("half", np.full((2, 2, 6), 0.5))
+        expected = simulate(inst, half, 30, 2)
+
+        def called(*args):
+            raise AssertionError("a plain static plan is not driven through the protocol")
+
+        for method in ("new_state", "advance", "decide", "record"):
+            monkeypatch.setattr(StaticPlanPolicy, method, called)
+        assert simulate(inst, half, 30, 2) == expected
+
+    def test_other_tensor_shapes_keep_the_protocol(self):
+        # A plan longer than the horizon is still accepted, through decide,
+        # and acts as its first T periods.
+        rng = random.Random(71)
+        inst = random_instance(rng, max_v=4, max_s=3, max_t=8)
+        plan = np.array([[[rng.random() for _ in range(inst.T + 2)] for _ in range(inst.S)]
+                         for _ in range(inst.V)])
+        longer = StaticPlanPolicy("longer", plan)
+        exact = StaticPlanPolicy("exact", plan[:, :, :inst.T])
+        assert self.histories(inst, longer, 4, 12) == self.histories(inst, exact, 4, 12)
 
     def test_policies_see_common_arrivals(self):
         rng = random.Random(61)
