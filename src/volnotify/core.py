@@ -151,11 +151,13 @@ class Tabulated(InterActivityDistribution):
         if not abs(sum(probs) - 1.0) <= 1e-9:
             raise ValidationError(f"tabulated masses must sum to 1, got {sum(probs)}")
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_cum", tuple(accumulate(probs[:-1])) + (1.0,))
+        cum = np.array([*accumulate(probs[:-1]), 1.0])
+        cum.setflags(write=False)
+        object.__setattr__(self, "_cum", cum)
 
     def _masses(self, n: int) -> tuple[list, list]:
         pad = max(n - len(self.probs), 0)
-        return list(self.probs[:n]) + [0.0] * pad, list(self._cum[:n]) + [1.0] * pad
+        return list(self.probs[:n]) + [0.0] * pad, self._cum[:n].tolist() + [1.0] * pad
 
     def mdhr(self) -> float:
         # Durations whose survival is already exhausted count as hazard 1 (the
@@ -287,16 +289,9 @@ class FractionalSolution:
     def __post_init__(self):
         object.__setattr__(self, "x", _readonly_array(self.x, "solution tensor", 3))
 
-    @classmethod
-    def zeros(cls, instance: Instance) -> "FractionalSolution":
-        return cls(np.zeros((instance.V, instance.S, instance.T)))
-
-    def shape_matches(self, instance: Instance) -> bool:
-        return self.x.shape == (instance.V, instance.S, instance.T)
-
 
 def _require_shape(instance: Instance, solution: FractionalSolution) -> np.ndarray:
-    if not solution.shape_matches(instance):
+    if solution.x.shape != (instance.V, instance.S, instance.T):
         raise ValidationError(
             f"solution tensor shape {solution.x.shape} does not match instance "
             f"({instance.V}, {instance.S}, {instance.T})"

@@ -10,19 +10,49 @@ ex-ante solution is whichever candidate scores best on the true objective.
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import sys
 import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_array, csc_array, issparse
+
+_HIGHS_NAME = "scipy.optimize._highspy._core"
+
+
+def _load_extension(name: str, directory: str):
+    """The extension module name from its file in directory, registered in sys.modules under name.
+
+    Nothing of the module's parent packages runs. Raises ImportError when
+    directory holds no such file.
+    """
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no extension module {name} in {directory}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call: only the fallback path needs scipy.optimize."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
+
 
 try:  # scipy's bundled HiGHS binding is private; without it, linprog solves.
-    from scipy.optimize._highspy import _core as _highs
+    # Loaded from its file, since importing it by name would run
+    # scipy.optimize's __init__ (scipy.linalg, scipy.sparse, ...); a copy
+    # scipy.optimize already imported is reused, so the file is loaded once.
+    _highs = sys.modules.get(_HIGHS_NAME) or _load_extension(_HIGHS_NAME, os.path.join(
+        importlib.util.find_spec("scipy").submodule_search_locations[0], "optimize", "_highspy"))
 
     # The options linprog(method="highs") passes; any other value moves vertices.
     _HIGHS_OPTIONS = _highs.HighsOptions()
@@ -95,8 +125,9 @@ def _triplets(A) -> _Rows:
     """A constraint matrix as _Rows: a dense one's nonzeros, a sparse one in scipy's canonical CSC form."""
     if isinstance(A, _Rows):
         return A
-    if issparse(A):  # duplicates summed and explicit zeros kept, bitwise as in linprog's matrix
-        A = csc_array(A, dtype=float, copy=True)
+    sparse = sys.modules.get("scipy.sparse")  # a caller's sparse matrix has imported it
+    if sparse is not None and sparse.issparse(A):  # duplicates summed, explicit zeros kept, as linprog's
+        A = sparse.csc_array(A, dtype=float, copy=True)
         A.sum_duplicates()
         return _Rows(A.indices, np.repeat(np.arange(A.shape[1]), np.diff(A.indptr)), A.data, A.shape)
     A = np.asarray(A, dtype=float)
@@ -192,6 +223,8 @@ class _Lp:
     def solve(self, objective) -> tuple[np.ndarray, float]:
         cost = -np.asarray(objective, dtype=float)
         if self._rows is None:
+            from scipy.sparse import coo_array
+
             A_ub, A_eq = (coo_array((A.val, (A.row, A.col)), shape=A.shape) if isinstance(A, _Rows) else A
                           for A in (self.A_ub, self.A_eq))
             res = linprog(cost, A_ub=A_ub, b_ub=self.b_ub, A_eq=A_eq, b_eq=self.b_eq,

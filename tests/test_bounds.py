@@ -173,7 +173,7 @@ class TestDualCertificate:
     def test_zero_solution(self):
         rng = random.Random(53)
         inst = random_instance(rng)
-        cert, ok = verify_dual_certificate(inst, FractionalSolution.zeros(inst), 1)
+        cert, ok = verify_dual_certificate(inst, FractionalSolution(np.zeros((inst.V, inst.S, inst.T))), 1)
         assert ok
         assert cert.mu == pytest.approx(1.0 / (2.0 - inst.dist.mdhr()), abs=1e-15)
         assert np.all(cert.gamma == cert.mu)

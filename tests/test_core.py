@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -211,6 +212,33 @@ class TestDurationTable:
         with pytest.raises(ValueError):
             matrix[0, 0] = 0.5
 
+    # 0.1 + 0.2 rounds up, so the running sum differs from the exact cdf in the last bit.
+    TABULATED = (0.1, 0.2, 0.3, 0.15, 0.25)
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_tabulated_cdf_is_the_running_sum(self, n):
+        # The cdf is the running sum p1, p1 + p2, ... in Python floats, ending
+        # at exactly 1 and padded with 1 past the support.
+        probs = self.TABULATED
+        cdf = [*accumulate(probs[:-1]), 1.0] + [1.0] * max(n - len(probs), 0)
+        pmf = list(probs) + [0.0] * max(n - len(probs), 0)
+        dist = Tabulated(probs)
+        table = duration_table(dist, n)
+        assert table.pmf.tobytes() == np.array([0.0] + pmf[:n]).tobytes()
+        assert table.sf.tobytes() == (1.0 - np.array([0.0] + cdf[:n])).tobytes()
+        assert not dist._cum.flags.writeable
+        masses = dist._masses(n)
+        assert masses == (pmf[:n], cdf[:n]) and all(type(c) is float for c in masses[1])
+
+    def test_tabulated_sample_inverts_the_running_sum(self):
+        # Every cdf value, its two float neighbours and a uniform grid: the
+        # duration is the first tau with u < cdf(tau).
+        cdf = [*accumulate(self.TABULATED[:-1]), 1.0]
+        u = sorted({*np.linspace(0.0, 1.0, 101, endpoint=False), 0.0,
+                    *(w for c in cdf[:-1] for w in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)))})
+        want = [next(tau for tau, c in enumerate(cdf, start=1) if w < c) for w in u]
+        assert Tabulated(self.TABULATED).sample(np.array(u)).tolist() == want
+
     def test_zero_mass_has_zero_hazard(self):
         hazard = duration_table(Tabulated((0.1, 0.0, 0.5, 0.4)), 6).hazard
         assert hazard.tolist()[:3] == [0.0, 0.1, 0.0]
@@ -257,7 +285,7 @@ class TestInstance:
 class TestFeasibility:
     def test_zeros_feasible(self):
         inst = make_i5()
-        assert check_feasible(inst, FractionalSolution.zeros(inst)) == []
+        assert check_feasible(inst, FractionalSolution(np.zeros((inst.V, inst.S, inst.T)))) == []
 
     def test_i2_all_ones_feasible_and_tight(self):
         inst = make_i2(4)
@@ -302,7 +330,7 @@ class TestObjective:
 
     def test_zeros(self):
         inst = make_i5()
-        assert evaluate_f(inst, FractionalSolution.zeros(inst)) == 0.0
+        assert evaluate_f(inst, FractionalSolution(np.zeros((inst.V, inst.S, inst.T)))) == 0.0
 
     def test_matches_oracle(self):
         rng = random.Random(17)
@@ -355,7 +383,7 @@ class TestObjective:
 
     def test_fv_index_out_of_range(self):
         inst = make_i5()
-        sol = FractionalSolution.zeros(inst)
+        sol = FractionalSolution(np.zeros((inst.V, inst.S, inst.T)))
         for v in (0, 3):
             with pytest.raises(ValidationError):
                 evaluate_fv(inst, sol, v)

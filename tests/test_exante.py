@@ -673,3 +673,104 @@ class TestCapacity:
         assert proc.returncode == 0, err.read_text()
         assert usage.ru_maxrss < self.LIMIT_KB
         assert json.loads(out.read_text())["lp_value"] > 0.0
+
+
+def run_fresh(code: str) -> str:
+    """Runs code in a fresh interpreter that imports this package; returns its stdout."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(volnotify.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImportFootprint:
+    # The HiGHS binding is loaded from its file, so the package never runs
+    # scipy.optimize's __init__; scipy.optimize and scipy.sparse load only
+    # for the linprog fallback or a caller's sparse matrix.
+    HEAVY = "('scipy.optimize', 'scipy.sparse', 'scipy.linalg')"
+
+    def test_import_and_bench_load_no_heavy_scipy_module(self):
+        if exante._highs is None:
+            pytest.skip("scipy has no HiGHS binding")
+        run_fresh(f"""if True:
+            import sys
+            import volnotify
+            from volnotify import cli, exante
+            assert exante._highs is not None
+            assert not [m for m in {self.HEAVY} if m in sys.modules], sorted(sys.modules)
+            cli.main(["bench", "I3:n=4"])
+            assert not [m for m in {self.HEAVY} if m in sys.modules], sorted(sys.modules)
+        """)
+
+    @pytest.mark.parametrize("scipy_first", [True, False], ids=["scipy-first", "volnotify-first"])
+    def test_binding_is_loaded_once(self, scipy_first):
+        if exante._highs is None:
+            pytest.skip("scipy has no HiGHS binding")
+        # After the first import, creating the binding's module again fails.
+        run_fresh(f"""if True:
+            import sys
+            from importlib.machinery import ExtensionFileLoader
+            create = ExtensionFileLoader.create_module
+
+            def once(self, spec):
+                assert spec.name != "scipy.optimize._highspy._core", "the binding was loaded twice"
+                return create(self, spec)
+
+            if {scipy_first}:
+                import scipy.optimize
+            else:
+                from volnotify import exante
+            ExtensionFileLoader.create_module = once
+            from volnotify import exante
+            import scipy.optimize
+            from scipy.optimize._highspy import _core, _highs_wrapper
+            assert exante._highs is sys.modules["scipy.optimize._highspy._core"] is _core is _highs_wrapper._h
+            res = scipy.optimize.linprog([-1.0, -1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0], bounds=(0, 1),
+                                         method="highs")
+            assert res.status == 0 and res.fun == -1.0
+            assert exante.solve_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])[1] == 1.0
+        """)
+
+    def test_loader_raises_import_error_without_the_binding(self):
+        if exante._highs is None:
+            pytest.skip("scipy has no HiGHS binding")
+        run_fresh("""if True:
+            import os, sys, tempfile
+            from volnotify import exante
+            loaded = sys.modules[exante._HIGHS_NAME]
+            with tempfile.TemporaryDirectory() as empty:
+                for directory in (empty, os.path.join(empty, "missing")):
+                    try:
+                        exante._load_extension(exante._HIGHS_NAME, directory)
+                    except ImportError:
+                        pass
+                    else:
+                        raise AssertionError(f"loaded a binding from {directory}")
+            assert sys.modules[exante._HIGHS_NAME] is loaded
+        """)
+
+    def test_falls_back_to_linprog_without_the_binding(self):
+        # scipy's package directory is made to look empty while the package
+        # imports, so the binding's file is not found.
+        run_fresh(f"""if True:
+            import importlib.machinery, importlib.util, sys, tempfile
+            find_spec = importlib.util.find_spec
+
+            def without_binding(name, package=None):
+                if name != "scipy":
+                    return find_spec(name, package)
+                spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+                spec.submodule_search_locations = [empty]
+                return spec
+
+            with tempfile.TemporaryDirectory() as empty:
+                importlib.util.find_spec = without_binding
+                from volnotify import exante
+                importlib.util.find_spec = find_spec
+            assert exante._highs is None and exante._HIGHS_NAME not in sys.modules
+            assert not [m for m in {self.HEAVY} if m in sys.modules]
+            x, value = exante.solve_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
+            assert value == 1.0 and "scipy.optimize" in sys.modules
+        """)

@@ -213,7 +213,7 @@ class TestScaledDown:
     def test_zero_solution_keeps_everyone_active(self):
         rng = random.Random(103)
         inst = random_instance(rng)
-        plan = sdn_offline(inst, FractionalSolution.zeros(inst))
+        plan = sdn_offline(inst, FractionalSolution(np.zeros((inst.V, inst.S, inst.T))))
         assert np.all(plan.beta == 1.0)
 
     def test_i4_first_period_probability(self):
