@@ -1,25 +1,27 @@
 """Seeded Monte-Carlo execution of notification policies.
 
 One engine plays chunks of episodes at once, period by period, on (E, V)
-arrays. Every draw comes from numpy's counter-based Philox generator keyed by
-the run seed (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC 2011). Each period owns 1 + 4V draws, in this fixed slot order: the
-arrival draw, one policy draw per volunteer, one notification coin per
-volunteer, one response coin per volunteer and one inactivity-duration
-uniform per volunteer, volunteers in ascending index. An episode's
-T (1 + 4V) draws, period after period, fill B = ceil(T (1 + 4V) / 4)
-four-word Philox blocks: episode k's blocks are those of the 256-bit counter
-values k * B + 1 through (k + 1) * B, in order, which are the first outputs
-of Philox(key=seed, counter=k * B) (numpy increments the counter before each
-block). So episode k's draws never depend on which other episodes run, and
-any episode can be replayed alone.
+arrays. Every draw comes from one numpy PCG64DXSM stream seeded by the run
+seed (O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
+Good Algorithms for Random Number Generation", 2014), which numpy can
+advance by any number of outputs at once. An episode's draws form five slot
+groups, each a contiguous run of that stream: g = 0, the arrival draws (one
+per period); g = 1, 2 and 3, the notification coins, the response coins and
+the inactivity-duration uniforms; and g = 4, the policy draws (V per period
+each, volunteers in ascending index within a period). Group g of episode k
+starts at output (g * J + k * T * n_g) mod 2**128, where n_g is the group's
+draws per period and J = 0x9e3779b97f4a7c15f39cc0605cedc835 is the stride of
+numpy's jumped(), so episode 0's group g is the first output of
+PCG64DXSM(seed).jumped(g). So episode k's draws never depend on which other
+episodes run, any episode can be replayed alone, and a run draws only the
+groups it reads: a plain StaticPlanPolicy never draws the policy group.
 A 64-bit output w becomes the uniform (w >> 11) * 2**-53. A slot a period
 does not need (no arrival, a volunteer not notified or inactive, a fixed
 duration) is skipped, never handed to the next draw, so every policy sees
-the same arrivals on the same seed. Notifying an inactive volunteer changes
-nothing. A volunteer whose inactivity ends at period t can be notified at t.
-Seeds and episode indices must lie in [0, 2**64); anything else is a
-ValidationError.
+the same arrivals and coins on the same seed. Notifying an inactive
+volunteer changes nothing. A volunteer whose inactivity ends at period t
+can be notified at t. Seeds and episode indices must lie in [0, 2**64);
+anything else is a ValidationError.
 """
 
 from __future__ import annotations
@@ -47,9 +49,13 @@ __all__ = [
     "brute_force_optimal_online",
 ]
 
-# Philox outputs generated per chunk. It bounds a run's memory, whatever its
-# episode count; results do not depend on it.
+# Draws per chunk, counted as T (1 + 4V) per episode, all five groups, even
+# where a run skips the policy group, so both engine paths cut the same
+# chunks. It bounds a run's memory, whatever its episode count; results do
+# not depend on it.
 _DRAW_BUDGET = 2**20
+# numpy's jumped() stride: group g starts g * _JUMP outputs into the stream.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 # Most 64-bit elements (64 KiB) the engine draws or derives in one array,
 # once E * V allows. glibc serves blocks below its mmap threshold (128 KiB
 # until it adapts, or where pinned) from its heap, recycled from call to
@@ -111,23 +117,34 @@ class _Chunk(NamedTuple):
     responded: np.ndarray  # (T, E, V)
 
 
-def _uniforms(bitgen: np.random.Philox, n: int) -> np.ndarray:
-    """The next n outputs w of bitgen as the uniforms (w >> 11) * 2**-53.
+def _uniforms(bitgen: np.random.PCG64DXSM, origin: dict, start: int, E: int, T: int,
+              widths) -> np.ndarray:
+    """Groups 0 .. len(widths) - 1 of episodes start .. start + E - 1, back to back.
 
-    They are written into the calling thread's spare buffer, which the
-    caller hands back (_spare.buffer = out.base) once it has read them; a
-    nested call finds no spare and allocates its own. The raw words are
-    drawn _PIECE at a time.
+    Group g, widths[g] draws per period, is the E * T * widths[g] outputs w
+    of the stream from (g * _JUMP + start * T * widths[g]) mod 2**128 on,
+    each as the uniform (w >> 11) * 2**-53; bitgen is reset to the stream's
+    origin state and advanced once per group. The uniforms are written into
+    the calling thread's spare buffer, which the caller hands back
+    (_spare.buffer = out.base) once it has read them; a nested call finds no
+    spare and allocates its own. The raw words are drawn _PIECE at a time.
     """
+    n = E * T * sum(widths)
     buf = getattr(_spare, "buffer", None)
     _spare.buffer = None
     if buf is None or buf.size < n:
         buf = np.empty(n)
     out = buf[:n]
-    for lo in range(0, n, _PIECE):
-        words = bitgen.random_raw(min(_PIECE, n - lo))
-        words >>= 11
-        np.multiply(words, 2.0**-53, out=out[lo:lo + len(words)])
+    lo = 0
+    for g, width in enumerate(widths):
+        bitgen.state = origin
+        bitgen.advance((g * _JUMP + start * T * width) % 2**128)
+        end = lo + E * T * width
+        while lo < end:
+            words = bitgen.random_raw(min(_PIECE, end - lo))
+            words >>= 11
+            np.multiply(words, 2.0**-53, out=out[lo:lo + len(words)])
+            lo += len(words)
     return out
 
 
@@ -139,17 +156,16 @@ def _chunks(instance: Instance, policy: Policy, seed: int, first: int, episodes:
     StaticPlanPolicy (not a subclass) whose tensor has shape (V, S, T) is
     not called at all: its plan entries are gathered for every period and
     episode of a piece at once and compared with the notification coins in
-    one pass, with the same notifications bit for bit. Either way, the
-    activity recurrence runs over a piece once its notifications are in.
+    one pass, with the same notifications bit for bit, and the policy group
+    is never drawn. Either way, the activity recurrence runs over a piece
+    once its notifications are in.
     """
     if not (0 <= seed < 2**64 and 0 <= first and first + episodes <= 2**64):
         raise ValidationError(
             f"seed and episode indices must lie in [0, 2**64), got seed {seed} "
             f"and episodes {first} .. {first + episodes - 1}")
     V, S, T = instance.V, instance.S, instance.T
-    slots = 1 + 4 * V
-    blocks = -(-T * slots // 4)
-    size = max(1, _DRAW_BUDGET // (4 * blocks))
+    size = max(1, _DRAW_BUDGET // (T * (1 + 4 * V)))
     cum = np.cumsum(instance.arrival_rates, axis=1)[:, None, :]  # (T, 1, S)
     match = np.vstack([instance.match_probs.T, np.zeros(V)])  # (S + 1, V); row S: no task
     periods = np.arange(1.0, T + 1.0)[:, None]
@@ -161,14 +177,19 @@ def _chunks(instance: Instance, policy: Policy, seed: int, first: int, episodes:
         plan[:, :S] = policy.probs.transpose(2, 1, 0)
         plan = plan.reshape(T * (S + 1), V)
         first_row = np.arange(0, T * (S + 1), S + 1)[:, None]
+        widths = (1, V, V, V)  # no policy draws
     else:
         plan = None
+        widths = (1, V, V, V, V)
+    bitgen = np.random.PCG64DXSM(seed)
+    origin = bitgen.state
     for start in range(first, first + episodes, size):
         E = min(size, first + episodes - start)
-        bitgen = np.random.Philox(key=seed, counter=start * blocks)
-        tape = _uniforms(bitgen, E * blocks * 4)
-        u = tape.reshape(E, 4 * blocks)[:, :T * slots].reshape(E, T, slots)
-        types0 = (u[:, :, 0].T[:, :, None] >= cum).sum(axis=2)  # (T, E); S when no task came
+        tape = _uniforms(bitgen, origin, start, E, T, widths)
+        # (groups - 1, T, E, V): notification, response, duration and policy draws
+        groups = tape[E * T:].reshape(len(widths) - 1, E, T, V).transpose(0, 2, 1, 3)
+        notify_u, respond_u, duration_u = groups[:3]
+        types0 = (tape[:E * T].reshape(E, T).T[:, :, None] >= cum).sum(axis=2)  # (T, E); S: no task
         arrivals = np.where(types0 < S, types0 + 1, 0)
         arriving = arrivals[:, :, None] > 0
         any_arrival = arrivals.any(axis=1).tolist()
@@ -185,26 +206,24 @@ def _chunks(instance: Instance, policy: Policy, seed: int, first: int, episodes:
         step = max(1, _PIECE // (E * V))
         for i0 in range(0, T, step):
             i1 = min(i0 + step, T)
-            part = u[:, i0:i1].transpose(1, 0, 2)  # (P, E, slots)
-            would_respond = part[:, :, 1 + 2 * V:1 + 3 * V] < match[types0[i0:i1]]
+            would_respond = respond_u[i0:i1] < match[types0[i0:i1]]
             # inactive until then
-            ends = instance.dist.sample(part[:, :, 1 + 3 * V:]) + periods[i0:i1, :, None]
+            ends = instance.dist.sample(duration_u[i0:i1]) + periods[i0:i1, :, None]
             if plan is not None:
-                np.less(part[:, :, 1 + V:1 + 2 * V], plan[rows[i0:i1]], out=notified[i0:i1])
+                np.less(notify_u[i0:i1], plan[rows[i0:i1]], out=notified[i0:i1])
             else:
-                for j in range(i1 - i0):
-                    i = i0 + j
+                for i in range(i0, i1):
                     t = i + 1
                     if t >= 2:
                         state = policy.advance(state, t)
                     if not any_arrival[i]:
                         continue
-                    probs = policy.decide(state, t, arrivals[i], part[j, :, 1:1 + V])
+                    probs = policy.decide(state, t, arrivals[i], groups[3, i])
                     if np.shape(probs) != (E, V):
                         raise ValidationError(
                             f"policy returned probabilities of shape {np.shape(probs)} for "
                             f"{E} episodes and {V} volunteers")
-                    np.less(part[j, :, 1 + V:1 + 2 * V], probs, out=notified[i])
+                    np.less(notify_u[i], probs, out=notified[i])
                     notified[i] &= arriving[i]
                     state = policy.record(state, t, notified[i])
             # No policy sees who is active, so the activity recurrence runs after

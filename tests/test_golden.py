@@ -2,8 +2,9 @@
 
 The plan documents were recorded from the CLI before the belief filter and
 the duration tables were rewritten; the simulate rows and the compare
-outputs were recorded under the Philox stream contract described in
-volnotify.sim. Plan documents and the compare outputs are pinned by sha256;
+outputs were recorded under the stream contract described in volnotify.sim:
+one PCG64DXSM stream per run seed, each episode's five slot groups at fixed
+offsets of it. Plan documents and the compare outputs are pinned by sha256;
 a simulate artifact is one header plus one data row, so its data row is
 pinned as literal text.
 """
@@ -26,22 +27,22 @@ PLANS = {
 
 # (instance, policy, theta) -> data row of `simulate --episodes 300 --seed 3`
 SIMULATE = {
-    ("I3:n=3", "sn", "1"): "sn,I3:n=3,300,3,1.343333333,0.04925721024,3,0.4477777778",
-    ("I3:n=3", "sdn", "1"): "sdn,I3:n=3,300,3,1.163333333,0.05161782494,3,0.3877777778",
-    ("I3:n=3", "best:1", "1"): "best:1,I3:n=3,300,3,0.9733333333,0.05989461822,3,0.3244444444",
-    ("I3:n=3", "best:1", "0.5"): "best:1,I3:n=3,300,3,0.9733333333,0.05989461822,3,0.3244444444",
-    ("I3:n=3", "random:2", "1"): "random:2,I3:n=3,300,3,1.373333333,0.06122009808,3,0.4577777778",
-    ("I3:n=3", "upto:0.5", "1"): "upto:0.5,I3:n=3,300,3,1.353333333,0.05807643703,3,0.4511111111",
-    ("I3:n=3", "rolling:2", "1"): "rolling:2,I3:n=3,300,3,1.343333333,0.04925721024,3,0.4477777778",
+    ("I3:n=3", "sn", "1"): "sn,I3:n=3,300,3,1.33,0.04819252545,3,0.4433333333",
+    ("I3:n=3", "sdn", "1"): "sdn,I3:n=3,300,3,1.173333333,0.04985896124,3,0.3911111111",
+    ("I3:n=3", "best:1", "1"): "best:1,I3:n=3,300,3,0.95,0.05132035916,3,0.3166666667",
+    ("I3:n=3", "best:1", "0.5"): "best:1,I3:n=3,300,3,0.95,0.05132035916,3,0.3166666667",
+    ("I3:n=3", "random:2", "1"): "random:2,I3:n=3,300,3,1.273333333,0.05253725828,3,0.4244444444",
+    ("I3:n=3", "upto:0.5", "1"): "upto:0.5,I3:n=3,300,3,1.326666667,0.05685815897,3,0.4422222222",
+    ("I3:n=3", "rolling:2", "1"): "rolling:2,I3:n=3,300,3,1.33,0.04819252545,3,0.4433333333",
     ("I4:q=0.2,eps=1e-3", "sn", "1"):
-        'sn,"I4:q=0.2,eps=1e-3",300,3,0.1966666667,0.02298675559,0.201,0.9784411277',
+        'sn,"I4:q=0.2,eps=1e-3",300,3,0.1666666667,0.021552525,0.201,0.8291873964',
     ("I4:q=0.2,eps=1e-3", "sdn", "1"):
-        'sdn,"I4:q=0.2,eps=1e-3",300,3,0.1066666667,0.01785194488,0.201,0.5306799337',
+        'sdn,"I4:q=0.2,eps=1e-3",300,3,0.08,0.01568929081,0.201,0.3980099502',
     ("I4:q=0.2,eps=1e-3", "best:1", "1"): 'best:1,"I4:q=0.2,eps=1e-3",300,3,0,0,0.201,0',
     ("I4:q=0.2,eps=1e-3", "best:1", "0.5"): 'best:1,"I4:q=0.2,eps=1e-3",300,3,0,0,0.201,0',
     ("I4:q=0.2,eps=1e-3", "random:2", "1"): 'random:2,"I4:q=0.2,eps=1e-3",300,3,0,0,0.201,0',
     ("I4:q=0.2,eps=1e-3", "upto:0.5", "1"):
-        'upto:0.5,"I4:q=0.2,eps=1e-3",300,3,0.03666666667,0.01086897063,0.201,0.1824212272',
+        'upto:0.5,"I4:q=0.2,eps=1e-3",300,3,0.02333333333,0.008730235947,0.201,0.1160862355',
     ("I4:q=0.2,eps=1e-3", "rolling:2", "1"): 'rolling:2,"I4:q=0.2,eps=1e-3",300,3,0,0,0.201,0',
 }
 
@@ -54,8 +55,8 @@ COMPARE_CONFIG = {
     "m": 20,
     "theta": 0.5,
 }
-COMPARE_CSV = "569c66ef136606130059cd8eac0a37104e517f9bf60526ac7f6c95d70ac6f036"
-COMPARE_JSON = "795e9a53f171d997ac4e9b41bf43845d6c0dce0940d95f5d7f999f63e2d18dff"
+COMPARE_CSV = "2da9600bf265a483f8ac7ef4206d509d0393b8f5a8b32425e4b44a6ef6d5b4f4"
+COMPARE_JSON = "01526811de0d9a24110acc3b9089bc1c04e120834d2d1862fb6f79f1c7a197c2"
 
 
 def _artifact(tmp_path, argv) -> bytes:

@@ -20,6 +20,8 @@ from volnotify import sim
 from volnotify.policies import BeliefState, Policy, StaticPlanPolicy, make_policy
 from volnotify.sim import (
     CapacityError,
+    EpisodeLog,
+    PeriodRecord,
     _chunks,
     _credits,
     _drive,
@@ -200,7 +202,115 @@ class TestEngineContract:
 
     @staticmethod
     def words_per_episode(inst):
-        return 4 * -(-inst.T * (1 + 4 * inst.V) // 4)
+        # what one episode counts against sim._DRAW_BUDGET: the draws of all
+        # five slot groups, T (1 + 4V), also where a run skips the policy group
+        return inst.T * (1 + 4 * inst.V)
+
+    def test_budgets_cut_the_chunks_they_name(self, monkeypatch):
+        rng = random.Random(73)
+        inst = random_instance(rng, max_v=4, max_s=3, max_t=8)
+        for policy in self.policies(inst):
+            for per_chunk in (1, 3, 4):
+                monkeypatch.setattr(sim, "_DRAW_BUDGET", per_chunk * self.words_per_episode(inst))
+                sizes = [c.arrivals.shape[1] for c in _chunks(inst, policy, 1, 0, 10)]
+                full, rest = divmod(10, per_chunk)
+                assert sizes == [per_chunk] * full + [rest] * (rest > 0)
+
+    @staticmethod
+    def contract_words(inst, seed, k):
+        """Episode k's arrival, notification, response, duration and policy uniforms, (T, n_g) each.
+
+        Group g is PCG64DXSM(seed).jumped(g) advanced by k T n_g outputs, n_g
+        draws per period, each output w read as (w >> 11) * 2**-53.
+        """
+        words = []
+        for g, width in enumerate((1,) + (inst.V,) * 4):
+            bitgen = np.random.PCG64DXSM(seed).jumped(g)
+            bitgen.advance(k * inst.T * width)
+            uniforms = (bitgen.random_raw(inst.T * width) >> 11) * 2.0**-53
+            words.append(uniforms.reshape(inst.T, width))
+        return words
+
+    @staticmethod
+    def replay(inst, words):
+        """The episode of a 0.5-everywhere static plan on the given uniforms, one slot at a time."""
+        arrival, notify, respond, duration, _ = words
+        cum = np.cumsum(inst.arrival_rates, axis=1)
+        until = [0.0] * inst.V
+        periods = []
+        for t in range(1, inst.T + 1):
+            s = int(np.sum(cum[t - 1] <= arrival[t - 1, 0]))  # inst.S: no task
+            notified, responders = [], []
+            for v in range(inst.V if s < inst.S else 0):
+                if notify[t - 1, v] < 0.5:
+                    notified.append(v + 1)
+                    if until[v] <= t:
+                        until[v] = t + float(inst.dist.sample(duration[t - 1, v:v + 1])[0])
+                        if respond[t - 1, v] < inst.match_probs[v, s]:
+                            responders.append(v + 1)
+            periods.append(PeriodRecord(s + 1 if s < inst.S else None, tuple(notified),
+                                        tuple(responders), responders[0] if responders else None))
+        return EpisodeLog(sum(p.completer is not None for p in periods), tuple(periods))
+
+    def test_episodes_follow_the_stream_contract(self):
+        # The plain plan skips the policy group; its subclass is driven
+        # through decide, which must see the policy group's uniforms.
+        class Recording(StaticPlanPolicy):
+            def decide(self, state, t, s, u):
+                seen[t] = u[0].copy()
+                return super().decide(state, t, s, u)
+
+        for dist in (Geometric(0.3), Deterministic(2), Tabulated((0.3, 0.0, 0.4, 0.3))):
+            inst = Instance(arrival_rates=np.tile([0.3, 0.4], (12, 1)),
+                            match_probs=np.array([[0.6, 0.3], [0.5, 0.7], [0.4, 0.2]]), dist=dist)
+            half = np.full((inst.V, inst.S, inst.T), 0.5)
+            for k in (0, 3, 29):
+                words = self.contract_words(inst, 2026, k)
+                expected = self.replay(inst, words)
+                assert expected.completed
+                assert sum(len(p.notified) for p in expected.periods) > inst.V
+                plain = StaticPlanPolicy("half", half)
+                assert run_episode(inst, plain, 2026, k) == expected, (dist, k)
+                seen = {}
+                assert run_episode(inst, Recording("half", half), 2026, k) == expected, (dist, k)
+                arrived = [t for t, p in enumerate(expected.periods, 1) if p.arrival]
+                assert sorted(seen) == arrived
+                assert all(np.array_equal(seen[t], words[4][t - 1]) for t in arrived)
+
+    def test_slot_groups_are_uncorrelated(self):
+        # Same-slot notification coins, response coins and duration uniforms
+        # of 10**6 slots: a stride that lines the groups up would show here.
+        E, T, V = 1000, 100, 10
+        n = E * T * V
+        bitgen = np.random.PCG64DXSM(20261019)
+        tape = sim._uniforms(bitgen, bitgen.state, 0, E, T, (1, V, V, V))
+        corr = np.corrcoef(tape[E * T:].reshape(3, n))
+        assert np.all(np.abs(corr[np.triu_indices(3, 1)]) <= 4 / math.sqrt(n))
+
+    def test_both_engine_paths_see_common_random_numbers(self, monkeypatch):
+        # A plain all-ones plan never draws the policy group; best:V at
+        # theta 0 notifies the same volunteers through the protocol, and draws
+        # it. Every other group, and so every history, is common to both.
+        drawn = []
+
+        def uniforms(bitgen, origin, start, E, T, widths):
+            drawn.append(len(widths))
+            return draw(bitgen, origin, start, E, T, widths)
+
+        draw = sim._uniforms
+        monkeypatch.setattr(sim, "_uniforms", uniforms)
+        rng = random.Random(83)
+        for variant in ("geometric", "deterministic", "tabulated"):
+            inst = random_instance(rng, max_v=4, max_s=3, max_t=9, variant=variant)
+            every = make_policy("all", inst)
+            best = make_policy(f"best:{inst.V}", inst, theta=0.0)
+            assert type(every) is StaticPlanPolicy and type(best) is not StaticPlanPolicy
+            static = self.histories(inst, every, 9, 40)
+            assert set(drawn) == {4}
+            drawn.clear()
+            assert self.histories(inst, best, 9, 40) == static, variant
+            assert set(drawn) == {5}
+            drawn.clear()
 
     def test_results_do_not_depend_on_the_chunk_size(self, monkeypatch):
         rng = random.Random(53)
