@@ -48,11 +48,9 @@ from .policies import (
 )
 from .sim import (
     CapacityError,
-    EpisodeLog,
     SimStats,
     brute_force_optimal_online,
     empirical_active_prob,
-    run_episode,
     simulate,
     simulate_batched,
 )

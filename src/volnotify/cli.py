@@ -27,7 +27,7 @@ import os
 import random
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .core import (
     json_int,
     json_real,
 )
-from .exante import LpError, benchmark_lp, select_ex_ante, solution_to_triples
+from .exante import DEFAULT_STEP_COUNT, LpError, benchmark_lp, select_ex_ante, solution_to_triples
 from .policies import PLAN_POLICIES, make_policy, parse_policy_spec
 from .sim import CapacityError, simulate, simulate_batched
 
@@ -124,7 +124,7 @@ class ExperimentConfig:
     policies: tuple
     episodes: int
     seed: int
-    m: int = 100
+    m: int = DEFAULT_STEP_COUNT
     theta: float = 1.0
     out: str | None = None
 
@@ -157,25 +157,20 @@ class ExperimentConfig:
             raise ValidationError(f"invalid config JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ValidationError("config JSON must be an object")
-        known = {"instance", "policies", "episodes", "seed", "m", "theta", "out"}
-        unknown = set(doc) - known
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(doc) - set(defaults)
         if unknown:
             raise ValidationError(f"unknown config fields: {sorted(unknown)}")
+        missing = [name for name, default in defaults.items() if default is MISSING and name not in doc]
+        if missing:
+            raise ValidationError(f"config missing fields: {missing}")
+        values = {**defaults, **doc}
         try:
-            fields = dict(
-                instance=doc["instance"],
-                policies=tuple(doc["policies"]),
-                episodes=doc["episodes"],
-                seed=doc["seed"],
-                m=doc.get("m", 100),
-                theta=json_real(doc.get("theta", 1.0), "theta"),
-                out=doc.get("out"),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"config missing field {exc}") from None
+            values["policies"] = tuple(values["policies"])
+            values["theta"] = json_real(values["theta"], "theta")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed config field: {exc}") from None
-        return cls(**fields)
+        return cls(**values)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -431,7 +426,7 @@ def _parser() -> _Parser:
 
     p = sub.add_parser("exante", help="compute the selected ex-ante solution")
     p.add_argument("instance")
-    p.add_argument("--m", type=int, default=100, help="conditional-gradient step count")
+    p.add_argument("--m", type=int, default=DEFAULT_STEP_COUNT, help="conditional-gradient step count")
     add_out(p)
 
     p = sub.add_parser("simulate", help="simulate one policy")
@@ -439,7 +434,7 @@ def _parser() -> _Parser:
     p.add_argument("--policy", required=True)
     p.add_argument("--episodes", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--m", type=int, default=100)
+    p.add_argument("--m", type=int, default=DEFAULT_STEP_COUNT)
     p.add_argument("--theta", type=float, default=1.0)
     add_out(p)
 

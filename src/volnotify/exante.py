@@ -100,11 +100,11 @@ class LpInfeasibleError(LpError):
 def solve_lp(objective, A_ub, b_ub, A_eq=None, b_eq=None) -> tuple[np.ndarray, float]:
     """Maximize objective @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq and 0 <= x <= 1.
 
-    A_ub and A_eq may each be a dense 2-D array (or nested sequence), a
-    scipy.sparse matrix or array (duplicate entries are summed, explicit
-    zeros kept, as linprog does) or the package's own COO triplets; the
-    equality rows are optional. A_ub may also be the package's own _Csc
-    rows, which carry their bounds: b_ub, A_eq and b_eq are then None.
+    A_ub and A_eq may each be a dense 2-D array (or nested sequence; pass a
+    scipy.sparse matrix as its .toarray()) or the package's own COO
+    triplets; the equality rows are optional. A_ub may also be the
+    package's own _Csc rows, which carry their bounds: b_ub, A_eq and b_eq
+    are then None.
     Deterministic for identical inputs; returns (solution, optimal value)
     with constraints met within 1e-7 and the objective within 1e-6 of
     optimal. Raises LpInfeasibleError or LpError.
@@ -122,14 +122,9 @@ class _Rows(NamedTuple):
 
 
 def _triplets(A) -> _Rows:
-    """A constraint matrix as _Rows: a dense one's nonzeros, a sparse one in scipy's canonical CSC form."""
+    """A constraint matrix as _Rows: a dense one's nonzeros."""
     if isinstance(A, _Rows):
         return A
-    sparse = sys.modules.get("scipy.sparse")  # a caller's sparse matrix has imported it
-    if sparse is not None and sparse.issparse(A):  # duplicates summed, explicit zeros kept, as linprog's
-        A = sparse.csc_array(A, dtype=float, copy=True)
-        A.sum_duplicates()
-        return _Rows(A.indices, np.repeat(np.arange(A.shape[1]), np.diff(A.indptr)), A.data, A.shape)
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"constraint matrices must be 2-D, got shape {A.shape}")

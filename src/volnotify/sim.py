@@ -39,10 +39,7 @@ from .policies import Policy, StaticPlanPolicy
 
 __all__ = [
     "CapacityError",
-    "PeriodRecord",
-    "EpisodeLog",
     "SimStats",
-    "run_episode",
     "simulate",
     "simulate_batched",
     "empirical_active_prob",
@@ -69,24 +66,6 @@ _spare = threading.local()
 
 class CapacityError(RuntimeError):
     """State space of an exact computation exceeds the supported size."""
-
-
-@dataclass(frozen=True)
-class PeriodRecord:
-    """What happened in one period; indices are 1-based, arrival None when no task came."""
-
-    arrival: int | None
-    notified: tuple
-    responders: tuple
-    completer: int | None
-
-
-@dataclass(frozen=True)
-class EpisodeLog:
-    """Per-episode trace; the completer is always the lowest-indexed responder."""
-
-    completed: int
-    periods: tuple
 
 
 @dataclass(frozen=True)
@@ -153,24 +132,28 @@ def _chunks(instance: Instance, policy: Policy, seed: int, first: int, episodes:
 
     A policy is reached through new_state, advance, decide and record, once
     per chunk and period, on all of the chunk's episodes. A plain
-    StaticPlanPolicy (not a subclass) whose tensor has shape (V, S, T) is
-    not called at all: its plan entries are gathered for every period and
-    episode of a piece at once and compared with the notification coins in
-    one pass, with the same notifications bit for bit, and the policy group
-    is never drawn. Either way, the activity recurrence runs over a piece
-    once its notifications are in.
+    StaticPlanPolicy (not a subclass) is not called at all: its plan entries
+    are gathered for every period and episode of a piece at once and
+    compared with the notification coins in one pass, with the same
+    notifications bit for bit, and the policy group is never drawn. Either
+    way, the activity recurrence runs over a piece once its notifications
+    are in. A StaticPlanPolicy, plain or subclassed, whose tensor is not
+    (V, S, T) is a ValidationError before anything is drawn.
     """
     if not (0 <= seed < 2**64 and 0 <= first and first + episodes <= 2**64):
         raise ValidationError(
             f"seed and episode indices must lie in [0, 2**64), got seed {seed} "
             f"and episodes {first} .. {first + episodes - 1}")
     V, S, T = instance.V, instance.S, instance.T
+    if isinstance(policy, StaticPlanPolicy) and policy.probs.shape != (V, S, T):
+        raise ValidationError(
+            f"plan {policy.name!r} has shape {policy.probs.shape}, the instance needs {(V, S, T)}")
     size = max(1, _DRAW_BUDGET // (T * (1 + 4 * V)))
     cum = np.cumsum(instance.arrival_rates, axis=1)[:, None, :]  # (T, 1, S)
     match = np.vstack([instance.match_probs.T, np.zeros(V)])  # (S + 1, V); row S: no task
     periods = np.arange(1.0, T + 1.0)[:, None]
     times = periods[:, 0].tolist()
-    if type(policy) is StaticPlanPolicy and policy.probs.shape == (V, S, T):
+    if type(policy) is StaticPlanPolicy:
         # row t * (S + 1) + s holds the plan at period t + 1 for type s + 1;
         # row t * (S + 1) + S, a period with no task, notifies nobody
         plan = np.zeros((T, S + 1, V))
@@ -248,27 +231,6 @@ def _credits(chunk: _Chunk) -> np.ndarray:
     first = chunk.responded.argmax(axis=2)
     episode = np.broadcast_to(np.arange(E), hit.shape)
     return np.bincount(episode[hit] * V + first[hit], minlength=E * V).reshape(E, V)
-
-
-def _episode_log(chunk: _Chunk, e: int) -> EpisodeLog:
-    """The trace of the chunk's episode e (0-based within the chunk)."""
-    periods = []
-    for i, s in enumerate(chunk.arrivals[:, e].tolist()):
-        responders = tuple((np.flatnonzero(chunk.responded[i, e]) + 1).tolist())
-        periods.append(PeriodRecord(
-            s or None,
-            tuple((np.flatnonzero(chunk.notified[i, e]) + 1).tolist()),
-            responders,
-            responders[0] if responders else None,
-        ))
-    return EpisodeLog(completed=sum(p.completer is not None for p in periods),
-                      periods=tuple(periods))
-
-
-def run_episode(instance: Instance, policy: Policy, seed: int, episode: int) -> EpisodeLog:
-    """Play episode `episode` of the run seeded `seed` alone and return its trace."""
-    (chunk,) = _chunks(instance, policy, seed, episode, 1)
-    return _episode_log(chunk, 0)
 
 
 def _drive(instance: Instance, policy: Policy, episodes: int, seed: int, nbatches: int = 1,

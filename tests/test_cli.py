@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import math
 import json
 import os
@@ -129,6 +130,8 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig.from_json('{"instance": "I6", "policies": ["sn"], '
                                        '"episodes": 5, "seed": 1, "bogus": true}')
+        with pytest.raises(ValidationError, match=r"missing fields: \['episodes', 'seed'\]"):
+            ExperimentConfig.from_json('{"instance": "I6", "policies": ["sn"]}')
         for text in MALFORMED_CONFIGS:
             with pytest.raises(ValidationError):
                 ExperimentConfig.from_json(text)
@@ -502,3 +505,21 @@ class TestMain:
               "--episodes", "333", "--seed", "6", "--m", "3", "--out", str(out)])
         mean_field = read_csv(out)[1][4]
         assert len(mean_field.replace(".", "").replace("-", "").lstrip("0")) <= 10
+
+
+class TestTracedNames:
+    def test_every_name_the_benchmark_traces_stays_bound(self):
+        # bench/spans.py wraps module attributes by name and install reads
+        # each one, so a deleted or renamed entry point fails here and not
+        # only in a traced benchmark round.
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        instrumentation = spans.Instrumentation(vars(volnotify))
+        try:
+            instrumentation.install(spans.Tracer())
+            wrapped = {f"{module.__name__}.{attr}" for module, attr, _ in instrumentation._saved}
+        finally:
+            instrumentation.uninstall()
+        assert {"volnotify.exante.linprog", "volnotify.exante.solve_lp"} <= wrapped

@@ -34,7 +34,7 @@ from volnotify.policies import (
     sdn_offline,
     sn_offline,
 )
-from volnotify.sim import run_episode, simulate
+from volnotify.sim import _chunks, simulate
 
 
 U1 = np.full((1, 1), 0.5)  # one episode's policy uniforms on a one-volunteer instance
@@ -128,10 +128,9 @@ class TestSparseNotification:
         assert plan.x_tilde[0, 1, 1] == 1.0
         # the policy is asked only on an arrival, so a period without one notifies nobody
         policy = make_policy("sn", inst, x_star=i4_ones())
-        quiet = [period for ep in range(20)
-                 for period in run_episode(inst, policy, 1, ep).periods
-                 if period.arrival is None]
-        assert quiet and all(period.notified == () for period in quiet)
+        quiet = [chunk.notified[chunk.arrivals == 0] for ep in range(20)
+                 for chunk in _chunks(inst, policy, 1, ep, 1)]
+        assert sum(map(len, quiet)) and not any(q.any() for q in quiet)
 
     def test_decide_index_errors(self):
         policy = make_policy("sn", make_i4(), x_star=i4_ones())

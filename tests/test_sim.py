@@ -20,15 +20,11 @@ from volnotify import sim
 from volnotify.policies import BeliefState, Policy, StaticPlanPolicy, make_policy
 from volnotify.sim import (
     CapacityError,
-    EpisodeLog,
-    PeriodRecord,
     _chunks,
     _credits,
     _drive,
-    _episode_log,
     brute_force_optimal_online,
     empirical_active_prob,
-    run_episode,
     simulate,
     simulate_batched,
 )
@@ -46,6 +42,17 @@ def i4_ones():
     x[0, 0, 0] = 1.0
     x[0, 1, 1] = 1.0
     return FractionalSolution(x)
+
+
+def alone(inst, policy, seed, k):
+    """Episode k of the run seeded `seed`, played alone: its one-episode chunk."""
+    (chunk,) = _chunks(inst, policy, seed, k, 1)
+    return chunk
+
+
+def history(chunk, e=0):
+    """Episode e of a chunk as lists: arrivals (T,), then active, notified and responded (T, V)."""
+    return tuple(a[:, e].tolist() for a in chunk[1:])
 
 
 def tiny_deterministic_instance(rng):
@@ -72,17 +79,15 @@ class TestEpisode:
                         dist=Deterministic(1))
         policy = make_policy("all", inst)
         for ep in range(20):
-            log = run_episode(inst, policy, 3, ep)
-            assert log.completed == 1
-            assert log.periods[0].completer == 1
+            assert _credits(alone(inst, policy, 3, ep)).tolist() == [[1]]
 
     def test_completer_is_min_index_responder(self):
         inst = Instance(arrival_rates=np.array([[1.0]]), match_probs=np.ones((3, 1)),
                         dist=Deterministic(1))
         policy = make_policy("all", inst)
-        log = run_episode(inst, policy, 5, 0)
-        assert log.periods[0].responders == (1, 2, 3)
-        assert log.periods[0].completer == 1
+        chunk = alone(inst, policy, 5, 0)
+        assert chunk.responded[0, 0].tolist() == [True, True, True]
+        assert _credits(chunk).tolist() == [[1, 0, 0]]
 
     def test_notified_volunteer_goes_inactive_even_without_response(self):
         # One volunteer, p = 0, deterministic duration 3: after the period-1
@@ -93,20 +98,18 @@ class TestEpisode:
         emp = empirical_active_prob(inst, policy, 50, seed=9)
         assert emp[0].tolist() == [1.0, 0.0, 0.0]
 
-    def test_determinism_identical_logs(self):
+    def test_determinism_identical_histories(self):
         rng = random.Random(11)
         inst = random_instance(rng)
         policy = make_policy("random:2", inst)
         for ep in range(5):
-            log1 = run_episode(inst, policy, 42, ep)
-            log2 = run_episode(inst, policy, 42, ep)
-            assert log1 == log2
+            assert history(alone(inst, policy, 42, ep)) == history(alone(inst, policy, 42, ep))
 
     def test_policy_dimension_mismatch(self):
         inst = make_i4()
         bad = StaticPlanPolicy("bad", np.ones((3, 2, 2)))
         with pytest.raises(ValidationError):
-            run_episode(inst, bad, 1, 0)
+            alone(inst, bad, 1, 0)
 
 
 class TestSimulate:
@@ -143,12 +146,12 @@ class TestSimulate:
             with pytest.raises(ValidationError):
                 empirical_active_prob(inst, policy, 10, seed)
             with pytest.raises(ValidationError):
-                run_episode(inst, policy, seed, 0)
+                alone(inst, policy, seed, 0)
         for episode in (-1, 2**64):
             with pytest.raises(ValidationError):
-                run_episode(inst, policy, 0, episode)
+                alone(inst, policy, 0, episode)
         assert simulate(inst, policy, 10, seed=2**64 - 1).episodes == 10
-        assert run_episode(inst, policy, 2**64 - 1, 2**64 - 1).periods
+        assert alone(inst, policy, 2**64 - 1, 2**64 - 1).arrivals.shape == (inst.T, 1)
 
     def test_i4_exante_plan_moments(self):
         q, eps = 0.1, 1e-3
@@ -233,24 +236,24 @@ class TestEngineContract:
 
     @staticmethod
     def replay(inst, words):
-        """The episode of a 0.5-everywhere static plan on the given uniforms, one slot at a time."""
+        """The history of a 0.5-everywhere static plan on the given uniforms, played slot by slot."""
         arrival, notify, respond, duration, _ = words
         cum = np.cumsum(inst.arrival_rates, axis=1)
         until = [0.0] * inst.V
-        periods = []
+        arrivals, active, notified, responded = [], [], [], []
         for t in range(1, inst.T + 1):
             s = int(np.sum(cum[t - 1] <= arrival[t - 1, 0]))  # inst.S: no task
-            notified, responders = [], []
+            arrivals.append(s + 1 if s < inst.S else 0)
+            active.append([u <= t for u in until])
+            notified.append([False] * inst.V)
+            responded.append([False] * inst.V)
             for v in range(inst.V if s < inst.S else 0):
                 if notify[t - 1, v] < 0.5:
-                    notified.append(v + 1)
+                    notified[-1][v] = True
                     if until[v] <= t:
                         until[v] = t + float(inst.dist.sample(duration[t - 1, v:v + 1])[0])
-                        if respond[t - 1, v] < inst.match_probs[v, s]:
-                            responders.append(v + 1)
-            periods.append(PeriodRecord(s + 1 if s < inst.S else None, tuple(notified),
-                                        tuple(responders), responders[0] if responders else None))
-        return EpisodeLog(sum(p.completer is not None for p in periods), tuple(periods))
+                        responded[-1][v] = bool(respond[t - 1, v] < inst.match_probs[v, s])
+        return arrivals, active, notified, responded
 
     def test_episodes_follow_the_stream_contract(self):
         # The plain plan skips the policy group; its subclass is driven
@@ -267,13 +270,13 @@ class TestEngineContract:
             for k in (0, 3, 29):
                 words = self.contract_words(inst, 2026, k)
                 expected = self.replay(inst, words)
-                assert expected.completed
-                assert sum(len(p.notified) for p in expected.periods) > inst.V
+                assert np.any(expected[3])
+                assert np.sum(expected[2]) > inst.V
                 plain = StaticPlanPolicy("half", half)
-                assert run_episode(inst, plain, 2026, k) == expected, (dist, k)
+                assert history(alone(inst, plain, 2026, k)) == expected, (dist, k)
                 seen = {}
-                assert run_episode(inst, Recording("half", half), 2026, k) == expected, (dist, k)
-                arrived = [t for t, p in enumerate(expected.periods, 1) if p.arrival]
+                assert history(alone(inst, Recording("half", half), 2026, k)) == expected, (dist, k)
+                arrived = [t for t, s in enumerate(expected[0], 1) if s]
                 assert sorted(seen) == arrived
                 assert all(np.array_equal(seen[t], words[4][t - 1]) for t in arrived)
 
@@ -325,16 +328,18 @@ class TestEngineContract:
                                  empirical_active_prob(inst, policy, 23, 9).tobytes()))
                 assert runs[0] == runs[1] == runs[2], policy.name
 
-    def test_run_episode_replays_episode_k_of_a_longer_run(self, monkeypatch):
+    def test_episode_k_alone_replays_episode_k_of_a_longer_run(self, monkeypatch):
         rng = random.Random(59)
         inst = random_instance(rng, max_v=4, max_s=3, max_t=8)
         monkeypatch.setattr(sim, "_DRAW_BUDGET", 4 * self.words_per_episode(inst))
         for policy in self.policies(inst):
-            logs = [_episode_log(chunk, e) for chunk in _chunks(inst, policy, 17, 0, 30)
-                    for e in range(chunk.arrivals.shape[1])]
-            assert sum(log.completed for log in logs) == sum(_drive(inst, policy, 30, 17)[1])
+            chunks = list(_chunks(inst, policy, 17, 0, 30))
+            runs = [(history(chunk, e), credits.tolist())
+                    for chunk in chunks for e, credits in enumerate(_credits(chunk))]
+            assert sum(sum(credits) for _, credits in runs) == sum(_drive(inst, policy, 30, 17)[1])
             for k in (0, 3, 4, 29):
-                assert run_episode(inst, policy, 17, k) == logs[k], policy.name
+                chunk = alone(inst, policy, 17, k)
+                assert (history(chunk), _credits(chunk)[0].tolist()) == runs[k], policy.name
 
     def test_interleaved_and_nested_runs_keep_their_draws(self, monkeypatch):
         # Runs that overlap on one thread (two chunk generators advanced in
@@ -416,16 +421,22 @@ class TestEngineContract:
             monkeypatch.setattr(StaticPlanPolicy, method, called)
         assert simulate(inst, half, 30, 2) == expected
 
-    def test_other_tensor_shapes_keep_the_protocol(self):
-        # A plan longer than the horizon is still accepted, through decide,
-        # and acts as its first T periods.
-        rng = random.Random(71)
-        inst = random_instance(rng, max_v=4, max_s=3, max_t=8)
-        plan = np.array([[[rng.random() for _ in range(inst.T + 2)] for _ in range(inst.S)]
-                         for _ in range(inst.V)])
-        longer = StaticPlanPolicy("longer", plan)
-        exact = StaticPlanPolicy("exact", plan[:, :, :inst.T])
-        assert self.histories(inst, longer, 4, 12) == self.histories(inst, exact, 4, 12)
+    def test_other_tensor_shapes_are_rejected_before_any_draw(self, monkeypatch):
+        # A plan with more types or periods than the instance, or too few
+        # periods, is an error, plain or subclassed, before anything is drawn.
+        class Subclass(StaticPlanPolicy):
+            pass
+
+        def uniforms(*args):
+            raise AssertionError("a mis-shaped plan was drawn for")
+
+        inst = Instance(arrival_rates=np.full((4, 2), 0.4), match_probs=np.full((3, 2), 0.5),
+                        dist=Geometric(0.3))
+        monkeypatch.setattr(sim, "_uniforms", uniforms)
+        for shape in ((3, 3, 4), (3, 2, 9), (3, 2, 3)):
+            for cls in (StaticPlanPolicy, Subclass):
+                with pytest.raises(ValidationError, match="shape"):
+                    simulate(inst, cls("plan", np.full(shape, 0.5)), 50, 1)
 
     def test_policies_see_common_arrivals(self):
         rng = random.Random(61)
