@@ -100,42 +100,16 @@ class LpInfeasibleError(LpError):
 def solve_lp(objective, A_ub, b_ub, A_eq=None, b_eq=None) -> tuple[np.ndarray, float]:
     """Maximize objective @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq and 0 <= x <= 1.
 
-    A_ub and A_eq may each be a dense 2-D array (or nested sequence; pass a
-    scipy.sparse matrix as its .toarray()) or the package's own COO
-    triplets; the equality rows are optional. A_ub may also be the
-    package's own _Csc rows, which carry their bounds: b_ub, A_eq and b_eq
-    are then None.
+    A_ub and A_eq are dense 2-D arrays (or nested sequences; pass a
+    scipy.sparse matrix as its .toarray()); the equality rows are optional.
+    A_ub may also be the package's own _Csc rows, which carry their bounds:
+    b_ub, A_eq and b_eq are then None.
     Deterministic for identical inputs; returns (solution, optimal value)
     with constraints met within 1e-7 and the objective within 1e-6 of
     optimal. Raises LpInfeasibleError or LpError.
     """
-    return _Lp(A_ub, b_ub, A_eq, b_eq).solve(objective)
-
-
-class _Rows(NamedTuple):
-    """A matrix as COO triplets: entry i is val[i] at (row[i], col[i]), at most one entry per position."""
-
-    row: np.ndarray
-    col: np.ndarray
-    val: np.ndarray
-    shape: tuple[int, int]
-
-
-def _triplets(A) -> _Rows:
-    """A constraint matrix as _Rows: a dense one's nonzeros."""
-    if isinstance(A, _Rows):
-        return A
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"constraint matrices must be 2-D, got shape {A.shape}")
-    row, col = np.nonzero(A)
-    return _Rows(row, col, A[row, col], A.shape)
-
-
-def _stack(top: _Rows, bottom: _Rows) -> _Rows:
-    """The rows of top, then the rows of bottom."""
-    return _Rows(np.concatenate([top.row, bottom.row + top.shape[0]]), np.concatenate([top.col, bottom.col]),
-                 np.concatenate([top.val, bottom.val]), (top.shape[0] + bottom.shape[0], top.shape[1]))
+    rows = A_ub if isinstance(A_ub, _Csc) else _dense_rows(A_ub, b_ub, A_eq, b_eq)
+    return _Lp(rows).solve(objective)
 
 
 # linprog's post-solve feasibility tolerance: sqrt of its 1e-9 default, times 10.
@@ -156,24 +130,47 @@ class _Csc(NamedTuple):
     upper: np.ndarray
 
     def problem(self) -> tuple:
-        """The rows as solve_lp's (A_ub, b_ub, A_eq, b_eq)."""
-        n, m = self.start.size - 1, self.lower.size
-        col = np.repeat(np.arange(n), np.diff(self.start))
+        """The rows as linprog's (A_ub, b_ub, A_eq, b_eq): row slices of one scipy.sparse csc_array."""
+        from scipy.sparse import csc_array
+
         m_ub = int(np.count_nonzero(self.lower < self.upper))
-        ub = self.index < m_ub
-        A_ub = _Rows(self.index[ub], col[ub], self.value[ub], (m_ub, n))
-        if m_ub == m:
-            return A_ub, self.upper, None, None
-        A_eq = _Rows(self.index[~ub] - m_ub, col[~ub], self.value[~ub], (m - m_ub, n))
-        return A_ub, self.upper[:m_ub], A_eq, self.upper[m_ub:]
+        A = csc_array((self.value, self.index, self.start), shape=(self.lower.size, self.start.size - 1))
+        if m_ub == self.lower.size:
+            return A, self.upper, None, None
+        return A[:m_ub], self.upper[:m_ub], A[m_ub:], self.upper[m_ub:]
+
+
+def _dense_rows(A_ub, b_ub, A_eq=None, b_eq=None) -> _Csc:
+    """solve_lp's dense rows A_ub @ x <= b_ub, then A_eq @ x == b_eq, as a _Csc of their nonzeros.
+
+    Raises ValueError on a scipy.sparse matrix, mismatched shapes, inf or nan.
+    """
+    sparse = sys.modules.get("scipy.sparse")  # a sparse matrix means scipy.sparse is loaded
+    if sparse is not None and (sparse.issparse(A_ub) or sparse.issparse(A_eq)):
+        raise ValueError("solve_lp takes dense constraint matrices: pass a scipy.sparse matrix as its .toarray()")
+    A = np.asarray(A_ub, dtype=float)
+    upper = np.asarray(b_ub, dtype=float).reshape(-1)
+    if A.ndim != 2 or upper.shape != (A.shape[0],):
+        raise ValueError(f"A_ub must be 2-D with one b_ub entry per row, got {A.shape} and {upper.shape}")
+    lower = np.full(upper.size, -np.inf)
+    if A_eq is not None:
+        eq = np.asarray(A_eq, dtype=float)
+        b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
+        if eq.ndim != 2 or eq.shape[1] != A.shape[1] or b_eq.shape != (eq.shape[0],):
+            raise ValueError(f"A_eq {eq.shape} and b_eq {b_eq.shape} do not match A_ub {A.shape}")
+        A = np.vstack([A, eq])
+        lower, upper = np.concatenate([lower, b_eq]), np.concatenate([upper, b_eq])
+    if not (np.isfinite(A).all() and np.isfinite(upper).all()):
+        raise ValueError("A_ub, b_ub, A_eq and b_eq must not contain inf or nan")
+    col, row = np.nonzero(A.T)  # column-major: by column, then row
+    start = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=A.shape[1]))])
+    return _Csc(start, row, A[row, col], lower, upper)
 
 
 class _Lp:
-    """The program max c @ x, A_ub @ x <= b_ub, A_eq @ x == b_eq, 0 <= x <= 1, built once for any number of objectives.
+    """The program max c @ x over rows and 0 <= x <= 1, built once for any number of objectives.
 
-    The rows become one _Csc (unless given as one), built with numpy from
-    COO triplets: inequality rows first, row bounds equal on an equality
-    row. The first solve loads it into a fresh solver with linprog's
+    The first solve loads the rows into a fresh solver with linprog's
     options and checks, so it is bitwise linprog's. Each later solve only
     changes the costs and reruns that solver from the previous basis: a
     warm start, with the same checks and the same optimal value, though it
@@ -182,60 +179,27 @@ class _Lp:
     binding, each solve calls linprog.
     """
 
-    def __init__(self, A_ub, b_ub=None, A_eq=None, b_eq=None):
-        rows = A_ub if isinstance(A_ub, _Csc) else None
-        if rows is not None and _highs is None:
-            A_ub, b_ub, A_eq, b_eq = rows.problem()
-        self.A_ub, self.b_ub, self.A_eq, self.b_eq = A_ub, b_ub, A_eq, b_eq
-        self._rows = self._solver = None
-        if _highs is None:
-            return
-        if rows is None:
-            rows = self._sorted(A_ub, b_ub, A_eq, b_eq)
+    def __init__(self, rows: _Csc):
         self._rows, self._eq = rows, rows.lower == rows.upper
         self._cols = np.arange(rows.start.size - 1, dtype=np.int32)
-
-    @staticmethod
-    def _sorted(A_ub, b_ub, A_eq, b_eq) -> _Csc:
-        A = _triplets(A_ub)
-        upper = np.asarray(b_ub, dtype=float).reshape(-1)
-        if upper.shape != (A.shape[0],):
-            raise ValueError(f"b_ub must have one entry per row of A_ub, got {upper.shape} for {A.shape}")
-        lower = np.full(upper.size, -np.inf)
-        if A_eq is not None:
-            eq = _triplets(A_eq)
-            b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
-            if eq.shape[1] != A.shape[1] or b_eq.shape != (eq.shape[0],):
-                raise ValueError(f"A_eq {eq.shape} and b_eq {b_eq.shape} do not match A_ub {A.shape}")
-            A = _stack(A, eq)
-            lower, upper = np.concatenate([lower, b_eq]), np.concatenate([upper, b_eq])
-        if not (np.isfinite(A.val).all() and np.isfinite(upper).all()):
-            raise ValueError("A_ub, b_ub, A_eq and b_eq must not contain inf or nan")
-        order = np.lexsort((A.row, A.col))
-        start = np.concatenate([[0], np.cumsum(np.bincount(A.col, minlength=A.shape[1]))])
-        return _Csc(start, A.row[order], A.val[order], lower, upper)
+        self._solver = None
 
     def solve(self, objective) -> tuple[np.ndarray, float]:
-        cost = -np.asarray(objective, dtype=float)
-        if self._rows is None:
-            from scipy.sparse import coo_array
-
-            A_ub, A_eq = (coo_array((A.val, (A.row, A.col)), shape=A.shape) if isinstance(A, _Rows) else A
-                          for A in (self.A_ub, self.A_eq))
-            res = linprog(cost, A_ub=A_ub, b_ub=self.b_ub, A_eq=A_eq, b_eq=self.b_eq,
-                          bounds=(0.0, 1.0), method="highs")
+        # Every check comes before the solver is touched: the binding crashes
+        # on a model run without costs.
+        cost = -np.asarray(objective, dtype=float).reshape(-1)
+        if cost.shape != (self._cols.size,):
+            raise ValueError(f"objective must have one entry per column of A_ub, got {cost.shape}")
+        if not np.isfinite(cost).all():
+            raise ValueError("objective must not contain inf or nan")
+        if _highs is None:
+            A_ub, b_ub, A_eq, b_eq = self._rows.problem()
+            res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0.0, 1.0), method="highs")
             if res.status == 2:
                 raise LpInfeasibleError(f"infeasible linear program: {res.message}")
             if res.status != 0 or res.x is None:
                 raise LpError(f"linear program failed: {res.message}")
             return np.asarray(res.x), float(-res.fun)
-        # Every check comes before the solver is touched: the binding crashes
-        # on a model run without costs.
-        cost = cost.reshape(-1)
-        if cost.shape != (self._cols.size,):
-            raise ValueError(f"objective must have one entry per column of A_ub, got {cost.shape}")
-        if not np.isfinite(cost).all():
-            raise ValueError("objective must not contain inf or nan")
         if self._solver is None:
             self._solver = _load(_solver(), self._rows, cost)
         else:
@@ -325,39 +289,39 @@ def _snap(x: np.ndarray, budget: np.ndarray) -> np.ndarray:
     return x / np.maximum(1.0, (x @ budget.T).max(axis=1))[:, None]
 
 
-def _load_rows(instance: Instance, ts: np.ndarray, ss: np.ndarray) -> _Rows | None:
-    """One volunteer's T load-state rows over K + T columns, or None.
+def _volunteer_rows(instance: Instance, ts: np.ndarray, ss: np.ndarray, budget: np.ndarray) -> _Csc:
+    """One volunteer's rows: the T budget rows <= 1 over its K slot columns, or the load-state rows.
 
-    Only geometric durations have them. The columns are the K slot columns
-    and then T load columns L in [0, 1]; the equality rows
-    L[t] - (1-q) L[t-1] - sum_{k: t_k = t} lambda_k x_k = 0 make L[t] the
-    value of budget row t, with O(K + T) nonzeros instead of the budget's
-    O(T K). Presolve eliminates L because the rows are equalities.
+    Geometric durations get the load-state rows: the K slot columns and
+    then T load columns L in [0, 1], with the equality rows
+    L[t] - (1-q) L[t-1] - sum_{k: t_k = t} lambda_k x_k = 0 that make L[t]
+    the value of budget row t, with O(K + T) nonzeros instead of the
+    budget's O(T K). Presolve eliminates L because the rows are equalities.
     """
+    T, K = budget.shape
     if not isinstance(instance.dist, Geometric):
-        return None
-    T, K = instance.T, ts.size
-    decay = 1.0 - instance.dist.q
-    lag = np.arange(1, T) if decay > 0.0 else np.arange(0)
-    return _Rows(np.concatenate([ts, np.arange(T), lag]),
-                 np.concatenate([np.arange(K), K + np.arange(T), K + lag - 1]),
-                 np.concatenate([-instance.arrival_rates[ts, ss], np.ones(T), np.full(lag.size, -decay)]),
-                 (T, K + T))
+        return _dense_rows(budget, np.ones(T))
+    # Slot column k has -lambda_k on row t_k; load column t has 1 on row t
+    # and -(1-q) on row t+1, if there is one and q < 1.
+    row = np.arange(T)[:, None] + [0, 1]
+    value = np.broadcast_to([1.0, -(1.0 - instance.dist.q)], (T, 2))
+    keep = (row < T) & (value != 0.0)
+    return _Csc(np.concatenate([np.arange(K + 1), K + np.cumsum(keep.sum(axis=1))]),
+                np.concatenate([ts, row[keep]]), np.concatenate([-instance.arrival_rates[ts, ss], value[keep]]),
+                np.zeros(T), np.zeros(T))
 
 
-def _volunteer_oracle(budget: np.ndarray, load: _Rows | None = None):
-    """costs -> the snapped maximizer of costs @ x over one volunteer's budget and the unit box.
+def _volunteer_oracle(budget: np.ndarray, rows: _Csc):
+    """costs -> the snapped maximizer of costs @ x over one volunteer's rows (_volunteer_rows) and the unit box.
 
-    The program has the budget rows <= 1, or the load-state rows (_load_rows)
-    when given. It is built once; each call only swaps the costs, so every
+    The program is built once; each call only swaps the costs, so every
     solve after the first is warm-started. Costs are divided by their
     largest magnitude first: the maximizer is the same, and HiGHS fails on
     some cost vectors that span many magnitudes below 1.
     """
-    T, K = budget.shape
-    pad = np.zeros(0 if load is None else T)
-    lp = (_Lp(budget, np.ones(T)) if load is None
-          else _Lp(np.zeros((0, K + T)), np.zeros(0), load, np.zeros(T)))
+    K = budget.shape[1]
+    pad = np.zeros(rows.start.size - 1 - K)  # the load columns' costs
+    lp = _Lp(rows)
 
     def oracle(costs):
         peak = np.abs(costs).max()
@@ -389,8 +353,8 @@ def benchmark_lp(instance: Instance) -> BenchmarkResult:
     geometric durations, volunteer v's T load columns follow at
     (V+1)*K + v*T. Rows are the K caps y_k - sum_v p[v, s_k] x[v, k] <= 0,
     then volunteer v's T budget rows <= 1, or load-state rows == 0
-    (_load_rows), at K + v*T. Slots with zero arrival rate get no variables
-    and their tensor entries stay 0.
+    (_volunteer_rows), at K + v*T. Slots with zero arrival rate get no
+    variables and their tensor entries stay 0.
     """
     lp = _Benchmark(instance)
     if lp.ts.size == 0:
@@ -405,8 +369,8 @@ class _Benchmark:
 
     Everything but the caps' match probabilities is built once, already in
     canonical CSC order: one volunteer's columns, in which each slot column
-    leads with its cap row and then has its budget or load-state rows
-    (_load_rows) shifted past the K cap rows, copied once per volunteer.
+    leads with its cap row and then has that volunteer's rows
+    (_volunteer_rows) shifted past the K cap rows, copied once per volunteer.
     Every volunteer's copy is the same, so the slot columns of n volunteers
     are a prefix of those of all V, and so are their rows and load columns:
     a model needs neither a sort nor a per-volunteer loop.
@@ -417,26 +381,25 @@ class _Benchmark:
         self._rates = instance.arrival_rates[self.ts, self.ss]
         self._shape = (instance.S, instance.T)
         (T, K), V = self.budget.shape, instance.V
-        one = _load_rows(instance, self.ts, self.ss)
-        equal = one is not None  # load-state rows == 0; budget rows <= 1 otherwise
-        if one is None:
-            rows, cols = np.nonzero(self.budget)
-            one = _Rows(rows, cols, self.budget[rows, cols], self.budget.shape)
-        row, col = np.concatenate([np.arange(K), K + one.row]), np.concatenate([np.arange(K), one.col])
-        order = np.lexsort((row, col))
-        index, value = row[order], np.concatenate([np.zeros(K), one.val])[order]
-        count = np.bincount(col, minlength=one.shape[1])
-        slot = int(count[:K].sum())
+        one = _volunteer_rows(instance, self.ts, self.ss, self.budget)
+        slot, count = one.start[K], np.diff(one.start)  # the slot columns' entries; entries per column
+        # Each slot column leads with its cap entry (model() sets its value), then has the
+        # volunteer's own entries; placed by mask, as np.insert is slower on small windows.
+        cap = np.zeros(slot + K, dtype=bool)
+        cap[one.start[:K] + np.arange(K)] = True
+        own = ~cap
+        index, value = np.empty(slot + K, dtype=one.index.dtype), np.zeros(slot + K)
+        index[cap], index[own], value[own] = np.arange(K), one.index[:slot] + K, one.value[:slot]
         shift = (np.arange(V) * T)[:, None]  # volunteer v's rows start at K + v*T
         # all V volunteers' slot columns, with the bounds of all K + V*T rows
-        self._slot = _Csc(np.concatenate([[0], np.cumsum(np.tile(count[:K], V))]),
-                          (index[:slot] + shift * (order[:slot] >= K)).ravel(), np.tile(value[:slot], V),
-                          np.concatenate([np.full(K, -np.inf), np.full(V * T, 0.0 if equal else -np.inf)]),
-                          np.concatenate([np.zeros(K), np.full(V * T, 0.0 if equal else 1.0)]))
-        self._caps = np.flatnonzero(np.tile(order[:slot] < K, V))  # volunteer-major, as p[:, ss]
+        self._slot = _Csc(np.concatenate([[0], np.cumsum(np.tile(count[:K] + 1, V))]),
+                          (index + shift * own).ravel(), np.tile(value, V),
+                          np.concatenate([np.full(K, -np.inf), np.tile(one.lower, V)]),
+                          np.concatenate([np.zeros(K), np.tile(one.upper, V)]))
+        self._caps = np.flatnonzero(np.tile(cap, V))  # volunteer-major, as p[:, ss]
         # the load columns, as start, index, value: T per volunteer, or none
         self._loads = (np.concatenate([[0], np.cumsum(np.tile(count[K:], V))]),
-                       (index[slot:] + shift).ravel(), np.tile(value[slot:], V))
+                       (one.index[slot:] + K + shift).ravel(), np.tile(one.value[slot:], V))
         self._load_cols = count.size - K
 
     def model(self, match_probs: np.ndarray) -> tuple[np.ndarray, _Csc]:
@@ -583,7 +546,7 @@ def frank_wolfe_aa(instance: Instance, m: int = DEFAULT_STEP_COUNT) -> Fractiona
     x = np.zeros((instance.V, instance.S, instance.T))
     if ts.size == 0:
         return FractionalSolution(x)
-    oracle = _volunteer_oracle(budget, _load_rows(instance, ts, ss))
+    oracle = _volunteer_oracle(budget, _volunteer_rows(instance, ts, ss, budget))
     for _ in range(m):
         costs = objective_gradient(instance, x)[:, ss, ts]
         x[:, ss, ts] += np.array([oracle(c) for c in costs]) / m
@@ -608,7 +571,7 @@ def sequential_sq(instance: Instance) -> FractionalSolution:
         return FractionalSolution(x)
     lam, p = instance.arrival_rates[ts, ss], instance.match_probs
     prefix = np.ones((instance.S, instance.T))
-    oracle = _volunteer_oracle(budget, _load_rows(instance, ts, ss))
+    oracle = _volunteer_oracle(budget, _volunteer_rows(instance, ts, ss, budget))
     for v in range(instance.V):
         x[v, ss, ts] = oracle(lam * prefix[ss, ts] * p[v, ss])
         prefix = prefix * (1.0 - p[v][:, None] * x[v])

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse
-from scipy.sparse import coo_array, csc_array, vstack
+from scipy.sparse import coo_array, csc_array
 
 import volnotify
 from conftest import VARIANTS, feasible_tensor, fuzz_draws, random_instance
@@ -28,10 +28,11 @@ from volnotify.exante import (
     LpError,
     LpInfeasibleError,
     _Benchmark,
-    _load_rows,
+    _dense_rows,
     _slots,
     _snap,
     _volunteer_oracle,
+    _volunteer_rows,
     benchmark_lp,
     frank_wolfe_aa,
     objective_gradient,
@@ -99,6 +100,52 @@ def dense_benchmark(inst):
     return solve_lp(c, A, b)
 
 
+def volunteer_problem(inst):
+    """One volunteer's rows as solve_lp's dense (A_ub, b_ub, A_eq, b_eq), written out entry by entry.
+
+    The budget rows <= 1 over the K slot columns, or for geometric durations
+    L[t] - (1-q) L[t-1] - sum_{k: t_k = t} lambda_k x_k == 0 over the K slot
+    columns and T load columns L.
+    """
+    ts, ss, budget = _slots(inst)
+    T, K = budget.shape
+    if not isinstance(inst.dist, Geometric):
+        return budget, np.ones(T), None, None
+    A = np.zeros((T, K + T))
+    for k, (t, s) in enumerate(zip(ts, ss)):
+        A[t, k] = -inst.arrival_rates[t, s]
+    for t in range(T):
+        A[t, K + t] = 1.0
+        if t > 0:
+            A[t, K + t - 1] = -(1.0 - inst.dist.q)
+    return np.zeros((0, K + T)), np.zeros(0), A, np.zeros(T)
+
+
+def benchmark_problem(inst):
+    """The benchmark LP's rows as dense (A_ub, b_ub, A_eq, b_eq), laid out as benchmark_lp documents.
+
+    The K caps, then each volunteer's volunteer_problem rows on its own slot
+    columns and load columns.
+    """
+    ts, ss, _ = _slots(inst)
+    A_ub, b_ub, A_eq, _ = volunteer_problem(inst)
+    one = A_ub if A_eq is None else A_eq
+    V, K, T = inst.V, ts.size, inst.T
+    L = one.shape[1] - K  # load columns per volunteer
+    A = np.zeros((K + V * T, (V + 1) * K + V * L))
+    for k, s in enumerate(ss):
+        A[k, V * K + k] = 1.0
+        for v in range(V):
+            A[k, v * K + k] = -inst.match_probs[v, s]
+    for v in range(V):
+        rows = slice(K + v * T, K + (v + 1) * T)
+        A[rows, v * K:(v + 1) * K] = one[:, :K]
+        A[rows, (V + 1) * K + v * L:(V + 1) * K + (v + 1) * L] = one[:, K:]
+    if A_eq is None:
+        return A, np.concatenate([np.zeros(K), np.tile(b_ub, V)]), None, None
+    return A[:K], np.zeros(K), A[K:], np.zeros(V * T)
+
+
 def with_zero_matches(rng, inst):
     """inst with about a third of its match probabilities set to 0 (their benchmark caps have no entry)."""
     zero = np.array([[rng.random() < 0.3 for _ in range(inst.S)] for _ in range(inst.V)])
@@ -163,14 +210,8 @@ def _lp_cases():
 
 def _scipy_model(A_ub, b_ub, A_eq=None, b_eq=None):
     """The CSC arrays and row bounds linprog hands HiGHS: (start, index, value, lower, upper)."""
-    def block(M):
-        if isinstance(M, exante._Rows):
-            return coo_array((M.val, (M.row, M.col)), shape=M.shape)
-        return np.asarray(M, dtype=float)
-
-    top = block(A_ub)
-    blocks = [top, np.zeros((0, top.shape[1])) if A_eq is None else block(A_eq)]
-    A = csc_array((vstack if any(map(scipy.sparse.issparse, blocks)) else np.vstack)(blocks))
+    top = np.asarray(A_ub, dtype=float)
+    A = csc_array(np.vstack([top, np.zeros((0, top.shape[1])) if A_eq is None else A_eq]))
     b_ub = np.asarray(b_ub, dtype=float).ravel()
     b_eq = np.zeros(0) if A_eq is None else np.asarray(b_eq, dtype=float).ravel()
     return (A.indptr, A.indices, A.data, np.concatenate([np.full(b_ub.size, -np.inf), b_eq]),
@@ -207,6 +248,15 @@ class TestSolveLp:
                 with pytest.raises(ValueError):
                     solve_lp(*problem)
 
+    def test_sparse_input_names_the_dense_remedy(self, monkeypatch):
+        # solve_lp takes dense matrices; a scipy.sparse one is refused alike
+        # on both paths, with the remedy in the message.
+        for _ in on_each_path(monkeypatch):
+            for problem in (([1.0, 1.0], csc_array(np.ones((1, 2))), [1.0]),
+                            ([1.0, 1.0], np.zeros((0, 2)), np.zeros(0), csc_array([[1.0, -1.0]]), [0.0])):
+                with pytest.raises(ValueError, match="toarray"):
+                    solve_lp(*problem)
+
     def test_deterministic_resolve(self, monkeypatch):
         for _ in on_each_path(monkeypatch):
             rng = random.Random(5)
@@ -229,7 +279,7 @@ class TestSolveLp:
         # Shape and finiteness are checked before the solver is touched, on
         # the first solve and on a warm one.
         for _ in on_each_path(monkeypatch):
-            lp = exante._Lp([[1.0, 1.0]], [1.0])
+            lp = exante._Lp(_dense_rows([[1.0, 1.0]], [1.0]))
             for objective in ([1.0, 2.0], [2.0, 1.0]):
                 for bad in ([1.0], [1.0, 2.0, 3.0], [np.nan, 1.0], [np.inf, 1.0]):
                     with pytest.raises(ValueError):
@@ -253,7 +303,7 @@ class TestSolveLp:
         # solution, row values and objective with an optimal status.
         if exante._highs is None:
             pytest.skip("scipy has no HiGHS binding")
-        lp = exante._Lp([[1.0, 1.0]], [1.0], [[1.0, -1.0]], [0.0])
+        lp = exante._Lp(_dense_rows([[1.0, 1.0]], [1.0], [[1.0, -1.0]], [0.0]))
         assert lp.solve([1.0, 1.0])[1] == pytest.approx(1.0, abs=1e-9)
         lp._solver = FakeSolver([0.5, 0.5], [1.0, 0.0], -1.0)
         sol, value = lp.solve([1.0, 1.0])  # the fake's good answer passes
@@ -272,10 +322,14 @@ class TestKernelMatchesLinprog:
             assert _same_bits(kernel, reference)
 
     def test_benchmark_bitwise(self, monkeypatch):
-        inst = make_i2(4)
-        kernel, reference = (benchmark_lp(inst) for _ in on_each_path(monkeypatch))
-        assert kernel.x_lp.x.tobytes() == reference.x_lp.x.tobytes()
-        assert kernel.lp_value == reference.lp_value
+        # Every duration family, and caps without entries.
+        rng = random.Random(19)
+        instances = [make_i2(4), make_i1(), make_i6(), random_instance(rng, variant="tabulated"),
+                     with_zero_matches(rng, random_instance(rng, variant="geometric"))]
+        for inst in instances:
+            kernel, reference = (benchmark_lp(inst) for _ in on_each_path(monkeypatch))
+            assert kernel.x_lp.x.tobytes() == reference.x_lp.x.tobytes()
+            assert kernel.lp_value == reference.lp_value
 
     def test_oracle_solves_first_bitwise_then_warm(self, monkeypatch):
         # Each AA/SQ oracle model is built once per call. Its first solve is
@@ -300,48 +354,42 @@ class TestKernelMatchesLinprog:
                 sequential_sq(inst)
         seen = set()
         for lp, costs, budget, (x, value) in calls:
-            problem = (lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq)
             if id(lp) in seen:
-                assert value == pytest.approx(exante._Lp(*problem).solve(costs)[1], rel=1e-9)
+                assert value == pytest.approx(exante._Lp(lp._rows).solve(costs)[1], rel=1e-9)
                 row = _snap(x[None, :budget.shape[1]], budget)
                 assert row.min() >= 0.0 and (row @ budget.T).max() <= 1.0 + 1e-12
             else:
                 seen.add(id(lp))
                 with monkeypatch.context() as m:
                     m.setattr(exante, "_highs", None)
-                    assert _same_bits((x, value), solve_lp(costs, *problem))
+                    assert _same_bits((x, value), solve_lp(costs, lp._rows, None))
         assert len(seen) >= 10 and len(calls) - len(seen) > 40
 
     def test_model_is_scipys_csc(self):
-        # The kernel builds HiGHS's column-wise arrays from triplets with
-        # numpy; they must be scipy's CSC arrays for the same rows, array for
-        # array, with row bounds (-inf, b_ub] and then [b_eq, b_eq]. The
-        # benchmark LP's own arrays, assembled without a sort, must be too.
-        problems = [p[1:] for p in _lp_cases()]
+        # Every model HiGHS gets must be scipy's CSC arrays for the same rows,
+        # array for array, with row bounds (-inf, b_ub] and then [b_eq, b_eq]:
+        # solve_lp's dense input, one volunteer's rows and the benchmark LP
+        # (assembled without a sort), each against a dense reference.
+        models = [(_dense_rows(*problem[1:]), problem[1:]) for problem in _lp_cases()]
         rng = random.Random(17)
         instances = [random_instance(rng, max_v=5, max_s=3, max_t=12, variant=v) for v in VARIANTS * 3]
         instances += fuzz_draws(200)
         instances += [make_instance(parse_canonical_spec(f"I{f}:n={n}")) for f in (2, 3) for n in (4, 10, 12)]
         instances += [with_zero_matches(rng, random_instance(rng, max_v=5, max_s=3, max_t=12, variant=v))
                       for v in VARIANTS]
+        instances += [make_i4(q=1.0)]  # q = 1: no load carries over
         families = set()
         for inst in instances:
             ts, ss, budget = _slots(inst)
             if ts.size == 0:
                 continue
             families.add(type(inst.dist))
-            rows = _Benchmark(inst).model(inst.match_probs)[1]
-            problems.append(rows.problem())
-            for got, want in zip(rows, _scipy_model(*problems[-1])):
-                assert np.asarray(got, dtype=want.dtype).tobytes() == want.tobytes()
-            load = _load_rows(inst, ts, ss)
-            T, K = budget.shape
-            problems.append((budget, np.ones(T)) if load is None else
-                            (np.zeros((0, K + T)), np.zeros(0), load, np.zeros(T)))
+            models.append((_volunteer_rows(inst, ts, ss, budget), volunteer_problem(inst)))
+            models.append((_Benchmark(inst).model(inst.match_probs)[1], benchmark_problem(inst)))
         assert len(families) == 3
-        for problem in problems:
-            lp, reference = exante._Lp(*problem), _scipy_model(*problem)
-            arrays, (col_lower, col_upper) = _model_arrays(lp)
+        for rows, problem in models:
+            reference = _scipy_model(*problem)
+            arrays, (col_lower, col_upper) = _model_arrays(exante._Lp(rows))
             for got, want in zip(arrays, reference):
                 assert np.asarray(got, dtype=want.dtype).tobytes() == want.tobytes()
             n = reference[0].size - 1
@@ -482,7 +530,7 @@ class TestFrankWolfe:
                 continue
             weights = objective_gradient(inst, feasible_tensor(rng, inst))
             costs = weights[:, ss, ts]
-            oracle = _volunteer_oracle(budget, _load_rows(inst, ts, ss))
+            oracle = _volunteer_oracle(budget, _volunteer_rows(inst, ts, ss, budget))
             split_obj = sum(float(c @ oracle(c)) for c in costs)
 
             joint = np.kron(np.eye(inst.V), budget)
@@ -615,7 +663,7 @@ class TestSolverOutputSnapped:
         costs = lam * prefix[ss, ts] * p[7, ss]
         assert costs.max() == pytest.approx(7.44e-4, rel=1e-3)
         assert costs[costs > 0.0].min() == pytest.approx(1.17e-10, rel=1e-2)
-        row = _volunteer_oracle(budget)(costs)
+        row = _volunteer_oracle(budget, _dense_rows(budget, np.ones(inst.T)))(costs)
         assert row.min() >= 0.0 and (row @ budget.T).max() <= 1.0 + 1e-12
 
     def test_candidate_loads_within_budget(self, instances):
