@@ -37,7 +37,9 @@ __all__ = [
     "verify_dual_certificate",
 ]
 
-KINDS = ("I1", "I2", "I3", "I4", "I5", "I6")
+# Each kind's parameter names; make_instance reads no others.
+PARAMS = {"I1": ("q", "eps", "det_length"), "I2": ("n",), "I3": ("n",), "I4": ("q", "eps"),
+          "I5": ("eps",), "I6": ()}
 
 
 @dataclass(frozen=True)
@@ -49,14 +51,19 @@ class CanonicalInstanceSpec:
     I2, I3: n (volunteer count; the hazard rate is 1/n for I2).
     I4: q, eps (eps <= q/10).
     I5: eps. I6: no params.
+    Any other parameter name is a ValidationError.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in PARAMS:
             raise ValidationError(f"unknown canonical instance {self.kind!r}")
+        unknown = sorted(set(self.params) - set(PARAMS[self.kind]))
+        if unknown:
+            raise ValidationError(f"unknown {self.kind} parameters {unknown}; allowed: "
+                                  f"{', '.join(PARAMS[self.kind]) or 'none'}")
         object.__setattr__(self, "params", dict(self.params))
 
 
@@ -125,8 +132,6 @@ def make_instance(spec: CanonicalInstanceSpec) -> Instance:
         return Instance(arrival_rates=lam, match_probs=probs, dist=Deterministic(2))
 
     # I6
-    if p:
-        raise ValidationError("I6 takes no parameters")
     lam = np.array([[1.0, 0.0], [0.0, 1.0]])
     third = 1.0 / 3.0
     probs = np.array([
@@ -141,9 +146,6 @@ def make_instance(spec: CanonicalInstanceSpec) -> Instance:
 def parse_canonical_spec(text: str) -> CanonicalInstanceSpec:
     """Parse 'I4' or 'I4:q=0.1,eps=1e-3' (case-insensitive) into a spec."""
     head, _, arg = text.strip().partition(":")
-    kind = head.upper()
-    if kind not in KINDS:
-        raise ValidationError(f"unknown canonical instance {head!r}")
     params = {}
     if arg:
         for item in arg.split(","):
@@ -155,7 +157,7 @@ def parse_canonical_spec(text: str) -> CanonicalInstanceSpec:
                 params[key] = int(value) if key in ("n", "det_length") else float(value)
             except ValueError:
                 raise ValidationError(f"bad canonical parameter {item!r}") from None
-    return CanonicalInstanceSpec(kind=kind, params=params)
+    return CanonicalInstanceSpec(kind=head.upper(), params=params)
 
 
 # ---------------------------------------------------------------------------

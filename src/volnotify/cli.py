@@ -374,10 +374,12 @@ def _cmd_compare(args) -> None:
     out = args.out or config.out
     if out is None:
         raise ValidationError("compare needs an output path (config 'out' or --out)")
+    summary_path = os.path.splitext(out)[0] + ".json"
+    if os.path.realpath(summary_path) in (os.path.realpath(out), os.path.realpath(args.config)):
+        raise ValidationError(f"the summary {summary_path!r} would overwrite the CSV or the config")
     csv_text, summary = run_compare(config)
     _write(out, csv_text)
-    _write(os.path.splitext(out)[0] + ".json",
-           json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_bounds(args) -> None:

@@ -48,8 +48,9 @@ __all__ = [
 
 # Draws per chunk, counted as T (1 + 4V) per episode, all five groups, even
 # where a run skips the policy group, so both engine paths cut the same
-# chunks. It bounds a run's memory, whatever its episode count; results do
-# not depend on it.
+# chunks. It bounds a chunk's memory, whatever the run's episode count (the
+# run's per-episode completions add 8 bytes an episode); results do not
+# depend on it.
 _DRAW_BUDGET = 2**20
 # numpy's jumped() stride: group g starts g * _JUMP outputs into the stream.
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
@@ -140,6 +141,8 @@ def _chunks(instance: Instance, policy: Policy, seed: int, first: int, episodes:
     are in. A StaticPlanPolicy, plain or subclassed, whose tensor is not
     (V, S, T) is a ValidationError before anything is drawn.
     """
+    if episodes < 1:
+        raise ValidationError(f"episode count must be >= 1, got {episodes}")
     if not (0 <= seed < 2**64 and 0 <= first and first + episodes <= 2**64):
         raise ValidationError(
             f"seed and episode indices must lie in [0, 2**64), got seed {seed} "
@@ -233,43 +236,26 @@ def _credits(chunk: _Chunk) -> np.ndarray:
     return np.bincount(episode[hit] * V + first[hit], minlength=E * V).reshape(E, V)
 
 
-def _drive(instance: Instance, policy: Policy, episodes: int, seed: int, nbatches: int = 1,
-           active_counts=None):
-    """The one observer of the engine behind simulate, simulate_batched and empirical_active_prob.
+def _drive(instance: Instance, policy: Policy, episodes: int, seed: int):
+    """The one observer of the engine behind simulate and simulate_batched.
 
-    Episodes 0 .. episodes - 1 are split into min(nbatches, episodes)
-    contiguous batches whose sizes differ by at most one. Returns (batch
-    sizes, batch completion totals, sum of squared completions,
-    per-volunteer completions); active_counts, a (V, T) integer array, gains
-    the number of episodes with each volunteer active at each period.
+    Returns the (episodes,) completions of episodes 0 .. episodes - 1 and the
+    (V,) completions credited to each volunteer, both int64.
     """
-    if episodes < 1:
-        raise ValidationError(f"episode count must be >= 1, got {episodes}")
-    if nbatches < 1:
-        raise ValidationError(f"batch count must be >= 1, got {nbatches}")
-    nb = min(nbatches, episodes)
-    sizes = [episodes // nb + (1 if b < episodes % nb else 0) for b in range(nb)]
-    ends = np.cumsum(sizes)
-    totals = np.zeros(nb, dtype=np.int64)
-    total_sq = 0
+    completed = []
     attr = np.zeros(instance.V, dtype=np.int64)
     for chunk in _chunks(instance, policy, seed, 0, episodes):
         credits = _credits(chunk)
-        completed = credits.sum(axis=1)
-        batch = np.searchsorted(ends, chunk.start + np.arange(len(completed)), side="right")
-        np.add.at(totals, batch, completed)
-        total_sq += int(completed @ completed)
+        completed.append(credits.sum(axis=1))
         attr += credits.sum(axis=0)
-        if active_counts is not None:
-            active_counts += chunk.active.sum(axis=1).T
-    return sizes, totals.tolist(), total_sq, attr.tolist()
+    return np.concatenate(completed), attr
 
 
-def _aggregate(seed, lp_value, sizes, totals, total_sq, attr) -> SimStats:
-    episodes = sum(sizes)
-    mean = sum(totals) / episodes
+def _aggregate(seed, lp_value, completed, attr) -> SimStats:
+    episodes = len(completed)
+    mean = int(completed.sum()) / episodes
     if episodes > 1:
-        var = (total_sq - episodes * mean * mean) / (episodes - 1)
+        var = (int(completed @ completed) - episodes * mean * mean) / (episodes - 1)
         se = math.sqrt(max(var, 0.0) / episodes)
     else:
         se = 0.0
@@ -280,7 +266,7 @@ def _aggregate(seed, lp_value, sizes, totals, total_sq, attr) -> SimStats:
         episodes=episodes,
         mean_completed=mean,
         std_error=se,
-        attribution=tuple(a / episodes for a in attr),
+        attribution=tuple(a / episodes for a in attr.tolist()),
         lp_value=lp_value,
         ratio=ratio,
         seed=seed,
@@ -302,27 +288,32 @@ def simulate_batched(instance: Instance, policy: Policy, episodes: int, seed: in
                      nbatches: int = 25, lp_value: float | None = None):
     """Like simulate, but also report per-batch means over a partition of the episodes.
 
-    Returns (SimStats, rows) where each row carries the batch index (1-based),
-    its episode count, its mean completions, and its ratio to lp_value.
+    The episodes are split into min(nbatches, episodes) contiguous batches
+    whose sizes differ by at most one, larger batches first. Returns
+    (SimStats, rows) where each row carries the batch index (1-based), its
+    episode count, its mean completions, and its ratio to lp_value.
     """
-    sizes, totals, total_sq, attr = _drive(instance, policy, episodes, seed, nbatches)
+    if nbatches < 1:
+        raise ValidationError(f"batch count must be >= 1, got {nbatches}")
+    completed, attr = _drive(instance, policy, episodes, seed)
     rows = []
-    for b, (size, total) in enumerate(zip(sizes, totals)):
-        mean = total / size
+    for b, batch in enumerate(np.array_split(completed, min(nbatches, episodes))):
+        mean = int(batch.sum()) / len(batch)
         rows.append({
             "batch": b + 1,
-            "episodes": size,
+            "episodes": len(batch),
             "mean_completed": mean,
             "ratio": mean / lp_value if lp_value else None,
         })
-    return _aggregate(seed, lp_value, sizes, totals, total_sq, attr), rows
+    return _aggregate(seed, lp_value, completed, attr), rows
 
 
 def empirical_active_prob(instance: Instance, policy: Policy, episodes: int,
                           seed: int) -> np.ndarray:
     """Fraction of episodes with each volunteer active just before each period's arrival draw."""
     counts = np.zeros((instance.V, instance.T), dtype=np.int64)
-    _drive(instance, policy, episodes, seed, active_counts=counts)
+    for chunk in _chunks(instance, policy, seed, 0, episodes):
+        counts += chunk.active.sum(axis=1).T
     return counts / episodes
 
 

@@ -1,10 +1,20 @@
+import os
 import random
 
 import numpy as np
 
+import volnotify
 from volnotify.core import Deterministic, Geometric, Instance, Tabulated, ValidationError
 
 VARIANTS = ("geometric", "deterministic", "tabulated")
+
+
+def package_env():
+    """The environment a fresh `python -m volnotify` process needs to import this package."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(volnotify.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_dist(rng: random.Random, variant: str):

@@ -79,13 +79,28 @@ class TestCanonicalInstances:
     def test_invalid_params(self):
         nan = float("nan")
         for bad in (spec("I2", n=2.5), spec("I2", n=0), spec("I4", q=0.1, eps=0.05),
-                    spec("I1", q=0.5, eps=0.1), spec("I6", n=3), spec("I3", n=1),
+                    spec("I1", q=0.5, eps=0.1), spec("I3", n=1),
                     spec("I1", q=0.5, eps=nan), spec("I4", q=0.2, eps=nan),
                     spec("I1", q=nan, eps=1e-3), spec("I4", q=nan, eps=1e-3)):
             with pytest.raises(ValidationError):
                 make_instance(bad)
         with pytest.raises(ValidationError):
             CanonicalInstanceSpec(kind="I9")
+
+    def test_unknown_parameter_names_rejected(self):
+        # each kind reads only its own names, so a stray one would otherwise
+        # be ignored and the default instance built under the stray label
+        allowed = {"I1": {"q": 0.5, "eps": 1e-3, "det_length": 2}, "I2": {"n": 4},
+                   "I3": {"n": 4}, "I4": {"q": 0.1, "eps": 1e-3}, "I5": {"eps": 1e-3}, "I6": {}}
+        for kind, params in allowed.items():
+            make_instance(CanonicalInstanceSpec(kind, params))
+            for bogus in ("m", "q", "n", "det_length", "N"):
+                if bogus in params:
+                    continue
+                with pytest.raises(ValidationError, match=f"unknown {kind} parameters"):
+                    CanonicalInstanceSpec(kind, {**params, bogus: 1})
+                with pytest.raises(ValidationError, match=f"unknown {kind} parameters"):
+                    parse_canonical_spec(f"{kind}:{bogus}=1")
 
     def test_parse_canonical(self):
         s = parse_canonical_spec("i4:q=0.1,eps=1e-3")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import volnotify
-from conftest import random_instance
+from conftest import package_env, random_instance
 from volnotify.bounds import make_instance, parse_canonical_spec
 from volnotify.cli import (
     _plan_document,
@@ -41,14 +41,6 @@ def write_config(path, **overrides):
     doc.update(overrides)
     path.write_text(json.dumps(doc))
     return path
-
-
-def package_env():
-    """The environment a fresh `python -m volnotify` process needs to import this package."""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(volnotify.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 MALFORMED_CONFIGS = [
@@ -498,6 +490,26 @@ class TestMain:
     def test_missing_out_for_compare(self, tmp_path):
         cfg_path = write_config(tmp_path / "config.json", out=None)
         assert main(["compare", str(cfg_path)]) == 1
+
+    def test_compare_refuses_a_summary_over_its_csv_or_config(self, tmp_path, monkeypatch):
+        # The summary goes to the CSV's stem + ".json": an out ending in .json
+        # would be the summary itself, and a config named like the CSV
+        # (README's example saved as compare.json) would be the summary.
+        monkeypatch.chdir(tmp_path)
+        same_csv = write_config(tmp_path / "config.json", out="r.json")
+        over_config = write_config(tmp_path / "compare.json", out="compare.csv")
+        for cfg_path, argv in ((same_csv, []), (over_config, []),
+                               (same_csv, ["--out", str(tmp_path / "config.csv")])):
+            before = cfg_path.read_bytes()
+            assert main(["compare", str(cfg_path), *argv]) == 1
+            assert cfg_path.read_bytes() == before
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["compare.json", "config.json"]
+
+    def test_unknown_canonical_parameter_exits_1(self, tmp_path, capsys):
+        for spec in ("I2:m=10", "I3:n=3,q=0.9", "I6:n=2"):
+            assert main(["bench", spec, "--out", str(tmp_path / "b.json")]) == 1
+            assert "allowed:" in capsys.readouterr().err
+        assert not (tmp_path / "b.json").exists()
 
     def test_numeric_fields_use_10_significant_digits(self, tmp_path):
         out = tmp_path / "sim.csv"

@@ -134,6 +134,17 @@ class TestSimulate:
         stats = simulate(inst, make_policy("all", inst), 100, seed=1, lp_value=0.0)
         assert stats.ratio is None
 
+    def test_episode_count_below_one_rejected(self):
+        inst = make_i4()
+        policy = make_policy("all", inst)
+        for episodes in (0, -1):
+            with pytest.raises(ValidationError, match="episode count"):
+                simulate(inst, policy, episodes, seed=1)
+            with pytest.raises(ValidationError, match="episode count"):
+                simulate_batched(inst, policy, episodes, 1)
+            with pytest.raises(ValidationError, match="episode count"):
+                empirical_active_prob(inst, policy, episodes, 1)
+
     def test_seed_outside_unsigned_64_bits_rejected(self):
         # a negative seed or episode index would replay another pair's stream
         inst = make_i4()
@@ -184,8 +195,15 @@ class TestSimulate:
         inst = random_instance(rng)
         policy = make_policy("all", inst)
         stats, rows = simulate_batched(inst, policy, 103, seed=5, nbatches=25, lp_value=2.0)
-        assert sum(r["episodes"] for r in rows) == 103
-        assert len(rows) == 25
+        # contiguous batches, sizes differing by at most one, larger ones first
+        assert [r["episodes"] for r in rows] == [5] * 3 + [4] * 22
+        assert [r["batch"] for r in rows] == list(range(1, 26))
+        completed = [int(c) for chunk in _chunks(inst, policy, 5, 0, 103)
+                     for c in _credits(chunk).sum(axis=1)]
+        ends = np.cumsum([0] + [r["episodes"] for r in rows])
+        for r, lo, hi in zip(rows, ends[:-1], ends[1:]):
+            assert r["mean_completed"] == sum(completed[lo:hi]) / (hi - lo)
+            assert r["ratio"] == r["mean_completed"] / 2.0
         pooled = sum(r["mean_completed"] * r["episodes"] for r in rows) / 103
         assert pooled == pytest.approx(stats.mean_completed, abs=1e-12)
         plain = simulate(inst, policy, 103, seed=5, lp_value=2.0)
@@ -336,7 +354,9 @@ class TestEngineContract:
             chunks = list(_chunks(inst, policy, 17, 0, 30))
             runs = [(history(chunk, e), credits.tolist())
                     for chunk in chunks for e, credits in enumerate(_credits(chunk))]
-            assert sum(sum(credits) for _, credits in runs) == sum(_drive(inst, policy, 30, 17)[1])
+            completed, attr = _drive(inst, policy, 30, 17)
+            assert completed.tolist() == [sum(credits) for _, credits in runs]
+            assert attr.tolist() == np.sum([credits for _, credits in runs], axis=0).tolist()
             for k in (0, 3, 4, 29):
                 chunk = alone(inst, policy, 17, k)
                 assert (history(chunk), _credits(chunk)[0].tolist()) == runs[k], policy.name
@@ -475,6 +495,18 @@ class TestActiveProbabilities:
         silent = StaticPlanPolicy("silent", np.zeros((inst.V, inst.S, inst.T)))
         emp = empirical_active_prob(inst, silent, 50, seed=2)
         assert np.all(emp == 1.0)
+
+    def test_activity_reads_the_chunks_without_crediting_them(self, monkeypatch):
+        rng = random.Random(41)
+        inst = random_instance(rng, max_v=4, max_s=3, max_t=8)
+        policy = make_policy("all", inst)
+        counts = sum(chunk.active.sum(axis=1).T for chunk in _chunks(inst, policy, 3, 0, 40))
+
+        def refuse(chunk):
+            raise AssertionError("empirical_active_prob credited completions")
+
+        monkeypatch.setattr(sim, "_credits", refuse)
+        assert empirical_active_prob(inst, policy, 40, seed=3).tolist() == (counts / 40).tolist()
 
     def test_scaled_down_matches_planned_activity(self):
         rng = random.Random(31)
