@@ -397,9 +397,8 @@ def _cmd_perturb(args) -> None:
         replicates=args.replicates,
         seed=args.pseed if args.pseed is not None else config.seed,
     )
-    out = args.out or config.out
     csv_text, _ = run_robustness(config, spec)
-    _write(out, csv_text)
+    _write(args.out, csv_text)  # never config.out: that is compare's CSV
 
 
 def _cmd_export(args) -> None:

@@ -465,7 +465,8 @@ def instance_from_json(text: str) -> Instance:
         p = json_reals(doc["match"], "match")
         dist = dist_from_dict(doc["dist"])
         lam = np.zeros((T, S))
-        if arrivals and all(len(row) == 3 for row in arrivals) and (T, S) != (len(arrivals), 3):
+        # An empty list is the sparse form of no arrivals: a dense matrix has T >= 1 rows.
+        if all(len(row) == 3 for row in arrivals) and (T, S) != (len(arrivals), 3):
             seen = set()
             for t, s, rate in arrivals:
                 t, s = json_int(t, "arrival period"), json_int(s, "arrival type")

@@ -10,12 +10,12 @@ ex-ante solution is whichever candidate scores best on the true objective.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import os
 import sys
 import threading
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import NamedTuple
@@ -180,7 +180,7 @@ class _Lp:
     """
 
     def __init__(self, rows: _Csc):
-        self._rows, self._eq = rows, rows.lower == rows.upper
+        self._rows = rows
         self._cols = np.arange(rows.start.size - 1, dtype=np.int32)
         self._solver = None
 
@@ -205,7 +205,7 @@ class _Lp:
         else:
             self._solver.changeColsCost(self._cols.size, self._cols, cost)
         try:
-            return _result(self._solver, self._solver.run(), self._rows.upper, self._eq)
+            return _result(self._solver, self._solver.run(), self._rows)
         except LpError:
             self._solver = None
             raise
@@ -235,11 +235,8 @@ def _load(solver, rows: _Csc, cost: np.ndarray):
     return solver
 
 
-def _result(solver, run_status, upper: np.ndarray, eq: np.ndarray) -> tuple[np.ndarray, float]:
-    """The checked (solution, optimal value) of a run() that returned run_status, as solve_lp returns them.
-
-    upper holds the row upper bounds and eq marks the equality rows.
-    """
+def _result(solver, run_status, rows: _Csc) -> tuple[np.ndarray, float]:
+    """The checked (solution, optimal value) of a run() over rows that returned run_status, as solve_lp returns them."""
     ran = run_status != _highs.HighsStatus.kError
     status = solver.getModelStatus()
     if not ran or status != _highs.HighsModelStatus.kOptimal:
@@ -253,10 +250,10 @@ def _result(solver, run_status, upper: np.ndarray, eq: np.ndarray) -> tuple[np.n
     solution = solver.getSolution()
     x = np.array(solution.col_value)
     fun = solver.getObjectiveValue()
-    slack = upper - solution.row_value  # equality rows: the residual
+    slack = rows.upper - solution.row_value  # equality rows: the residual
     # Positive tests: every comparison with NaN is false, so NaN fails each one.
     if not (fun == fun and ((x >= -_RESULT_TOL) & (x <= 1.0 + _RESULT_TOL)).all()
-            and (slack >= -_RESULT_TOL).all() and (np.abs(slack[eq]) <= _RESULT_TOL).all()):
+            and (slack >= -_RESULT_TOL).all() and (np.abs(slack[rows.lower == rows.upper]) <= _RESULT_TOL).all()):
         raise LpError(f"linear program failed: the solution misses the constraints by more "
                       f"than {_RESULT_TOL:.2E}")
     return x, float(-fun)
@@ -433,81 +430,64 @@ class _Benchmark:
             x[:, self.ss, self.ts] = _snap(sol[:n * K].reshape(n, K), self.budget)
         return x
 
-    def solve(self, match_probs: list, spares: list) -> list[np.ndarray]:
+    def solve(self, match_probs: list) -> list[np.ndarray]:
         """The tensor() of the benchmark LP of each of several volunteer sets, in order.
 
         Each is a fresh solve, bitwise the same as benchmark_lp's on an
-        instance of that set. Each model is built, loaded into a spare
-        solver (from spares, which the call refills, or a new one) and run
-        before the next is built: on a worker of _pool() if one is free,
-        and here otherwise, since this thread would only wait. Only run()
-        leaves the calling thread: every check of solve_lp happens here, in
-        order, and the first failure raises once every run still in flight
-        has ended. Without scipy's HiGHS binding, each set goes to solve_lp
-        in turn.
+        instance of that set, run as one _window on a thread of _pool().
+        The first failure, in order, raises here once every window has
+        ended. Without scipy's HiGHS binding, each set goes to solve_lp in
+        turn on the calling thread.
         """
         if not self.ts.size:
             return [self.tensor(None, len(p)) for p in match_probs]
         if _highs is None:
             return [self.tensor(solve_lp(*self.model(p), None)[0], len(p)) for p in match_probs]
-        (pool, workers), pending, done = _pool(), deque(), []
-        try:
-            for p in match_probs:
-                if len(pending) == 2 * (workers + 1):  # two runs per thread, at most, not yet checked
-                    done.append(self._collect(*pending.popleft(), spares))
-                c, rows = self.model(p)
-                solver = _load(spares.pop() if spares else _solver(), rows, -c)
-                if sum(not future.done() for future, *_ in pending) < workers:
-                    future = pool.submit(solver.run)
-                else:
-                    future = Future()
-                    future.set_result(solver.run())
-                pending.append((future, solver, rows, len(p)))
-            while pending:
-                done.append(self._collect(*pending.popleft(), spares))
-        finally:
-            wait([future for future, *_ in pending])
-        return done
+        pool = _pool()
+        futures = [pool.submit(self._window, p) for p in match_probs]
+        wait(futures)
+        return [future.result() for future in futures]
 
-    def _collect(self, future, solver, rows: _Csc, n: int, spares: list) -> np.ndarray:
-        sol, _ = _result(solver, future.result(), rows.upper, rows.lower == rows.upper)
-        solver.clearSolver()  # a spare keeps no solve data: about 0.25 MB each
-        spares.append(solver)  # a solver whose solve failed is dropped
-        return self.tensor(sol, n)
+    def _window(self, match_probs: np.ndarray) -> np.ndarray:
+        """The tensor() of one set's model, built, loaded, run and checked on this thread's kept solver.
+
+        passModel clears the solver's earlier model, basis and solution, so
+        each window is a fresh solve whatever thread it runs on. A solver
+        whose solve failed is dropped, so the thread's next window gets a
+        new one.
+        """
+        c, rows = self.model(match_probs)
+        solver = getattr(_kept, "solver", None) or _solver()
+        _kept.solver = None  # kept again only once its solve passes every check
+        _load(solver, rows, -c)
+        sol, _ = _result(solver, solver.run(), rows)
+        solver.clearSolver()  # a kept solver holds no solve data: about 0.25 MB
+        _kept.solver = solver
+        return self.tensor(sol, len(match_probs))
 
 
-def _pool() -> tuple[ThreadPoolExecutor | None, int]:
-    """The process's pool for HiGHS run() calls and its size, started on first use.
-
-    run() releases the interpreter lock, so the runs of a batch overlap each
-    other and the Python that builds the next model. The calling thread runs
-    whatever no worker is free for, so the pool has one thread per other CPU
-    the process may use, and none on one CPU. One thread builds and checks every model, so
-    more than _MAX_WORKERS would sit idle; each thread that runs HiGHS also
-    keeps its own HiGHS scheduler and malloc arena, about 1 MB.
-    """
-    global _executor
-    with _executor_lock:
-        if _executor is None:
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-            workers = min(cpus - 1, _MAX_WORKERS)
-            _executor = (ThreadPoolExecutor(workers, thread_name_prefix="volnotify-highs") if workers else None,
-                         workers)
-        return _executor
-
-
-def _forget_pool():
-    # A forked child has none of its parent's threads (the lock may have been
-    # held by one), so it starts a pool of its own.
-    global _executor, _executor_lock
-    _executor, _executor_lock = None, threading.Lock()
-
-
+_kept = threading.local()  # .solver: the HiGHS solver a pool thread keeps between windows
 _MAX_WORKERS = 3
-_executor: tuple | None = None
-_executor_lock = threading.Lock()
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The process's pool for rolling windows (_Benchmark._window), made on first use.
+
+    run() releases the interpreter lock, so the windows of a batch overlap
+    each other's HiGHS runs and model building. The calling thread only
+    waits, so the pool has one thread per CPU the process may use, at most
+    _MAX_WORKERS; each thread keeps one HiGHS solver, its own HiGHS
+    scheduler and malloc arena, about 1 MB. Two threads that make it at
+    once may make one each; the one not kept ends with its windows.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return ThreadPoolExecutor(min(cpus, _MAX_WORKERS), thread_name_prefix="volnotify-highs")
+
+
 if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
-    os.register_at_fork(after_in_child=_forget_pool)
+    # A forked child has none of its parent's threads, so it makes a pool of its own.
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 # ---------------------------------------------------------------------------

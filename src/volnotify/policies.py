@@ -358,9 +358,10 @@ class RollingHorizonPolicy(BeliefPolicy):
     depends only on the period and the eligible set, so each (t, eligible)
     window is solved once and its first-period columns, an (n_eligible, S)
     array, are cached for repeat arrivals; later periods of the window are
-    never read. The windows a decide misses are solved as one batch
-    (exante._Benchmark.solve), each bitwise the same as benchmark_lp on the
-    window's instance. A horizon of None is default_rolling_horizon(instance).
+    never read. The windows a decide misses go to exante's thread pool
+    (exante._Benchmark.solve), each a fresh solve bitwise the same as
+    benchmark_lp on the window's instance, whatever thread solves it. A
+    horizon of None is default_rolling_horizon(instance).
     """
 
     def __init__(self, name: str, instance: Instance, horizon: int | None = None,
@@ -368,8 +369,6 @@ class RollingHorizonPolicy(BeliefPolicy):
         super().__init__(name, instance, theta)
         self.horizon = default_rolling_horizon(instance) if horizon is None else horizon
         self._cache: dict = {}
-        self._window = None  # (t, exante._Benchmark over periods t .. t + horizon - 1) of the last miss
-        self._spares: list = []  # HiGHS solvers free for the next batch
 
     def decide(self, state, t: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
         eligible = self._eligible(state, len(s))
@@ -387,14 +386,10 @@ class RollingHorizonPolicy(BeliefPolicy):
 
     def _solve(self, t: int, subsets: list) -> list:
         """The first-period columns of the window at t for each eligible set; None for an empty one."""
-        if self._window is None or self._window[0] != t:
-            sub = Instance(arrival_rates=self.instance.arrival_rates[t - 1:t + self.horizon - 1],
-                           match_probs=self.instance.match_probs, dist=self.instance.dist)
-            self._window = (t, exante._Benchmark(sub))
-        window = self._window[1]
         p = self.instance.match_probs
-        solved = iter(window.solve([p[list(volunteers)] for volunteers in subsets if volunteers],
-                                   self._spares))
+        window = Instance(arrival_rates=self.instance.arrival_rates[t - 1:t + self.horizon - 1],
+                          match_probs=p, dist=self.instance.dist)
+        solved = iter(exante._Benchmark(window).solve([p[list(volunteers)] for volunteers in subsets if volunteers]))
         return [np.ascontiguousarray(next(solved)[:, :, 0]) if volunteers else None
                 for volunteers in subsets]
 

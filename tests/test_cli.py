@@ -24,7 +24,15 @@ from volnotify.cli import (
     run_compare,
     run_robustness,
 )
-from volnotify.core import FractionalSolution, ValidationError, instance_to_json
+from volnotify.core import (
+    Deterministic,
+    FractionalSolution,
+    Geometric,
+    Instance,
+    Tabulated,
+    ValidationError,
+    instance_to_json,
+)
 from volnotify.exante import solution_to_triples
 
 
@@ -354,6 +362,15 @@ class TestMain:
         doc = json.loads(out.read_text())
         assert doc["lp_value"] == pytest.approx(0.101, abs=1e-6)
 
+    @pytest.mark.parametrize("dist", [Geometric(0.25), Deterministic(3), Tabulated((0.5, 0.0, 0.5))], ids=repr)
+    def test_bench_of_exported_instance_without_arrivals(self, tmp_path, dist):
+        path, out = tmp_path / "empty.json", tmp_path / "bench.json"
+        path.write_text(instance_to_json(Instance(arrival_rates=np.zeros((4, 2)),
+                                                  match_probs=np.full((3, 2), 0.5), dist=dist)))
+        assert main(["bench", str(path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["lp_value"] == 0 and doc["solution"] == []
+
     def test_exante_command(self, tmp_path):
         out = tmp_path / "exante.json"
         assert main(["exante", "I5:eps=0.01", "--m", "2", "--out", str(out)]) == 0
@@ -395,6 +412,17 @@ class TestMain:
         assert code == 0
         rows = read_csv(pert_out)
         assert all(r[-1] == "0.00" for r in rows[1:])
+
+    def test_perturb_leaves_compare_csv_alone(self, tmp_path, capsys):
+        out = tmp_path / "compare.csv"
+        cfg_path = write_config(tmp_path / "config.json", episodes=100, out=str(out))
+        assert main(["compare", str(cfg_path)]) == 0
+        compared = out.read_bytes()
+        capsys.readouterr()
+        assert main(["perturb", str(cfg_path), "--target", "p", "--width", "0.1",
+                     "--replicates", "1"]) == 0
+        assert out.read_bytes() == compared
+        assert capsys.readouterr().out.startswith("policy,target,replicate,baseline_mean,")
 
     def test_export_round_trip(self, tmp_path):
         out = tmp_path / "i6.json"

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from itertools import accumulate
@@ -413,6 +414,15 @@ class TestSerialization:
     def test_boolean_parameters_rejected(self, make, flag):
         with pytest.raises(ValidationError):
             make(flag)
+
+    @pytest.mark.parametrize("dist", [Geometric(0.25), Deterministic(3), Tabulated((0.5, 0.0, 0.5))], ids=repr)
+    def test_no_arrivals_round_trip(self, dist):
+        inst = Instance(arrival_rates=np.zeros((4, 2)), match_probs=np.full((3, 2), 0.5), dist=dist)
+        text = instance_to_json(inst)
+        assert json.loads(text)["arrivals"] == []  # the sparse form
+        back = instance_from_json(text)
+        assert back.arrival_rates.tolist() == inst.arrival_rates.tolist() and back.dist == dist
+        assert instance_to_json(back) == text
 
     def test_sparse_form_accepted(self):
         text = """{"T": 2, "V": 1, "S": 2,

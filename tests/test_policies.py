@@ -1,5 +1,6 @@
 import os
 import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -539,7 +540,7 @@ class TestRollingWindowsOnEachPath:
 
 
 class RecordingPool:
-    """Stands in for exante's run() pool: submits to pool and keeps every callable and future."""
+    """Stands in for exante's window pool: submits to pool and keeps every callable and future."""
 
     def __init__(self, pool):
         self.pool, self.calls, self.futures = pool, [], []
@@ -559,8 +560,8 @@ def os_threads():
 
 
 class TestRollingWindowBatches:
-    # The windows a decide misses go to HiGHS as one pipelined batch: built
-    # and checked on the calling thread, only run() on the pool.
+    # The windows a decide misses go to exante's pool, one _window each:
+    # built, loaded, run and checked on a pool thread's kept HiGHS solver.
     instance = staticmethod(TestRollingWindowsOnEachPath.instance)
 
     def test_windows_equal_benchmark_lp_of_the_window(self):
@@ -587,50 +588,54 @@ class TestRollingWindowBatches:
             assert solved > 20
 
     def test_any_pool_size_agrees(self, monkeypatch):
-        # No pool (every run on the calling thread), one worker and three.
+        # One pool thread, and three that share each _Benchmark and switch often.
         rng = random.Random(2002)
         for dist in (Geometric(0.25), Deterministic(4)):
             inst = self.instance(rng, dist)
-            runs = []
+            runs, interval = [], sys.getswitchinterval()
             with ThreadPoolExecutor(1) as one, ThreadPoolExecutor(3) as three:
-                for pool, workers in ((None, 0), (RecordingPool(one), 1), (RecordingPool(three), 3)):
-                    with monkeypatch.context() as m:
-                        m.setattr(exante, "_pool", lambda: (pool, workers))
-                        policy = make_policy("rolling", inst)
-                        runs.append((simulate(inst, policy, 20, 7), policy._cache))
-                    # only the binding's run() leaves the calling thread
-                    assert pool is None or pool.calls and all(
-                        fn.__name__ == "run" and isinstance(fn.__self__, exante._highs._Highs)
-                        for fn in pool.calls)
-            stats, windows = runs[0]
-            for other_stats, other_windows in runs[1:]:
-                assert other_stats == stats
-                assert other_windows.keys() == windows.keys()
-                for key, first in windows.items():
-                    other = other_windows[key]
-                    assert (first is None and other is None) or first.tobytes() == other.tobytes()
+                for pool, switch in ((RecordingPool(one), interval), (RecordingPool(three), 1e-5)):
+                    try:
+                        sys.setswitchinterval(switch)
+                        with monkeypatch.context() as m:
+                            m.setattr(exante, "_pool", lambda: pool)
+                            policy = make_policy("rolling", inst)
+                            runs.append((simulate(inst, policy, 20, 7), policy._cache))
+                    finally:
+                        sys.setswitchinterval(interval)
+                    # each window is one _window call on the pool
+                    assert pool.calls and all(fn.__func__ is exante._Benchmark._window for fn in pool.calls)
+            (stats, windows), (other_stats, other_windows) = runs
+            assert other_stats == stats
+            assert other_windows.keys() == windows.keys()
+            for key, first in windows.items():
+                other = other_windows[key]
+                assert (first is None and other is None) or first.tobytes() == other.tobytes()
 
     def test_failed_window_raises_on_calling_thread(self, monkeypatch):
         inst = self.instance(random.Random(2002), Deterministic(4))
         reference = simulate(inst, make_policy("rolling", inst), 20, 7)
-        checked = []
+        checked, lock = [], threading.Lock()
         result = exante._result
 
         def failing(*args):
-            checked.append(threading.current_thread())
-            if len(checked) == 3:
+            with lock:  # windows check concurrently: exactly one is the third
+                checked.append(threading.current_thread())
+                third = len(checked) == 3
+            if third:
                 raise LpError("linear program failed: injected")
             return result(*args)
 
         with ThreadPoolExecutor(2) as executor, monkeypatch.context() as m:
             pool = RecordingPool(executor)
-            m.setattr(exante, "_pool", lambda: (pool, 2))
+            m.setattr(exante, "_pool", lambda: pool)
             m.setattr(exante, "_result", failing)
             with pytest.raises(LpError, match="injected"):
                 simulate(inst, make_policy("rolling", inst), 20, 7)
-            # every run of the failed batch had ended when the error came out
+            # every window of the failed batch had ended when the error came out
             assert len(pool.futures) > 2 and all(future.done() for future in pool.futures)
-        assert checked == [threading.main_thread()] * 3
+            pool_threads = set(executor._threads)
+        assert len(checked) >= 3 and set(checked) <= pool_threads  # the checks ran on pool threads
         assert simulate(inst, make_policy("rolling", inst), 20, 7) == reference
 
     def test_thread_count_stays_bounded(self):
@@ -640,10 +645,72 @@ class TestRollingWindowBatches:
         for seed in range(2, 7):
             simulate(inst, make_policy("rolling", inst), 5, seed)
         workers = [t for t in threading.enumerate() if t.name.startswith("volnotify-highs")]
-        assert len(workers) <= exante._pool()[1] <= min(exante._MAX_WORKERS, os.cpu_count() - 1)
+        assert len(workers) <= exante._pool()._max_workers <= min(exante._MAX_WORKERS, os.cpu_count())
         assert threading.active_count() <= python_threads
         if system_threads is not None:
             assert os_threads() <= system_threads
+
+    def test_each_pool_thread_keeps_one_solver(self, monkeypatch):
+        inst = self.instance(random.Random(2002), Deterministic(4))
+        made, solver = [], exante._solver
+
+        def counted():
+            made.append(threading.current_thread())
+            return solver()
+
+        monkeypatch.setattr(exante, "_solver", counted)
+        exante._pool.cache_clear()  # a new pool, whose threads keep no solver yet
+        for seed in range(1, 6):
+            simulate(inst, make_policy("rolling", inst), 5, seed)
+        assert 1 <= len(made) <= exante._pool()._max_workers
+        assert len(set(made)) == len(made)  # one solver per thread
+
+    def test_failed_window_drops_its_solver(self, monkeypatch):
+        inst = self.instance(random.Random(2002), Geometric(0.25))
+        used, result = [], exante._result
+
+        def failing(solver, *args):
+            used.append(solver)
+            if len(used) == 2:
+                raise LpError("linear program failed: injected")
+            return result(solver, *args)
+
+        window, p = exante._Benchmark(inst), inst.match_probs
+        with ThreadPoolExecutor(1) as executor, monkeypatch.context() as m:
+            m.setattr(exante, "_pool", lambda: executor)
+            m.setattr(exante, "_result", failing)
+            with pytest.raises(LpError, match="injected"):
+                window.solve([p[:2], p[:3], p[:4]])
+            solved = window.solve([p[:5]])
+        assert used[1] is used[0]  # kept after a passed check
+        assert used[2] is not used[1]  # a fresh solver after the failed one
+        assert used[3] is used[2]
+        assert solved[0].tobytes() == benchmark_lp(Instance(
+            arrival_rates=inst.arrival_rates, match_probs=p[:5], dist=inst.dist)).x_lp.x.tobytes()
+
+    def test_traced_functions_run_on_the_calling_thread(self, monkeypatch):
+        # bench/spans.py's Tracer is single-threaded: none of the functions it
+        # wraps may run on a pool thread, on either solve path.
+        import volnotify.core as core
+
+        inst = self.instance(random.Random(2002), Deterministic(4))
+        for kernel in (True, False):
+            threads = []
+            with monkeypatch.context() as m:
+                for module, name in ((exante, "solve_lp"), (exante, "benchmark_lp"),
+                                     (core, "evaluate_f"), (exante, "evaluate_f")):
+                    def recording(*args, _original=getattr(module, name), **kwargs):
+                        threads.append(threading.current_thread())
+                        return _original(*args, **kwargs)
+                    m.setattr(module, name, recording)
+                if not kernel:
+                    m.setattr(exante, "_highs", None)
+                    simulate(inst, make_policy("rolling", inst), 3, 7)
+                    assert threads  # each window is a solve_lp call
+                else:
+                    select_ex_ante(inst, 5)
+                    simulate(inst, make_policy("rolling", inst), 10, 7)
+            assert threads and set(threads) == {threading.main_thread()}
 
 
 class TestPolicyFactory:

@@ -629,3 +629,18 @@ class TestBruteForce:
             stats = simulate(inst, make_policy("sn", inst, x_star=x_star), 10000, seed=99)
             assert stats.mean_completed - 3 * stats.std_error <= opt + 1e-9
             assert opt <= lp + 1e-6
+
+
+class TestNoArrivals:
+    # An instance with no arrivals has no arrival slots: the zero-slot
+    # branches of benchmark_lp, frank_wolfe_aa and sequential_sq are taken,
+    # and no policy ever completes a task.
+    @pytest.mark.parametrize("dist", [Geometric(0.25), Deterministic(3), Tabulated((0.5, 0.0, 0.5))], ids=repr)
+    def test_every_policy_completes_nothing(self, dist):
+        inst = Instance(arrival_rates=np.zeros((4, 2)), match_probs=np.full((3, 2), 0.5), dist=dist)
+        ex = select_ex_ante(inst, 5)
+        assert (ex.tag, ex.f_value, ex.lp_value) == ("LP", 0.0, 0.0)
+        assert not ex.solution.x.any()
+        for spec in ("sn", "sdn", "exante", "all", "random:1", "best:1", "upto:0.5", "rolling", "rolling:2"):
+            stats = simulate(inst, make_policy(spec, inst, x_star=ex.solution), 50, 3)
+            assert stats.mean_completed == 0.0 and stats.attribution == (0.0, 0.0, 0.0), spec
