@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     FractionalSolution,
+    Geometric,
     Instance,
     ValidationError,
     check_feasible,
@@ -170,9 +171,12 @@ class BeliefState:
     """Exact marginal over each volunteer's hidden state given the notification history.
 
     One row per episode of a chunk: active has shape (E, V), active[e, v]
-    being the probability volunteer v is active in episode e, and pending
-    has shape (E, V, T), pending[e, v, tau-1] being the mass knocked out by
-    the notification at period tau and still inactive. Each volunteer's
+    being the probability volunteer v is active in episode e. pending's
+    width comes from the law: in general (q None) it has shape (E, V, T),
+    pending[e, v, tau-1] being the mass knocked out by the notification at
+    period tau and still inactive; a memoryless (geometric) law returns
+    every inactive mass with the same hazard q, so pending has shape
+    (E, V, 1), each volunteer's whole inactive mass. Each volunteer's
     active probability and pending masses sum to 1. Both arrays are updated
     in place. A state with one row stands for every episode of a chunk until
     its first notification, which gives it one row per episode.
@@ -180,10 +184,11 @@ class BeliefState:
 
     active: np.ndarray
     pending: np.ndarray
+    q: float | None = None
 
     @classmethod
-    def all_active(cls, V: int, T: int) -> "BeliefState":
-        return cls(active=np.ones((1, V)), pending=np.zeros((1, V, T)))
+    def all_active(cls, V: int, T: int, q: float | None = None) -> "BeliefState":
+        return cls(active=np.ones((1, V)), pending=np.zeros((1, V, T if q is None else 1)), q=q)
 
     def advance(self, hazard: np.ndarray, t: int) -> None:
         """Move to the start of period t >= 2: each pending mass returns with its elapsed hazard.
@@ -194,8 +199,13 @@ class BeliefState:
         support the table may stop at its support_max, with the same
         result bit for bit: an older mass has hazard 1, so it was zeroed
         when its support ran out, or hazard exactly 0 (a tabulated law whose
-        masses sum to just under 1), so it adds an exact zero and stays.
+        masses sum to just under 1), so it adds an exact zero and stays. A
+        memoryless state ignores hazard: q of its inactive mass returns.
         """
+        if self.q is not None:
+            self.active += self.q * self.pending[:, :, 0]
+            self.pending *= 1.0 - self.q
+            return
         oldest = max(1, t + 1 - len(hazard))  # period of the oldest mass touched
         h = hazard[t - oldest:0:-1]
         mass = self.pending[:, :, oldest - 1:t - 1]
@@ -212,7 +222,7 @@ class BeliefState:
         if len(self.active) != len(notified):
             self.active = np.repeat(self.active, len(notified), axis=0)
             self.pending = np.repeat(self.pending, len(notified), axis=0)
-        self.pending[:, :, t - 1] += np.where(notified, self.active, 0.0)
+        self.pending[:, :, t - 1 if self.q is None else 0] += np.where(notified, self.active, 0.0)
         self.active[notified] = 0.0
 
 
@@ -276,13 +286,16 @@ class BeliefPolicy(Policy):
         self.name = name
         self.instance = instance
         self.theta = theta
-        support = instance.dist.support_max
-        # up to the support: BeliefState.advance adds nothing for older masses
-        self._hazard = duration_table(instance.dist, instance.T).hazard[:None if support is None else support + 1]
+        dist, support = instance.dist, instance.dist.support_max
+        # a geometric state keeps one inactive mass and needs no hazard table; otherwise
+        # the table stops at the support: BeliefState.advance adds nothing for older masses
+        self._q = dist.q if isinstance(dist, Geometric) else None
+        self._hazard = None if self._q is not None else (
+            duration_table(dist, instance.T).hazard[:None if support is None else support + 1])
         self._order = np.argsort(-instance.match_probs.T, axis=1, kind="stable")  # (S, V)
 
     def new_state(self):
-        return BeliefState.all_active(self.instance.V, self.instance.T)
+        return BeliefState.all_active(self.instance.V, self.instance.T, self._q)
 
     def advance(self, state, t: int):
         state.advance(self._hazard, t)
@@ -297,10 +310,10 @@ class BeliefPolicy(Policy):
         return np.broadcast_to(state.active >= self.theta - 1e-9, (episodes, self.instance.V))
 
 
-def _notify_ranked(V: int, order: np.ndarray, take: np.ndarray) -> np.ndarray:
-    """(E, V) 0/1 notification probabilities of the volunteers order[e, j] with take[e, j]."""
+def _notify_ranked(V: int, rows: np.ndarray, order: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """(E, V) 0/1 probabilities notifying volunteer order[e, j] when take[e, j]; rows = arange(E)[:, None]."""
     probs = np.zeros((len(order), V))
-    np.put_along_axis(probs, order, take, axis=1)
+    probs[rows, order] = take
     return probs
 
 
@@ -312,9 +325,9 @@ class RandomNPolicy(BeliefPolicy):
         self.n = n
 
     def decide(self, state, t: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
-        eligible = self._eligible(state, len(s))
+        eligible, rows = self._eligible(state, len(s)), np.arange(len(s))[:, None]
         order = np.argsort(np.where(eligible, u, 2.0), axis=1, kind="stable")[:, :self.n]
-        return _notify_ranked(self.instance.V, order, np.take_along_axis(eligible, order, axis=1))
+        return _notify_ranked(self.instance.V, rows, order, eligible[rows, order])
 
 
 class BestNPolicy(BeliefPolicy):
@@ -325,10 +338,10 @@ class BestNPolicy(BeliefPolicy):
         self.n = n
 
     def decide(self, state, t: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
-        order = self._order[s - 1]
-        take = np.take_along_axis(self._eligible(state, len(s)), order, axis=1)
+        order, rows = self._order[s - 1], np.arange(len(s))[:, None]
+        take = self._eligible(state, len(s))[rows, order]
         take &= np.cumsum(take, axis=1) <= self.n
-        return _notify_ranked(self.instance.V, order, take)
+        return _notify_ranked(self.instance.V, rows, order, take)
 
 
 class UpToRhoPolicy(BeliefPolicy):
@@ -343,11 +356,11 @@ class UpToRhoPolicy(BeliefPolicy):
         self.rho = rho
 
     def decide(self, state, t: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
-        order = self._order[s - 1]
-        pa = np.take_along_axis(self.instance.match_probs.T[s - 1] * state.active, order, axis=1)
+        order, rows = self._order[s - 1], np.arange(len(s))[:, None]
+        pa = (self.instance.match_probs.T[s - 1] * state.active)[rows, order]
         # chance that nobody ranked before responds, multiplied in rank order
         missed = np.cumprod(np.hstack([np.ones((len(s), 1)), 1.0 - pa[:, :-1]]), axis=1)
-        return _notify_ranked(self.instance.V, order, (pa > 0.0) & (1.0 - missed < self.rho))
+        return _notify_ranked(self.instance.V, rows, order, (pa > 0.0) & (1.0 - missed < self.rho))
 
 
 class RollingHorizonPolicy(BeliefPolicy):

@@ -265,10 +265,10 @@ def dict_filter_step(active, pending, table, t):
         pending[v] = kept
 
 
-def belief_policy(dist, T):
-    """A belief-tracking policy for one volunteer on an instance with no arrivals."""
-    inst = Instance(arrival_rates=np.zeros((T, 1)), match_probs=np.full((1, 1), 0.5), dist=dist)
-    return make_policy("best:1", inst)
+def belief_policy(dist, T, V=1, theta=1.0):
+    """A belief-tracking policy for V volunteers on an instance with no arrivals."""
+    inst = Instance(arrival_rates=np.zeros((T, 1)), match_probs=np.full((V, 1), 0.5), dist=dist)
+    return make_policy("best:1", inst, theta=theta)
 
 
 class TestBeliefFilter:
@@ -414,22 +414,71 @@ class TestBeliefFilter:
         # Independent reference: the mass knocked out at tau is still inactive
         # at the start of t with probability sf(t - tau), so
         # active[v] = 1 - sum_{tau < t} knocked[v, tau] sf(t - tau).
+        # Checked on a raw T-column state and on the policy's own state (one
+        # inactive mass for the geometric law), fed the same history.
         rng = random.Random(113)
         V, T = 3, 12
         table = duration_table(dist, T)
+        policy = belief_policy(dist, T, V)
         for _ in range(30):
-            state = BeliefState.all_active(V, T)
+            state, shipped = BeliefState.all_active(V, T), policy.new_state()
             knocked = np.zeros((V, T))
             for t in range(1, T + 1):
                 if t >= 2:
                     state.advance(table.hazard, t)
+                    shipped = policy.advance(shipped, t)
                 reference = [1.0 - sum(knocked[v, tau - 1] * table.sf[t - tau]
                                        for tau in range(1, t)) for v in range(V)]
-                assert np.all(np.abs(state.active[0] - reference) <= 1e-12)
-                assert np.all(np.abs(state.active[0] + state.pending[0].sum(axis=1) - 1.0) <= 1e-12)
+                for beliefs in (state, shipped):
+                    assert np.all(np.abs(beliefs.active[0] - reference) <= 1e-12)
+                    assert np.all(np.abs(beliefs.active[0] + beliefs.pending[0].sum(axis=1) - 1.0) <= 1e-12)
                 notified = np.array([[rng.random() < 0.4 for _ in range(V)]])
                 knocked[:, t - 1] = np.where(notified[0], reference, 0.0)
                 state.notify(notified, t)
+                shipped = policy.record(shipped, t, notified)
+
+    @pytest.mark.parametrize("q", [0.05, 0.25, 0.9, 1.0])
+    def test_memoryless_state_matches_t_column_filter(self, q):
+        # A geometric policy keeps one inactive mass per volunteer; the
+        # generic filter over every earlier period, with the full hazard
+        # table, must agree with it to 1e-12 on random multi-episode
+        # histories, past the point where the table exhausts the survival.
+        # From the first elapsed e* with sf <= 1e-12 (12 periods at q = 0.9)
+        # the table's hazard is 1, so the generic filter returns early the
+        # (1 - q)^e* ~ 1e-12 of each knocked-out unit that the memoryless
+        # filter, exact for the law, still holds; that cut is added back.
+        # Eligibility must agree wherever the belief is more than 1e-12 from
+        # theta - 1e-9. Only q = 0.9 at theta = 1 comes that close: 9 periods
+        # after a full knock-out the exact belief 1 - 0.1^9 is the threshold
+        # itself, which the memoryless filter computes exactly and the table's
+        # hazards (from 1 - cdf) round one ulp below.
+        dist, V, T, E = Geometric(q), 4, 120, 5
+        table = duration_table(dist, T)
+        exhausted = np.flatnonzero(table.sf <= 1e-12)
+        e_star = exhausted[0] if exhausted.size else T
+        policies = [belief_policy(dist, T, V, theta) for theta in (1.0, 0.9, 0.5)]
+        rng = random.Random(149)
+        for _ in range(6):
+            shipped, ref = policies[0].new_state(), BeliefState.all_active(V, T)
+            knocked = []  # knocked[tau - 1]: the (E, V) mass the generic filter knocked out at tau
+            assert shipped.pending.shape == (1, V, 1)
+            for t in range(1, T + 1):
+                if t >= 2:
+                    shipped = policies[0].advance(shipped, t)
+                    ref.advance(table.hazard, t)
+                cut = sum(knocked[tau - 1] * (1.0 - q) ** (t - tau)
+                          for tau in range(1, t - e_star + 1))
+                assert np.all(np.abs(shipped.active + cut - ref.active) <= 1e-12)
+                assert np.all(np.abs(shipped.active + shipped.pending.sum(axis=2) - 1.0) <= 1e-12)
+                for policy in policies:
+                    edge = np.broadcast_to(np.abs(ref.active - (policy.theta - 1e-9)) <= 1e-12, (E, V))
+                    assert not edge.any() or (q, policy.theta) == (0.9, 1.0)
+                    assert np.array_equal(policy._eligible(shipped, E)[~edge], policy._eligible(ref, E)[~edge])
+                rate = rng.choice((0.05, 0.3, 0.7))
+                notified = np.array([[rng.random() < rate for _ in range(V)] for _ in range(E)])
+                shipped = policies[0].record(shipped, t, notified)
+                ref.notify(notified, t)
+                knocked.append(ref.pending[:, :, t - 1].copy())
 
 
 class TestHeuristics:
@@ -537,6 +586,33 @@ class TestRollingWindowsOnEachPath:
                 for key, x in windows.items():
                     ref = ref_windows[key]
                     assert (x is None and ref is None) or x.tobytes() == ref.tobytes()
+
+
+class TColumnFilter:
+    """Test-only mixin: the generic T-column belief state with the full hazard table, whatever the law."""
+
+    def new_state(self):
+        return BeliefState.all_active(self.instance.V, self.instance.T)
+
+    def advance(self, state, t):
+        state.advance(duration_table(self.instance.dist, self.instance.T).hazard, t)
+        return state
+
+
+class TestMemorylessFilterDecisions:
+    # Beliefs of the one-mass geometric filter may differ from the T-column
+    # filter's in the last bits; on this instance the decisions, and so every
+    # statistic, do not.
+    @pytest.mark.parametrize("spec, episodes", [
+        ("best:2", 400), ("random:2", 400), ("upto:0.8", 400), ("rolling", 100)])
+    def test_simstats_equal_t_column_reference(self, spec, episodes):
+        inst = TestRollingWindowsOnEachPath.instance(random.Random(2005), Geometric(0.25))
+        shipped = make_policy(spec, inst)
+        reference = type("Reference", (TColumnFilter, type(shipped)), {})(
+            spec, inst, **parse_policy_spec(spec)[1])
+        assert shipped.new_state().pending.shape == (1, inst.V, 1)
+        assert reference.new_state().pending.shape == (1, inst.V, inst.T)
+        assert simulate(inst, shipped, episodes, 17) == simulate(inst, reference, episodes, 17)
 
 
 class RecordingPool:
