@@ -23,7 +23,7 @@ from .core import (
     Instance,
     ValidationError,
     check_feasible,
-    duration_table,
+    notification_load,
 )
 
 __all__ = [
@@ -211,10 +211,10 @@ def kappa_grid(step: float = 0.05) -> list[dict]:
 class DualCertificate:
     """Certificate for the per-volunteer value-to-go floor.
 
-    mu = 1/(2-q); gamma is constant at mu; alpha starts at 1 - mu and evolves
-    by the balance between a volunteer's notification mass and the mass
-    returning from inactivity. Feasibility means every alpha entry is
-    nonnegative (within 1e-9), which holds for any feasible solution.
+    mu = 1/(2-q); gamma is constant at mu; alpha = beta - mu, beta being the
+    volunteer's row of SDN's activity (sdn_offline). Feasibility means every
+    alpha entry is nonnegative (within 1e-9), which is SDN's floor beta >= mu
+    and holds for any feasible solution.
     """
 
     mu: float
@@ -235,17 +235,9 @@ def verify_dual_certificate(instance: Instance, solution: FractionalSolution,
             f"solution must be feasible to certify ({len(report)} violations)")
     if not 1 <= v <= instance.V:
         raise ValidationError(f"volunteer index {v} out of range 1..{instance.V}")
-    T = instance.T
-    q = instance.dist.mdhr()
-    mu = 1.0 / (2.0 - q)
-    weights = np.einsum("ts,st->t", instance.arrival_rates, solution.x[v - 1])
-    g = duration_table(instance.dist, T).pmf[1:]
-    alpha = np.empty(T)
-    alpha[0] = 1.0 - mu
-    for t in range(1, T):
-        # sum_{tp < t} weights[tp] g[t - tp - 1], added left to right (np.sum
-        # adds pairwise, which changes the last bits)
-        returned = np.cumsum(weights[:t] * g[t - 1::-1])[-1]
-        alpha[t] = alpha[t - 1] - mu * (weights[t - 1] - returned)
-    cert = DualCertificate(mu=mu, gamma=np.full(T, mu), alpha=alpha)
+    mu = 1.0 / (2.0 - instance.dist.mdhr())
+    # every volunteer's row, as sdn_offline computes it: a one-row product rounds differently
+    weights, load = notification_load(instance, solution.x)
+    alpha = (1.0 - mu * (load - weights))[v - 1] - mu
+    cert = DualCertificate(mu=mu, gamma=np.full(instance.T, mu), alpha=alpha)
     return cert, cert.feasible

@@ -38,6 +38,7 @@ __all__ = [
     "FractionalSolution",
     "Violation",
     "check_feasible",
+    "notification_load",
     "evaluate_f",
     "evaluate_fv",
     "survival_matrix",
@@ -322,25 +323,32 @@ class Violation:
     value: float
 
 
+def notification_load(instance: Instance, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w[v, t] = sum_s lambda[t, s] x[v, s, t] and load[v, t] = sum_{tau <= t} w[v, tau] sf(t - tau).
+
+    load is the expected number of v's notifications still pending at t, which
+    check_feasible bounds by 1; as sf(0) = 1, load - w sets SDN's activity.
+    """
+    w = np.einsum("ts,vst->vt", instance.arrival_rates, x)
+    return w, w @ survival_matrix(instance.dist, instance.T).T
+
+
 def check_feasible(instance: Instance, solution: FractionalSolution) -> list[Violation]:
     """Report violations of the box constraints and per-volunteer notification budgets.
 
     The budget constraint requires, for every volunteer v and period t, that
-    the expected number of v's notifications still pending (weighted by the
-    probability the triggered inactivity outlasts period t) not exceed 1.
-    Returns an empty list iff the solution is feasible within FEASIBILITY_TOL.
+    v's notification load (notification_load) not exceed 1. A non-finite
+    entry is a range violation. Returns an empty list iff the solution is
+    feasible within FEASIBILITY_TOL.
     """
     x = _require_shape(instance, solution)
-    out: list[Violation] = []
-    bad = np.argwhere((x < -FEASIBILITY_TOL) | (x > 1.0 + FEASIBILITY_TOL))
-    for v, s, t in bad:
-        out.append(Violation("range", int(v) + 1, int(s) + 1, int(t) + 1, float(x[v, s, t])))
-    # loads[v, t] = sum_{tau <= t} sum_s lambda[tau, s] x[v, s, tau] sf(t - tau)
-    weights = np.einsum("ts,vst->vt", instance.arrival_rates, x)
-    loads = weights @ survival_matrix(instance.dist, instance.T).T
-    for v, t in np.argwhere(loads > 1.0 + FEASIBILITY_TOL):
-        out.append(Violation("load", int(v) + 1, None, int(t) + 1, float(loads[v, t])))
-    return out
+    # a positive test, so that NaN, which fails every comparison, is out of range
+    out = [Violation("range", int(v) + 1, int(s) + 1, int(t) + 1, float(x[v, s, t]))
+           for v, s, t in np.argwhere(~((x >= -FEASIBILITY_TOL) & (x <= 1.0 + FEASIBILITY_TOL)))]
+    with np.errstate(invalid="ignore", over="ignore"):  # an infinite entry times a zero is NaN
+        loads = notification_load(instance, x)[1]
+    return out + [Violation("load", int(v) + 1, None, int(t) + 1, float(loads[v, t]))
+                  for v, t in np.argwhere(loads > 1.0 + FEASIBILITY_TOL)]
 
 
 def evaluate_f(instance: Instance, solution: FractionalSolution) -> float:

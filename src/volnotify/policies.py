@@ -23,6 +23,7 @@ from .core import (
     ValidationError,
     check_feasible,
     duration_table,
+    notification_load,
 )
 from . import exante
 
@@ -132,22 +133,19 @@ def sdn_offline(instance: Instance, x_star: FractionalSolution) -> SDNPlan:
     """Compute each volunteer's exact activity probability under the policy itself.
 
     beta[v, t] discounts 1 by the chance an earlier scaled-down notification
-    still keeps v inactive at t. Feasibility of x_star guarantees
-    beta >= 1/(2 - q); a violation beyond 1e-9 is reported as an error. Each
+    still keeps v inactive at t: beta = 1 - mu (load - w), (w, load) being
+    notification_load(x_star) and mu = 1/(2 - q). Feasibility of x_star
+    guarantees beta >= mu; a violation beyond 1e-9 is reported as an error,
+    and beta - mu is the dual certificate's alpha (bounds). Each
     notification probability is the ex-ante entry divided by the factor 2 - q
     and by beta, clipped to [0, 1] after a check that none exceeds 1 by more
     than 1e-9.
     """
     x = _require_feasible(instance, x_star)
-    V, T = instance.V, instance.T
     q = instance.dist.mdhr()
     mu = 1.0 / (2.0 - q)
-    weights = np.einsum("ts,vst->vt", instance.arrival_rates, x)  # (V, T)
-    sf = duration_table(instance.dist, T).sf
-    beta = np.ones((V, T))
-    for t in range(1, T):
-        # survival offsets are t - t' >= 1 for earlier periods t' < t
-        beta[:, t] = 1.0 - mu * (weights[:, :t] @ sf[t:0:-1])
+    weights, load = notification_load(instance, x)
+    beta = 1.0 - mu * (load - weights)
     floor = mu - 1e-9
     if np.any(beta < floor):
         v, t = np.argwhere(beta < floor)[0]
@@ -158,7 +156,6 @@ def sdn_offline(instance: Instance, x_star: FractionalSolution) -> SDNPlan:
     if np.any(probs > 1.0 + 1e-9):
         raise ValidationError("scaled-down notification probability exceeded 1")
     return SDNPlan(beta=beta, probs=np.clip(probs, 0.0, 1.0))
-
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from volnotify.core import (
     duration_table,
 )
 from volnotify.exante import benchmark_lp, select_ex_ante
+from volnotify.policies import sdn_offline
 
 
 def spec(kind, **params):
@@ -212,9 +213,10 @@ class TestDualCertificate:
                 _, ok = verify_dual_certificate(inst, res.solution, v)
                 assert ok
 
-    def test_matches_loop_form_bitwise(self):
-        # alpha with the returned mass summed in a Python loop, on fuzz draws
-        # 1-200 and the I2/I3 ladder.
+    def test_matches_loop_form(self):
+        # alpha by its own recursion, the returned mass summed in a Python
+        # loop, on fuzz draws 1-200 and the I2/I3 ladder; alpha itself is read
+        # off the load, so the two agree up to rounding.
         ladder = [make_instance(spec(k, n=n)) for k in ("I2", "I3") for n in (4, 10, 12)]
         for seed, inst in enumerate(fuzz_draws(200) + ladder):
             x = feasible_tensor(random.Random(seed), inst)
@@ -227,7 +229,32 @@ class TestDualCertificate:
                 for t in range(1, inst.T):
                     returned = sum(weights[tp] * g[t - tp - 1] for tp in range(t))
                     alpha[t] = alpha[t - 1] - cert.mu * (weights[t - 1] - returned)
-                assert cert.alpha.tobytes() == alpha.tobytes()
+                assert np.abs(cert.alpha - alpha).max() <= 1e-12
+
+    @staticmethod
+    def _agrees_with_sdn(inst, x):
+        """alpha is sdn_offline's beta[v - 1] - mu bit for bit, and feasible exactly when SDN builds."""
+        solution = FractionalSolution(x)
+        try:
+            beta = sdn_offline(inst, solution).beta
+        except ValidationError:
+            beta = None
+        for v in range(1, inst.V + 1):
+            cert, ok = verify_dual_certificate(inst, solution, v)
+            assert ok == (beta is not None)
+            if beta is not None:
+                assert cert.alpha.tobytes() == (beta[v - 1] - cert.mu).tobytes()
+
+    def test_alpha_is_sdn_beta_minus_mu(self):
+        ladder = [make_instance(spec(k, n=n)) for k in ("I2", "I3") for n in (4, 10, 12)]
+        for seed, inst in enumerate(fuzz_draws(200) + ladder):
+            self._agrees_with_sdn(inst, feasible_tensor(random.Random(seed), inst))
+
+    def test_selected_solutions_are_sdn_floor(self):
+        rng = random.Random(67)
+        ladder = [make_instance(spec(k, n=n)) for k in ("I2", "I3") for n in (4, 10)]
+        for inst in ladder + [random_instance(rng) for _ in range(10)]:
+            self._agrees_with_sdn(inst, select_ex_ante(inst, m=3).solution.x)
 
     def test_infeasible_solution_rejected(self):
         rng = random.Random(61)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import warnings
 from itertools import accumulate
 
 import numpy as np
@@ -319,6 +320,25 @@ class TestFeasibility:
         inst = make_i5()
         with pytest.raises(ValidationError):
             check_feasible(inst, FractionalSolution(np.zeros((1, 2, 2))))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_are_range_violations(self, value):
+        from volnotify.bounds import make_instance, parse_canonical_spec, verify_dual_certificate
+        from volnotify.policies import sdn_offline, sn_offline
+
+        inst = make_instance(parse_canonical_spec("I3:n=3"))
+        one = np.zeros((inst.V, inst.S, inst.T))
+        one[1, 0, 4] = value
+        for x in (np.full(one.shape, value), one):
+            solution = FractionalSolution(x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = check_feasible(inst, solution)
+                ranges = {(r.v, r.s, r.t) for r in report if r.kind == "range"}
+                assert ranges == {(v + 1, s + 1, t + 1) for v, s, t in np.argwhere(x != 0.0)}
+                for build in (sn_offline, sdn_offline, lambda i, sol: verify_dual_certificate(i, sol, 1)):
+                    with pytest.raises(ValidationError):
+                        build(inst, solution)
 
 
 class TestObjective:

@@ -21,6 +21,7 @@ from volnotify.core import (
     ValidationError,
     check_feasible,
     evaluate_f,
+    notification_load,
     survival_matrix,
 )
 from volnotify import exante
@@ -222,6 +223,17 @@ def _model_arrays(lp):
     """The arrays lp hands HiGHS, (start, index, value, lower, upper), and the column bounds HiGHS holds."""
     model = exante._load(exante._solver(), lp._rows, np.zeros(lp._cols.size)).getLp()
     return lp._rows, (model.col_lower_, model.col_upper_)
+
+
+class TestLoadIsTheBudget:
+    def test_core_load_is_the_lp_budget_map(self):
+        # check_feasible and the LP's budget rows state one constraint, on every law
+        rng = random.Random(71)
+        laws = [random_instance(rng, variant=variant) for variant in VARIANTS for _ in range(10)]
+        for seed, inst in enumerate(laws + fuzz_draws(200)):
+            x = feasible_tensor(random.Random(seed), inst)
+            ts, ss, budget = _slots(inst)
+            assert np.abs(notification_load(inst, x)[1] - x[:, ss, ts] @ budget.T).max() <= 1e-12
 
 
 class TestSolveLp:
