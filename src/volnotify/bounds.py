@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    FEASIBILITY_TOL,
     Deterministic,
     FractionalSolution,
     Geometric,
@@ -213,8 +214,8 @@ class DualCertificate:
 
     mu = 1/(2-q); gamma is constant at mu; alpha = beta - mu, beta being the
     volunteer's row of SDN's activity (sdn_offline). Feasibility means every
-    alpha entry is nonnegative (within 1e-9), which is SDN's floor beta >= mu
-    and holds for any feasible solution.
+    alpha entry is at least -(1 - mu) FEASIBILITY_TOL (within 1e-9), which
+    is SDN's floor and holds for any solution check_feasible accepts.
     """
 
     mu: float
@@ -223,7 +224,7 @@ class DualCertificate:
 
     @property
     def feasible(self) -> bool:
-        return bool(np.all(self.alpha >= -1e-9))
+        return bool(np.all(self.alpha >= -(1.0 - self.mu) * FEASIBILITY_TOL - 1e-9))
 
 
 def verify_dual_certificate(instance: Instance, solution: FractionalSolution,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    FEASIBILITY_TOL,
     FractionalSolution,
     Geometric,
     Instance,
@@ -134,26 +135,25 @@ def sdn_offline(instance: Instance, x_star: FractionalSolution) -> SDNPlan:
 
     beta[v, t] discounts 1 by the chance an earlier scaled-down notification
     still keeps v inactive at t: beta = 1 - mu (load - w), (w, load) being
-    notification_load(x_star) and mu = 1/(2 - q). Feasibility of x_star
-    guarantees beta >= mu; a violation beyond 1e-9 is reported as an error,
-    and beta - mu is the dual certificate's alpha (bounds). Each
-    notification probability is the ex-ante entry divided by the factor 2 - q
-    and by beta, clipped to [0, 1] after a check that none exceeds 1 by more
-    than 1e-9.
+    notification_load(x_star) and mu = 1/(2 - q). As sf(e) <= (1 - q) sf(e - 1),
+    load - w <= (1 - q)(1 + tol), tol being FEASIBILITY_TOL, so beta >= mu - (1 - mu) tol
+    and x / ((2 - q) beta) <= (1 + tol) / (1 - (1 - q) tol); a violation of
+    either beyond 1e-9 is an error. beta - mu is the dual certificate's alpha
+    (bounds); the probabilities are clipped to [0, 1].
     """
     x = _require_feasible(instance, x_star)
     q = instance.dist.mdhr()
     mu = 1.0 / (2.0 - q)
     weights, load = notification_load(instance, x)
     beta = 1.0 - mu * (load - weights)
-    floor = mu - 1e-9
+    floor = mu - (1.0 - mu) * FEASIBILITY_TOL - 1e-9
     if np.any(beta < floor):
         v, t = np.argwhere(beta < floor)[0]
         raise ValidationError(
             f"activity probability beta[{v + 1}, {t + 1}] = {beta[v, t]:.12g} "
             f"fell below 1/(2-q) = {mu:.12g}")
     probs = np.divide(x, (2.0 - q) * beta[:, None, :])
-    if np.any(probs > 1.0 + 1e-9):
+    if np.any(probs > (1.0 + FEASIBILITY_TOL) / (1.0 - (1.0 - q) * FEASIBILITY_TOL) + 1e-9):
         raise ValidationError("scaled-down notification probability exceeded 1")
     return SDNPlan(beta=beta, probs=np.clip(probs, 0.0, 1.0))
 
@@ -168,12 +168,13 @@ class BeliefState:
     """Exact marginal over each volunteer's hidden state given the notification history.
 
     One row per episode of a chunk: active has shape (E, V), active[e, v]
-    being the probability volunteer v is active in episode e. pending's
-    width comes from the law: in general (q None) it has shape (E, V, T),
-    pending[e, v, tau-1] being the mass knocked out by the notification at
-    period tau and still inactive; a memoryless (geometric) law returns
-    every inactive mass with the same hazard q, so pending has shape
-    (E, V, 1), each volunteer's whole inactive mass. Each volunteer's
+    being the probability volunteer v is active in episode e. In general
+    pending has shape (E, V, T), pending[e, v, tau-1] being the mass knocked
+    out by the notification at period tau and still inactive, and that mass
+    returns only at the elapsed ages kept in ages (oldest first), each with
+    its hazard. A memoryless (geometric) law returns every inactive mass
+    with the same hazard q: pending has shape (E, V, 1), each volunteer's
+    whole inactive mass, ages is None and hazard is q. Each volunteer's
     active probability and pending masses sum to 1. Both arrays are updated
     in place. A state with one row stands for every episode of a chunk until
     its first notification, which gives it one row per episode.
@@ -181,34 +182,35 @@ class BeliefState:
 
     active: np.ndarray
     pending: np.ndarray
-    q: float | None = None
+    ages: np.ndarray | None
+    hazard: np.ndarray | float
 
     @classmethod
-    def all_active(cls, V: int, T: int, q: float | None = None) -> "BeliefState":
-        return cls(active=np.ones((1, V)), pending=np.zeros((1, V, T if q is None else 1)), q=q)
+    def all_active(cls, instance: Instance) -> "BeliefState":
+        """Before any notification. A finite law keeps the ages of positive hazard up to the
+        first whose survival is at or below 1e-12, where the hazard is 1 and every mass is back."""
+        dist, V, T = instance.dist, instance.V, instance.T
+        if isinstance(dist, Geometric):
+            return cls(np.ones((1, V)), np.zeros((1, V, 1)), None, dist.q)
+        table = duration_table(dist, T)
+        exhausted = np.flatnonzero(table.sf <= 1e-12)
+        ages = np.flatnonzero(table.hazard[:exhausted[0] + 1 if exhausted.size else None])[::-1]
+        return cls(np.ones((1, V)), np.zeros((1, V, T)), ages, table.hazard[ages])
 
-    def advance(self, hazard: np.ndarray, t: int) -> None:
-        """Move to the start of period t >= 2: each pending mass returns with its elapsed hazard.
-
-        hazard is a duration table's hazard array; the mass notified at tau
-        has been inactive for t - tau periods. Only the masses inactive for
-        at most len(hazard) - 1 periods are touched. For a law of finite
-        support the table may stop at its support_max, with the same
-        result bit for bit: an older mass has hazard 1, so it was zeroed
-        when its support ran out, or hazard exactly 0 (a tabulated law whose
-        masses sum to just under 1), so it adds an exact zero and stays. A
-        memoryless state ignores hazard: q of its inactive mass returns.
-        """
-        if self.q is not None:
-            self.active += self.q * self.pending[:, :, 0]
-            self.pending *= 1.0 - self.q
+    def advance(self, t: int) -> None:
+        """Move to the start of period t >= 2: the mass notified at tau returns with the hazard of
+        age t - tau, at kept ages only (the others have hazard 0); a memoryless state moves q."""
+        if self.ages is None:
+            self.active += self.hazard * self.pending[:, :, 0]
+            self.pending *= 1.0 - self.hazard
             return
-        oldest = max(1, t + 1 - len(hazard))  # period of the oldest mass touched
-        h = hazard[t - oldest:0:-1]
-        mass = self.pending[:, :, oldest - 1:t - 1]
-        # summed in ascending tau, the order the masses were notified in
-        self.active += np.cumsum(h * mass, axis=2)[:, :, -1]
-        mass *= 1.0 - h
+        live = self.ages < t
+        cols, h = t - 1 - self.ages[live], self.hazard[live]
+        if cols.size:
+            mass = self.pending[:, :, cols]
+            # summed in ascending tau, the order the masses were notified in
+            self.active += np.cumsum(h * mass, axis=2)[:, :, -1]
+            self.pending[:, :, cols] = mass * (1.0 - h)
 
     def notify(self, notified: np.ndarray, t: int) -> None:
         """Record the (E, V) mask of the volunteers notified at period t.
@@ -219,7 +221,7 @@ class BeliefState:
         if len(self.active) != len(notified):
             self.active = np.repeat(self.active, len(notified), axis=0)
             self.pending = np.repeat(self.pending, len(notified), axis=0)
-        self.pending[:, :, t - 1 if self.q is None else 0] += np.where(notified, self.active, 0.0)
+        self.pending[:, :, 0 if self.ages is None else t - 1] += np.where(notified, self.active, 0.0)
         self.active[notified] = 0.0
 
 
@@ -283,19 +285,13 @@ class BeliefPolicy(Policy):
         self.name = name
         self.instance = instance
         self.theta = theta
-        dist, support = instance.dist, instance.dist.support_max
-        # a geometric state keeps one inactive mass and needs no hazard table; otherwise
-        # the table stops at the support: BeliefState.advance adds nothing for older masses
-        self._q = dist.q if isinstance(dist, Geometric) else None
-        self._hazard = None if self._q is not None else (
-            duration_table(dist, instance.T).hazard[:None if support is None else support + 1])
         self._order = np.argsort(-instance.match_probs.T, axis=1, kind="stable")  # (S, V)
 
     def new_state(self):
-        return BeliefState.all_active(self.instance.V, self.instance.T, self._q)
+        return BeliefState.all_active(self.instance)
 
     def advance(self, state, t: int):
-        state.advance(self._hazard, t)
+        state.advance(t)
         return state
 
     def record(self, state, t: int, notified):

@@ -69,6 +69,20 @@ def feasible_tensor(rng: random.Random, instance: Instance) -> np.ndarray:
     return x
 
 
+def slack_solutions() -> list:
+    """(instance, solution) pairs that check_feasible accepts only through FEASIBILITY_TOL.
+
+    One volunteer, one task type, a task every period, T = 3:
+    Deterministic(3) with x = (0.5 + 2.5e-8, 0.5 + 2.5e-8, 0), whose load at
+    period 2 is 1 + 5e-8, and Geometric(1) with every entry 1 + 5e-8.
+    """
+    from volnotify.core import FractionalSolution
+
+    cases = ((Deterministic(3), [0.5 + 2.5e-8, 0.5 + 2.5e-8, 0.0]), (Geometric(1.0), [1.0 + 5e-8] * 3))
+    return [(Instance(arrival_rates=np.ones((3, 1)), match_probs=np.ones((1, 1)), dist=dist),
+             FractionalSolution(np.array(x).reshape(1, 1, 3))) for dist, x in cases]
+
+
 def closed_form_value(kind: str, policy_name: str, params: dict) -> float:
     """Analytic expected values for canonical (instance, policy) pairs.
 

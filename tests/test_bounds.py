@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import closed_form_value, feasible_tensor, fuzz_draws, random_instance
+from conftest import closed_form_value, feasible_tensor, fuzz_draws, random_instance, slack_solutions
 from volnotify.bounds import (
     CanonicalInstanceSpec,
     kappa,
@@ -255,6 +255,17 @@ class TestDualCertificate:
         ladder = [make_instance(spec(k, n=n)) for k in ("I2", "I3") for n in (4, 10)]
         for inst in ladder + [random_instance(rng) for _ in range(10)]:
             self._agrees_with_sdn(inst, select_ex_ante(inst, m=3).solution.x)
+
+    def test_certifies_every_solution_check_feasible_accepts(self):
+        # alpha may sit (1 - mu) FEASIBILITY_TOL below 0, as SDN's beta may
+        # sit below mu; the deterministic case reaches alpha = -2.5e-8
+        lowest = []
+        for inst, x in slack_solutions():
+            cert, ok = verify_dual_certificate(inst, x, 1)
+            assert ok
+            lowest.append(cert.alpha.min())
+            self._agrees_with_sdn(inst, x.x)
+        assert lowest[0] < -1e-9
 
     def test_infeasible_solution_rejected(self):
         rng = random.Random(61)

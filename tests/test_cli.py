@@ -390,6 +390,21 @@ class TestMain:
         assert rows[1][0] == "sdn"
         assert int(rows[1][2]) == 500
 
+    @pytest.mark.parametrize("probs", [[0.5, 0.5, 0.0], [0.5, 0.4999999995, 0.0]])
+    def test_best_one_notifies_every_other_period(self, tmp_path, probs):
+        # One volunteer who always responds, a task every period and an
+        # inactivity of 1 or 2 periods: at theta = 1 best:1 notifies whenever
+        # the belief is back at 1, every other period, so 15 completions in
+        # 30 periods. The second law's masses end in a zero and sum to just
+        # under 1; its residual 5e-10 returns at duration 3, and a filter that
+        # kept it read 2.
+        path, out = tmp_path / "instance.json", tmp_path / "sim.csv"
+        path.write_text(json.dumps({"T": 30, "V": 1, "S": 1, "arrivals": [[1.0]] * 30, "match": [[1.0]],
+                                    "dist": {"type": "tabulated", "probs": probs}}))
+        assert main(["simulate", str(path), "--policy", "best:1", "--episodes", "2000",
+                     "--seed", "1", "--m", "5", "--out", str(out)]) == 0
+        assert float(read_csv(out)[1][4]) == 15.0
+
     def test_bounds_command(self, tmp_path):
         out = tmp_path / "bounds.csv"
         assert main(["bounds", "--grid", "0.25", "--out", str(out)]) == 0

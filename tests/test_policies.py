@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import feasible_tensor, fuzz_draws, random_instance
+from conftest import feasible_tensor, fuzz_draws, random_instance, slack_solutions
 from volnotify.bounds import make_instance, parse_canonical_spec
 from volnotify.core import (
     Deterministic,
@@ -16,6 +16,7 @@ from volnotify.core import (
     Instance,
     Tabulated,
     ValidationError,
+    check_feasible,
     duration_table,
     evaluate_fv,
 )
@@ -246,6 +247,16 @@ class TestScaledDown:
             assert plan.probs.shape == (inst.V, inst.S, inst.T)
             assert np.all((plan.probs >= 0.0) & (plan.probs <= 1.0))
 
+    def test_builds_on_every_solution_check_feasible_accepts(self):
+        # The floor and the probability bound allow what FEASIBILITY_TOL
+        # allows: beta >= mu - (1 - mu) tol, probabilities <= (1 + tol) / (1 - (1 - q) tol).
+        (det, x_det), (geo, x_geo) = slack_solutions()
+        assert check_feasible(det, x_det) == [] and check_feasible(geo, x_geo) == []
+        plan = sdn_offline(det, x_det)
+        assert plan.beta[0].tolist() == (1.0 - 0.5 * np.array([0.0, 0.5 + 2.5e-8, 1.0 + 5e-8])).tolist()
+        assert plan.beta[0, 2] < 0.5 - 1e-9
+        assert sdn_offline(geo, x_geo).probs.tolist() == [[[1.0, 1.0, 1.0]]]
+
 
 def dict_filter_step(active, pending, table, t):
     """Reference belief advance: per-volunteer dicts {tau: mass}, the hazard rule per element of table's pmf/sf."""
@@ -265,10 +276,36 @@ def dict_filter_step(active, pending, table, t):
         pending[v] = kept
 
 
+# The trailing-zero law: its masses end in a zero and sum to just under 1,
+# so support_max is 2 while the residual 5e-10 returns at duration 3.
+TRAILING_ZERO = Tabulated((0.5, 0.4999999995, 0.0))
+
+
+def quiet_instance(dist, T, V=1):
+    """An instance with no arrivals for V volunteers of match probability 0.5."""
+    return Instance(arrival_rates=np.zeros((T, 1)), match_probs=np.full((V, 1), 0.5), dist=dist)
+
+
 def belief_policy(dist, T, V=1, theta=1.0):
     """A belief-tracking policy for V volunteers on an instance with no arrivals."""
-    inst = Instance(arrival_rates=np.zeros((T, 1)), match_probs=np.full((V, 1), 0.5), dist=dist)
-    return make_policy("best:1", inst, theta=theta)
+    return make_policy("best:1", quiet_instance(dist, T, V), theta=theta)
+
+
+def dense_state(V, T):
+    """A T-column belief state, pending[e, v, tau-1] for every notification period tau; advance it with dense_advance."""
+    return BeliefState(np.ones((1, V)), np.zeros((1, V, T)), np.arange(T, 0, -1), None)
+
+
+def dense_advance(state, hazard, t):
+    """Reference advance over every earlier period with a duration table's full hazard array, whatever the law.
+
+    The mass notified at tau (column tau - 1) returns with hazard[t - tau],
+    the returned masses summed in ascending tau.
+    """
+    h = hazard[t - 1:0:-1]
+    mass = state.pending[:, :, :t - 1]
+    state.active += np.cumsum(h * mass, axis=2)[:, :, -1]
+    mass *= 1.0 - h
 
 
 class TestBeliefFilter:
@@ -303,20 +340,45 @@ class TestBeliefFilter:
         state = policy.advance(state, 3)
         assert state.active[0, 0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dist, T, ages", [
+        (Deterministic(1), 30, [1]), (Deterministic(7), 30, [7]), (Deterministic(7), 5, []),
+        (Tabulated((0.2, 0.8)), 30, [2, 1]), (Tabulated((0.1, 0.0, 0.5, 0.4, 0.0)), 30, [4, 3, 1]),
+        (TRAILING_ZERO, 30, [3, 2, 1])], ids=repr)
+    def test_kept_ages(self, dist, T, ages):
+        # the ages of positive hazard, oldest first, up to the first exhausted survival
+        state = BeliefState.all_active(quiet_instance(dist, T))
+        assert state.ages.tolist() == ages
+        assert state.hazard.tolist() == duration_table(dist, T).hazard[ages].tolist()
+
+    def test_trailing_zero_residual_returns(self):
+        # Two knock-outs in a row must leave the belief at 1 two periods after
+        # each; a filter cut at support_max kept the 5e-10 residual forever.
+        policy = belief_policy(TRAILING_ZERO, 8)
+        state = policy.new_state()
+        for t in range(1, 9):
+            if t >= 2:
+                state = policy.advance(state, t)
+            if t in (1, 4):
+                state = policy.record(state, t, np.array([[True]]))
+        assert state.active.tolist() == [[1.0]]
+        assert not state.pending.any()
+
     def test_notify_moves_active_mass(self):
-        state = BeliefState.all_active(1, 4)
+        state = BeliefState.all_active(quiet_instance(Deterministic(2), 4))
         state.notify(np.array([[True]]), 3)
         assert state.active[0, 0] == 0.0
         assert state.pending[0, 0].tolist() == [0.0, 0.0, 1.0, 0.0]
 
     def test_notify_inactive_is_noop(self):
-        state = BeliefState(active=np.array([[0.0]]), pending=np.array([[[1.0, 0.0, 0.0, 0.0]]]))
+        state = BeliefState.all_active(quiet_instance(Deterministic(2), 4))
+        state.active[0, 0], state.pending[0, 0, 0] = 0.0, 1.0
         state.notify(np.array([[True]]), 4)
         assert state.active[0, 0] == 0.0
         assert state.pending[0, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_notify_partial_mass_conserved(self):
-        state = BeliefState(active=np.array([[0.4]]), pending=np.array([[[0.6, 0.0, 0.0, 0.0]]]))
+        state = BeliefState.all_active(quiet_instance(Deterministic(2), 4))
+        state.active[0, 0], state.pending[0, 0, 0] = 0.4, 0.6
         state.notify(np.array([[True]]), 3)
         assert state.active[0, 0] == 0.0
         assert state.pending[0, 0].tolist() == [0.6, 0.0, 0.4, 0.0]
@@ -326,29 +388,34 @@ class TestBeliefFilter:
         rng = random.Random(109)
         for _ in range(20):
             inst = random_instance(rng, max_v=3)
-            hazard = duration_table(inst.dist, inst.T).hazard
-            state = BeliefState.all_active(inst.V, inst.T)
+            state = BeliefState.all_active(inst)
             for t in range(2, inst.T + 1):
-                state.advance(hazard, t)
+                state.advance(t)
                 if rng.random() < 0.5:
                     state.notify(np.arange(inst.V)[None, :] == rng.randint(1, inst.V) - 1, t)
                 totals = state.active[0] + state.pending[0].sum(axis=1)
                 assert totals == pytest.approx(np.ones(inst.V), abs=1e-9)
 
     def test_matches_dict_filter_bit_for_bit(self):
+        # The dense reference on every law, and the shipped state on every
+        # law but the geometric one, whose single column is checked below.
         rng = random.Random(127)
         for _ in range(30):
             inst = random_instance(rng, max_v=4, max_t=20)
             table = duration_table(inst.dist, inst.T)
-            state = BeliefState.all_active(inst.V, inst.T)
+            ref = dense_state(inst.V, inst.T)
+            states = [ref] if isinstance(inst.dist, Geometric) else [ref, BeliefState.all_active(inst)]
             active, pending = [1.0] * inst.V, [{} for _ in range(inst.V)]
             for t in range(1, inst.T + 1):
                 if t >= 2:
-                    state.advance(table.hazard, t)
+                    dense_advance(ref, table.hazard, t)
+                    for state in states[1:]:
+                        state.advance(t)
                     dict_filter_step(active, pending, table, t)
-                assert state.active[0].tolist() == active
-                assert [{tau + 1: m for tau, m in enumerate(row) if m} for row in
-                        state.pending[0].tolist()] == pending
+                for state in states:
+                    assert state.active[0].tolist() == active
+                    assert [{tau + 1: m for tau, m in enumerate(row) if m} for row in
+                            state.pending[0].tolist()] == pending
                 notified = np.zeros((1, inst.V), dtype=bool)
                 for v in range(inst.V):
                     if rng.random() < 0.3:
@@ -356,7 +423,8 @@ class TestBeliefFilter:
                         if active[v] > 0.0:
                             pending[v][t] = active[v]
                             active[v] = 0.0
-                state.notify(notified, t)
+                for state in states:
+                    state.notify(notified, t)
 
     def test_batched_updates_equal_single_episode_updates(self):
         # A chunk of E episodes, starting from the one shared row the engine
@@ -364,15 +432,14 @@ class TestBeliefFilter:
         rng = random.Random(131)
         for _ in range(20):
             inst = random_instance(rng, max_v=4, max_t=12)
-            hazard = duration_table(inst.dist, inst.T).hazard
             E = rng.randint(2, 6)
-            batch = BeliefState.all_active(inst.V, inst.T)
-            singles = [BeliefState.all_active(inst.V, inst.T) for _ in range(E)]
+            batch = BeliefState.all_active(inst)
+            singles = [BeliefState.all_active(inst) for _ in range(E)]
             for t in range(1, inst.T + 1):
                 if t >= 2:
-                    batch.advance(hazard, t)
+                    batch.advance(t)
                     for single in singles:
-                        single.advance(hazard, t)
+                        single.advance(t)
                 notified = np.array([[rng.random() < 0.3 for _ in range(inst.V)]
                                      for _ in range(E)])
                 batch.notify(notified, t)
@@ -386,46 +453,45 @@ class TestBeliefFilter:
     @pytest.mark.parametrize("dist", [
         Deterministic(1), Deterministic(2), Deterministic(4), Deterministic(7),
         Tabulated((0.2, 0.8)), Tabulated((0.1, 0.0, 0.5, 0.4, 0.0)), Tabulated((0.3, 0.3, 0.2, 0.2)),
-        Tabulated((0.25, 0.25, 0.5 - 5e-10))], ids=repr)
-    def test_support_window_matches_full_horizon_bit_for_bit(self, dist):
-        # A finite-support law's policy keeps its hazard table up to the
-        # support only; the filter must equal the one over every earlier
-        # period, bit for bit, on random multi-episode histories.
+        Tabulated((0.25, 0.25, 0.5 - 5e-10)), TRAILING_ZERO], ids=repr)
+    def test_kept_ages_match_dense_filter_bit_for_bit(self, dist):
+        # A finite law's state moves mass only at its kept ages; it must
+        # equal the dense filter over every earlier period with the full
+        # hazard table, bit for bit, on random multi-episode histories.
         V, T = 3, 30
-        policy = belief_policy(dist, T)
-        assert len(policy._hazard) == dist.support_max + 1
+        policy = belief_policy(dist, T, V)
         full = duration_table(dist, T).hazard
         rng = random.Random(139)
         for _ in range(10):
-            short, ref = BeliefState.all_active(V, T), BeliefState.all_active(V, T)
+            shipped, ref = policy.new_state(), dense_state(V, T)
             for t in range(1, T + 1):
                 if t >= 2:
-                    short.advance(policy._hazard, t)
-                    ref.advance(full, t)
-                assert short.active.tobytes() == ref.active.tobytes()
-                assert short.pending.tobytes() == ref.pending.tobytes()
+                    shipped = policy.advance(shipped, t)
+                    dense_advance(ref, full, t)
+                assert shipped.active.tobytes() == ref.active.tobytes()
+                assert shipped.pending.tobytes() == ref.pending.tobytes()
                 notified = np.array([[rng.random() < 0.3 for _ in range(V)] for _ in range(4)])
-                short.notify(notified, t)
+                shipped = policy.record(shipped, t, notified)
                 ref.notify(notified, t)
 
     @pytest.mark.parametrize("dist", [Geometric(0.3), Deterministic(3),
-                                      Tabulated((0.1, 0.0, 0.5, 0.4))], ids=repr)
+                                      Tabulated((0.1, 0.0, 0.5, 0.4)), TRAILING_ZERO], ids=repr)
     def test_matches_closed_form_reference(self, dist):
         # Independent reference: the mass knocked out at tau is still inactive
         # at the start of t with probability sf(t - tau), so
         # active[v] = 1 - sum_{tau < t} knocked[v, tau] sf(t - tau).
-        # Checked on a raw T-column state and on the policy's own state (one
+        # Checked on the dense state and on the policy's own state (one
         # inactive mass for the geometric law), fed the same history.
         rng = random.Random(113)
         V, T = 3, 12
         table = duration_table(dist, T)
         policy = belief_policy(dist, T, V)
         for _ in range(30):
-            state, shipped = BeliefState.all_active(V, T), policy.new_state()
+            state, shipped = dense_state(V, T), policy.new_state()
             knocked = np.zeros((V, T))
             for t in range(1, T + 1):
                 if t >= 2:
-                    state.advance(table.hazard, t)
+                    dense_advance(state, table.hazard, t)
                     shipped = policy.advance(shipped, t)
                 reference = [1.0 - sum(knocked[v, tau - 1] * table.sf[t - tau]
                                        for tau in range(1, t)) for v in range(V)]
@@ -440,11 +506,11 @@ class TestBeliefFilter:
     @pytest.mark.parametrize("q", [0.05, 0.25, 0.9, 1.0])
     def test_memoryless_state_matches_t_column_filter(self, q):
         # A geometric policy keeps one inactive mass per volunteer; the
-        # generic filter over every earlier period, with the full hazard
+        # dense filter over every earlier period, with the full hazard
         # table, must agree with it to 1e-12 on random multi-episode
         # histories, past the point where the table exhausts the survival.
         # From the first elapsed e* with sf <= 1e-12 (12 periods at q = 0.9)
-        # the table's hazard is 1, so the generic filter returns early the
+        # the table's hazard is 1, so the dense filter returns early the
         # (1 - q)^e* ~ 1e-12 of each knocked-out unit that the memoryless
         # filter, exact for the law, still holds; that cut is added back.
         # Eligibility must agree wherever the belief is more than 1e-12 from
@@ -459,13 +525,13 @@ class TestBeliefFilter:
         policies = [belief_policy(dist, T, V, theta) for theta in (1.0, 0.9, 0.5)]
         rng = random.Random(149)
         for _ in range(6):
-            shipped, ref = policies[0].new_state(), BeliefState.all_active(V, T)
-            knocked = []  # knocked[tau - 1]: the (E, V) mass the generic filter knocked out at tau
+            shipped, ref = policies[0].new_state(), dense_state(V, T)
+            knocked = []  # knocked[tau - 1]: the (E, V) mass the dense filter knocked out at tau
             assert shipped.pending.shape == (1, V, 1)
             for t in range(1, T + 1):
                 if t >= 2:
                     shipped = policies[0].advance(shipped, t)
-                    ref.advance(table.hazard, t)
+                    dense_advance(ref, table.hazard, t)
                 cut = sum(knocked[tau - 1] * (1.0 - q) ** (t - tau)
                           for tau in range(1, t - e_star + 1))
                 assert np.all(np.abs(shipped.active + cut - ref.active) <= 1e-12)
@@ -497,31 +563,32 @@ class TestHeuristics:
         assert probs == [1.0, 1.0]
 
     def test_upto_rho_stops_at_threshold(self):
-        probs = self.decide("upto:0.5", BeliefState.all_active(2, 1), 1, 2, [0.5, 0.5])
+        probs = self.decide("upto:0.5", BeliefState.all_active(self.inst), 1, 2, [0.5, 0.5])
         assert probs == [0.0, 1.0]  # 0.6 already clears the bar
 
     def test_upto_rho_unreachable_notifies_all_positive(self):
-        probs = self.decide("upto:0.99", BeliefState.all_active(2, 1), 1, 1, [0.5, 0.5])
+        probs = self.decide("upto:0.99", BeliefState.all_active(self.inst), 1, 1, [0.5, 0.5])
         assert probs == [1.0, 1.0]
 
     def test_upto_rho_all_zero_notifies_nobody(self):
         inst = Instance(arrival_rates=np.array([[0.5]]), match_probs=np.zeros((2, 1)),
                         dist=Deterministic(2))
-        probs = self.decide("upto:0.5", BeliefState.all_active(2, 1), 1, 1, [0.5, 0.5], inst)
+        probs = self.decide("upto:0.5", BeliefState.all_active(inst), 1, 1, [0.5, 0.5], inst)
         assert probs == [0.0, 0.0]
 
     def test_best_n_picks_largest_match(self):
-        probs = self.decide("best:1", BeliefState.all_active(2, 1), 1, 1, [0.5, 0.5])
+        probs = self.decide("best:1", BeliefState.all_active(self.inst), 1, 1, [0.5, 0.5])
         assert probs == [0.0, 1.0]
 
     def test_best_n_tie_goes_to_lower_index(self):
         inst = Instance(arrival_rates=np.array([[0.5]]), match_probs=np.array([[0.4], [0.4]]),
                         dist=Deterministic(2))
-        probs = self.decide("best:1", BeliefState.all_active(2, 1), 1, 1, [0.5, 0.5], inst)
+        probs = self.decide("best:1", BeliefState.all_active(inst), 1, 1, [0.5, 0.5], inst)
         assert probs == [1.0, 0.0]
 
     def test_random_n_with_few_eligible(self):
-        beliefs = BeliefState(active=np.array([[1.0, 0.2]]), pending=np.array([[[0.0], [0.8]]]))
+        beliefs = BeliefState.all_active(self.inst)
+        beliefs.active[0, 1], beliefs.pending[0, 1, 0] = 0.2, 0.8
         probs = self.decide("random:3", beliefs, 1, 1, [0.5, 0.5])
         assert probs == [1.0, 0.0]
 
@@ -529,7 +596,7 @@ class TestHeuristics:
         rng = random.Random(5)
         counts = [0, 0]
         for _ in range(4000):
-            probs = self.decide("random:1", BeliefState.all_active(2, 1), 1, 1,
+            probs = self.decide("random:1", BeliefState.all_active(self.inst), 1, 1,
                                 [rng.random(), rng.random()])
             counts[int(np.argmax(probs))] += 1
         assert abs(counts[0] / 4000 - 0.5) < 0.05
@@ -553,7 +620,7 @@ class TestHeuristics:
         lam = np.array([[1.0, 0.0], [0.0, 1.0]])
         p = np.array([[0.5, 0.0], [0.5, 0.4]])
         inst = Instance(arrival_rates=lam, match_probs=p, dist=Deterministic(2))
-        probs = self.decide("rolling:2", BeliefState.all_active(2, 2), 1, 1, [0.5, 0.5], inst)
+        probs = self.decide("rolling:2", BeliefState.all_active(inst), 1, 1, [0.5, 0.5], inst)
         assert probs == [1.0, 1.0]  # window benchmark notifies both for task 1
 
 
@@ -589,28 +656,31 @@ class TestRollingWindowsOnEachPath:
 
 
 class TColumnFilter:
-    """Test-only mixin: the generic T-column belief state with the full hazard table, whatever the law."""
+    """Test-only mixin: the dense T-column belief state with the full hazard table, whatever the law."""
 
     def new_state(self):
-        return BeliefState.all_active(self.instance.V, self.instance.T)
+        return dense_state(self.instance.V, self.instance.T)
 
     def advance(self, state, t):
-        state.advance(duration_table(self.instance.dist, self.instance.T).hazard, t)
+        dense_advance(state, duration_table(self.instance.dist, self.instance.T).hazard, t)
         return state
 
 
-class TestMemorylessFilterDecisions:
+class TestFilterDecisions:
     # Beliefs of the one-mass geometric filter may differ from the T-column
     # filter's in the last bits; on this instance the decisions, and so every
-    # statistic, do not.
+    # statistic, do not. A finite law's kept ages give the dense beliefs bit
+    # for bit, so its statistics are equal too.
+    @pytest.mark.parametrize("dist", [Geometric(0.25), TRAILING_ZERO], ids=repr)
     @pytest.mark.parametrize("spec, episodes", [
         ("best:2", 400), ("random:2", 400), ("upto:0.8", 400), ("rolling", 100)])
-    def test_simstats_equal_t_column_reference(self, spec, episodes):
-        inst = TestRollingWindowsOnEachPath.instance(random.Random(2005), Geometric(0.25))
+    def test_simstats_equal_t_column_reference(self, spec, episodes, dist):
+        inst = TestRollingWindowsOnEachPath.instance(random.Random(2005), dist)
         shipped = make_policy(spec, inst)
         reference = type("Reference", (TColumnFilter, type(shipped)), {})(
             spec, inst, **parse_policy_spec(spec)[1])
-        assert shipped.new_state().pending.shape == (1, inst.V, 1)
+        width = 1 if isinstance(dist, Geometric) else inst.T
+        assert shipped.new_state().pending.shape == (1, inst.V, width)
         assert reference.new_state().pending.shape == (1, inst.V, inst.T)
         assert simulate(inst, shipped, episodes, 17) == simulate(inst, reference, episodes, 17)
 

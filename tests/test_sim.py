@@ -521,6 +521,44 @@ class TestActiveProbabilities:
         assert np.all(np.abs(emp - beta) <= 3 * se + 1e-9)
 
 
+class TestStaticPlanActivity:
+    # What the engine means for a static plan: volunteer v, active at t' with
+    # probability a[v, t'], is notified there with probability
+    # w[v, t'] = sum_s lambda[t', s] P[v, s, t'] whatever else happened, and
+    # then stays out more than e periods with probability sf(e), so
+    # a[v, t] = 1 - sum_{t' < t} w[v, t'] a[v, t'] sf(t - t'). Each cell's
+    # count of active episodes is binomial. The bound, fixed before the first
+    # run: Bonferroni over every cell of the three laws' runs at alpha = 0.001,
+    # on exact two-sided binomial tails, so a cell of activity 0 or 1 must
+    # match exactly.
+    @pytest.mark.parametrize("dist", [Geometric(0.3), Deterministic(3), Tabulated((0.2, 0.0, 0.5, 0.3))],
+                             ids=repr)
+    def test_empirical_activity_matches_exact_marginal(self, dist):
+        from scipy.stats import binom
+
+        rng = random.Random(211)
+        V, S, T, n = 3, 2, 10, 20000
+        lam = np.array([[rng.random() for _ in range(S)] for _ in range(T)])
+        lam *= 0.9 / lam.sum(axis=1, keepdims=True)
+        p = np.array([[rng.uniform(0.2, 0.9) for _ in range(S)] for _ in range(V)])
+        inst = Instance(arrival_rates=lam, match_probs=p, dist=dist)
+        x_star = select_ex_ante(inst, m=4).solution
+        sf = duration_table(dist, T).sf
+        counts, marginals = [], []
+        for seed, spec in enumerate(("sn", "exante")):
+            policy = make_policy(spec, inst, x_star=x_star)
+            # the engine notifies with a coin below the entry, so entries act clipped to [0, 1]
+            w = np.einsum("ts,vst->vt", lam, np.clip(policy.probs, 0.0, 1.0))
+            a = np.ones((V, T))
+            for t in range(1, T):
+                a[:, t] = 1.0 - sum(w[:, tp] * a[:, tp] * sf[t - tp] for tp in range(t))
+            counts.append(np.rint(empirical_active_prob(inst, policy, n, seed) * n))
+            marginals.append(np.clip(a, 0.0, 1.0))
+        k, a = np.array(counts), np.array(marginals)
+        tails = np.minimum(1.0, 2.0 * np.minimum(binom.cdf(k, n, a), binom.sf(k - 1, n, a)))
+        assert tails.min() >= 0.001 / (3 * tails.size)  # three laws, every cell of each
+
+
 class TestBeliefFilterExactness:
     def test_filter_matches_empirical_frequency(self):
         # Paired comparison: per episode, the realized active indicator minus
@@ -531,15 +569,14 @@ class TestBeliefFilterExactness:
             inst = random_instance(rng, max_v=3, max_s=3, max_t=6)
             probs = np.full((inst.V, inst.S, inst.T), 0.4)
             policy = StaticPlanPolicy("static", probs)
-            hazard = duration_table(inst.dist, inst.T).hazard
             n = 4000
             dsum = np.zeros((inst.V, inst.T))
             dsq = np.zeros((inst.V, inst.T))
             for chunk in _chunks(inst, policy, 11, 0, n):
-                state = BeliefState.all_active(inst.V, inst.T)  # expanded by its first notify
+                state = BeliefState.all_active(inst)  # expanded by its first notify
                 for t in range(1, inst.T + 1):
                     if t >= 2:
-                        state.advance(hazard, t)
+                        state.advance(t)
                     d = chunk.active[t - 1] - state.active
                     dsum[:, t - 1] += d.sum(axis=0)
                     dsq[:, t - 1] += (d * d).sum(axis=0)
