@@ -171,46 +171,50 @@ class BeliefState:
     being the probability volunteer v is active in episode e. In general
     pending has shape (E, V, T), pending[e, v, tau-1] being the mass knocked
     out by the notification at period tau and still inactive, and that mass
-    returns only at the elapsed ages kept in ages (oldest first), each with
-    its hazard. A memoryless (geometric) law returns every inactive mass
-    with the same hazard q: pending has shape (E, V, 1), each volunteer's
-    whole inactive mass, ages is None and hazard is q. Each volunteer's
-    active probability and pending masses sum to 1. Both arrays are updated
-    in place. A state with one row stands for every episode of a chunk until
-    its first notification, which gives it one row per episode.
+    returns only at the elapsed ages of the span kept in ages (a range,
+    oldest first), each with its hazard. A memoryless (geometric) law
+    returns every inactive mass with the same hazard q: pending has shape
+    (E, V, 1), each volunteer's whole inactive mass, ages is None and hazard
+    is q. Each volunteer's active probability and pending masses sum to 1.
+    Both arrays are updated in place. A state with one row stands for every
+    episode of a chunk until its first notification, which gives it one row
+    per episode.
     """
 
     active: np.ndarray
     pending: np.ndarray
-    ages: np.ndarray | None
+    ages: range | None
     hazard: np.ndarray | float
 
     @classmethod
     def all_active(cls, instance: Instance) -> "BeliefState":
-        """Before any notification. A finite law keeps the ages of positive hazard up to the
-        first whose survival is at or below 1e-12, where the hazard is 1 and every mass is back."""
+        """Before any notification. A finite law keeps the span between its youngest and oldest ages
+        of positive hazard, up to the first whose survival is at or below 1e-12, where the hazard is
+        1 and every mass is back."""
         dist, V, T = instance.dist, instance.V, instance.T
         if isinstance(dist, Geometric):
             return cls(np.ones((1, V)), np.zeros((1, V, 1)), None, dist.q)
         table = duration_table(dist, T)
         exhausted = np.flatnonzero(table.sf <= 1e-12)
-        ages = np.flatnonzero(table.hazard[:exhausted[0] + 1 if exhausted.size else None])[::-1]
+        kept = np.flatnonzero(table.hazard[:exhausted[0] + 1 if exhausted.size else None])
+        ages = range(kept[-1], kept[0] - 1, -1) if kept.size else range(0)
         return cls(np.ones((1, V)), np.zeros((1, V, T)), ages, table.hazard[ages])
 
     def advance(self, t: int) -> None:
         """Move to the start of period t >= 2: the mass notified at tau returns with the hazard of
-        age t - tau, at kept ages only (the others have hazard 0); a memoryless state moves q."""
+        age t - tau, over the kept ages below t (one slice of pending); a memoryless state moves q."""
         if self.ages is None:
             self.active += self.hazard * self.pending[:, :, 0]
             self.pending *= 1.0 - self.hazard
             return
-        live = self.ages < t
-        cols, h = t - 1 - self.ages[live], self.hazard[live]
-        if cols.size:
-            mass = self.pending[:, :, cols]
-            # summed in ascending tau, the order the masses were notified in
-            self.active += np.cumsum(h * mass, axis=2)[:, :, -1]
-            self.pending[:, :, cols] = mass * (1.0 - h)
+        oldest = self.ages.start
+        lo, hi = max(t - 1 - oldest, 0), t - 1 - self.ages.stop
+        if lo < hi:
+            h, mass = self.hazard[lo + oldest + 1 - t:], self.pending[:, :, lo:hi]
+            # summed in ascending tau, the order the masses were notified in; an age of
+            # hazard 0 adds an exact +0.0 and keeps its mass's bits
+            self.active += (h * mass).cumsum(axis=2)[:, :, -1]
+            mass *= 1.0 - h
 
     def notify(self, notified: np.ndarray, t: int) -> None:
         """Record the (E, V) mask of the volunteers notified at period t.
@@ -221,8 +225,9 @@ class BeliefState:
         if len(self.active) != len(notified):
             self.active = np.repeat(self.active, len(notified), axis=0)
             self.pending = np.repeat(self.pending, len(notified), axis=0)
-        self.pending[:, :, 0 if self.ages is None else t - 1] += np.where(notified, self.active, 0.0)
-        self.active[notified] = 0.0
+        knocked = self.active * notified
+        self.pending[:, :, 0 if self.ages is None else t - 1] += knocked
+        self.active -= knocked
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +305,11 @@ class BeliefPolicy(Policy):
 
     def _eligible(self, state, episodes: int) -> np.ndarray:
         """(episodes, V) mask of the volunteers believed active with probability >= theta."""
-        return np.broadcast_to(state.active >= self.theta - 1e-9, (episodes, self.instance.V))
+        eligible = state.active >= self.theta - 1e-9
+        if len(eligible) == episodes:
+            return eligible
+        # the state's one shared row, before its first notification
+        return np.broadcast_to(eligible, (episodes, self.instance.V))
 
 
 def _notify_ranked(V: int, rows: np.ndarray, order: np.ndarray, take: np.ndarray) -> np.ndarray:
@@ -352,7 +361,8 @@ class UpToRhoPolicy(BeliefPolicy):
         order, rows = self._order[s - 1], np.arange(len(s))[:, None]
         pa = (self.instance.match_probs.T[s - 1] * state.active)[rows, order]
         # chance that nobody ranked before responds, multiplied in rank order
-        missed = np.cumprod(np.hstack([np.ones((len(s), 1)), 1.0 - pa[:, :-1]]), axis=1)
+        missed = np.ones(pa.shape)
+        np.cumprod(1.0 - pa[:, :-1], axis=1, out=missed[:, 1:])
         return _notify_ranked(self.instance.V, rows, order, (pa > 0.0) & (1.0 - missed < self.rho))
 
 

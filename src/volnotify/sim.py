@@ -329,17 +329,28 @@ def brute_force_optimal_online(instance: Instance, max_states: int = 10**6) -> f
     maximization over every subset of active volunteers per arrival type. Only
     finite-support duration distributions are supported, and the joint state
     count tau_max^V must stay within max_states.
+
+    Durations run to tau_max, the first age whose survival is at or below
+    1e-12 (as in the belief filter). Masses that sum to just under 1 leave
+    survival past the support, and it returns at tau_max.
     """
-    tau_max = instance.dist.support_max
-    if tau_max is None:
+    dist, V, S, T = instance.dist, instance.V, instance.S, instance.T
+    if dist.support_max is None:
         raise CapacityError("exact solve needs a finite-support duration distribution")
-    V, S, T = instance.V, instance.S, instance.T
+    # tau_max is at most the sampler's longest duration, where the cdf is 1, and
+    # the cap admits none past its V-th root, so no longer table is read
+    longest = int(dist.sample(np.array([np.nextafter(1.0, 0.0)]))[0])
+    table = duration_table(dist, min(longest, int(max_states ** (1.0 / V)) + 1))
+    exhausted = np.flatnonzero(table.sf <= 1e-12)
+    tau_max = int(exhausted[0]) if exhausted.size else len(table.sf)
     nstates = tau_max ** V
     if nstates > max_states:
-        raise CapacityError(f"{nstates} joint states exceed the cap of {max_states}")
+        raise CapacityError(f"at least {nstates} joint states exceed the cap of {max_states}")
 
     strides = [tau_max ** v for v in range(V)]
-    pmf = duration_table(instance.dist, tau_max).pmf.tolist()
+    pmf = table.pmf[:tau_max + 1].tolist()
+    if tau_max > dist.support_max:
+        pmf[tau_max] = float(table.sf[tau_max - 1])
     durations = [(z, pmf[z]) for z in range(1, tau_max + 1) if pmf[z] > 0.0]
     dec = []
     active_sets = []

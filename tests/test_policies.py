@@ -342,12 +342,13 @@ class TestBeliefFilter:
 
     @pytest.mark.parametrize("dist, T, ages", [
         (Deterministic(1), 30, [1]), (Deterministic(7), 30, [7]), (Deterministic(7), 5, []),
-        (Tabulated((0.2, 0.8)), 30, [2, 1]), (Tabulated((0.1, 0.0, 0.5, 0.4, 0.0)), 30, [4, 3, 1]),
+        (Tabulated((0.2, 0.8)), 30, [2, 1]), (Tabulated((0.1, 0.0, 0.5, 0.4, 0.0)), 30, [4, 3, 2, 1]),
         (TRAILING_ZERO, 30, [3, 2, 1])], ids=repr)
     def test_kept_ages(self, dist, T, ages):
-        # the ages of positive hazard, oldest first, up to the first exhausted survival
+        # the span from the oldest age of positive hazard, up to the first exhausted
+        # survival, down to the youngest, oldest first; an interior age may have hazard 0
         state = BeliefState.all_active(quiet_instance(dist, T))
-        assert state.ages.tolist() == ages
+        assert list(state.ages) == ages
         assert state.hazard.tolist() == duration_table(dist, T).hazard[ages].tolist()
 
     def test_trailing_zero_residual_returns(self):
@@ -656,7 +657,12 @@ class TestRollingWindowsOnEachPath:
 
 
 class TColumnFilter:
-    """Test-only mixin: the dense T-column belief state with the full hazard table, whatever the law."""
+    """Test-only mixin: the dense T-column belief state with the full hazard table, whatever the law.
+
+    It shares no filter code with the shipped policy: notify puts the
+    notified volunteers' active mass in their column with a where and zeroes
+    it through the mask, and eligibility is always broadcast to the chunk.
+    """
 
     def new_state(self):
         return dense_state(self.instance.V, self.instance.T)
@@ -665,20 +671,46 @@ class TColumnFilter:
         dense_advance(state, duration_table(self.instance.dist, self.instance.T).hazard, t)
         return state
 
+    def record(self, state, t, notified):
+        if len(state.active) != len(notified):
+            state.active = np.repeat(state.active, len(notified), axis=0)
+            state.pending = np.repeat(state.pending, len(notified), axis=0)
+        state.pending[:, :, t - 1] += np.where(notified, state.active, 0.0)
+        state.active[notified] = 0.0
+        return state
+
+    def _eligible(self, state, episodes):
+        return np.broadcast_to(state.active >= self.theta - 1e-9, (episodes, self.instance.V))
+
+
+class StackedUpTo:
+    """Test-only mixin: upto:rho's decide with the miss product over a stacked column of ones."""
+
+    def decide(self, state, t, s, u):
+        order, rows = self._order[s - 1], np.arange(len(s))[:, None]
+        pa = (self.instance.match_probs.T[s - 1] * state.active)[rows, order]
+        missed = np.cumprod(np.hstack([np.ones((len(s), 1)), 1.0 - pa[:, :-1]]), axis=1)
+        probs = np.zeros((len(s), self.instance.V))
+        probs[rows, order] = (pa > 0.0) & (1.0 - missed < self.rho)
+        return probs
+
 
 class TestFilterDecisions:
     # Beliefs of the one-mass geometric filter may differ from the T-column
     # filter's in the last bits; on this instance the decisions, and so every
-    # statistic, do not. A finite law's kept ages give the dense beliefs bit
-    # for bit, so its statistics are equal too.
-    @pytest.mark.parametrize("dist", [Geometric(0.25), TRAILING_ZERO], ids=repr)
+    # statistic, do not. A finite law's span of kept ages gives the dense
+    # beliefs bit for bit, so its statistics are equal too.
+    @pytest.mark.parametrize("theta", [1.0, 0.7])
+    @pytest.mark.parametrize("dist", [Geometric(0.25), TRAILING_ZERO, Deterministic(4),
+                                      Tabulated((0.2, 0.0, 0.5, 0.3))], ids=repr)
     @pytest.mark.parametrize("spec, episodes", [
         ("best:2", 400), ("random:2", 400), ("upto:0.8", 400), ("rolling", 100)])
-    def test_simstats_equal_t_column_reference(self, spec, episodes, dist):
+    def test_simstats_equal_t_column_reference(self, spec, episodes, dist, theta):
         inst = TestRollingWindowsOnEachPath.instance(random.Random(2005), dist)
-        shipped = make_policy(spec, inst)
-        reference = type("Reference", (TColumnFilter, type(shipped)), {})(
-            spec, inst, **parse_policy_spec(spec)[1])
+        shipped = make_policy(spec, inst, theta=theta)
+        mixins = (TColumnFilter, StackedUpTo) if isinstance(shipped, UpToRhoPolicy) else (TColumnFilter,)
+        reference = type("Reference", (*mixins, type(shipped)), {})(
+            spec, inst, theta=theta, **parse_policy_spec(spec)[1])
         width = 1 if isinstance(dist, Geometric) else inst.T
         assert shipped.new_state().pending.shape == (1, inst.V, width)
         assert reference.new_state().pending.shape == (1, inst.V, inst.T)

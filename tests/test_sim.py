@@ -650,6 +650,16 @@ class TestBruteForce:
         assert brute_force_optimal_online(padded, max_states=4) == \
             brute_force_optimal_online(plain, max_states=4)
 
+    def test_residual_past_the_support_returns(self):
+        # Masses that sum to just under 1 and end in a zero have support_max 2,
+        # but the sampler returns their residual 5e-10 at duration 3, as the
+        # law that states it there does.
+        def optimum(probs):
+            return brute_force_optimal_online(Instance(
+                arrival_rates=np.ones((30, 1)), match_probs=np.ones((1, 1)), dist=Tabulated(probs)))
+        assert optimum((0.5, 0.4999999995, 0.0)) == pytest.approx(
+            optimum((0.5, 0.4999999995, 5e-10)), abs=1e-12)
+
     def test_state_cap_enforced(self):
         inst = Instance(arrival_rates=np.full((2, 1), 0.5),
                         match_probs=np.full((4, 1), 0.5), dist=Deterministic(100))
