@@ -23,8 +23,8 @@ from .core import (
     Geometric,
     Instance,
     ValidationError,
-    check_feasible,
-    notification_load,
+    check_feasible,  # unread here, but bench/spans.py wraps this module's binding
+    _feasibility,
 )
 
 __all__ = [
@@ -230,7 +230,7 @@ class DualCertificate:
 def verify_dual_certificate(instance: Instance, solution: FractionalSolution,
                             v: int) -> tuple[DualCertificate, bool]:
     """Construct the dual certificate for volunteer v (1-based) and report feasibility."""
-    report = check_feasible(instance, solution)
+    report, weights, load = _feasibility(instance, solution)
     if report:
         raise ValidationError(
             f"solution must be feasible to certify ({len(report)} violations)")
@@ -238,7 +238,6 @@ def verify_dual_certificate(instance: Instance, solution: FractionalSolution,
         raise ValidationError(f"volunteer index {v} out of range 1..{instance.V}")
     mu = 1.0 / (2.0 - instance.dist.mdhr())
     # every volunteer's row, as sdn_offline computes it: a one-row product rounds differently
-    weights, load = notification_load(instance, solution.x)
     alpha = (1.0 - mu * (load - weights))[v - 1] - mu
     cert = DualCertificate(mu=mu, gamma=np.full(instance.T, mu), alpha=alpha)
     return cert, cert.feasible

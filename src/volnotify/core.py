@@ -341,14 +341,20 @@ def check_feasible(instance: Instance, solution: FractionalSolution) -> list[Vio
     entry is a range violation. Returns an empty list iff the solution is
     feasible within FEASIBILITY_TOL.
     """
+    return _feasibility(instance, solution)[0]
+
+
+def _feasibility(instance: Instance,
+                 solution: FractionalSolution) -> tuple[list[Violation], np.ndarray, np.ndarray]:
+    """check_feasible's report, with the (w, load) of notification_load that it read."""
     x = _require_shape(instance, solution)
     # a positive test, so that NaN, which fails every comparison, is out of range
     out = [Violation("range", int(v) + 1, int(s) + 1, int(t) + 1, float(x[v, s, t]))
            for v, s, t in np.argwhere(~((x >= -FEASIBILITY_TOL) & (x <= 1.0 + FEASIBILITY_TOL)))]
     with np.errstate(invalid="ignore", over="ignore"):  # an infinite entry times a zero is NaN
-        loads = notification_load(instance, x)[1]
+        weights, loads = notification_load(instance, x)
     return out + [Violation("load", int(v) + 1, None, int(t) + 1, float(loads[v, t]))
-                  for v, t in np.argwhere(loads > 1.0 + FEASIBILITY_TOL)]
+                  for v, t in np.argwhere(loads > 1.0 + FEASIBILITY_TOL)], weights, loads
 
 
 def evaluate_f(instance: Instance, solution: FractionalSolution) -> float:

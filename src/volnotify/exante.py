@@ -170,19 +170,21 @@ def _dense_rows(A_ub, b_ub, A_eq=None, b_eq=None) -> _Csc:
 class _Lp:
     """The program max c @ x over rows and 0 <= x <= 1, built once for any number of objectives.
 
-    The first solve loads the rows into a fresh solver with linprog's
-    options and checks, so it is bitwise linprog's. Each later solve only
-    changes the costs and reruns that solver from the previous basis: a
+    Every solve runs on the calling thread's kept solver (_kept). It loads
+    the rows with passModel, which clears what the solver held, and applies
+    linprog's options and checks, so it is bitwise linprog's: a fresh
+    solve. Only when this program was the last one solved on the thread
+    does it instead change the costs and rerun from the previous basis: a
     warm start, with the same checks and the same optimal value, though it
     may end on another optimal vertex than a fresh solve. A failed solve
-    drops the solver, so the next one starts fresh. Without scipy's HiGHS
-    binding, each solve calls linprog.
+    drops the thread's solver and program, so the next solve starts fresh.
+    Without scipy's HiGHS binding, each solve calls linprog.
     """
 
     def __init__(self, rows: _Csc):
         self._rows = rows
         self._cols = np.arange(rows.start.size - 1, dtype=np.int32)
-        self._solver = None
+        self._equal = rows.lower == rows.upper
 
     def solve(self, objective) -> tuple[np.ndarray, float]:
         # Every check comes before the solver is touched: the binding crashes
@@ -200,15 +202,15 @@ class _Lp:
             if res.status != 0 or res.x is None:
                 raise LpError(f"linear program failed: {res.message}")
             return np.asarray(res.x), float(-res.fun)
-        if self._solver is None:
-            self._solver = _load(_solver(), self._rows, cost)
+        solver, warm = _kept.solver, _kept.program is self
+        _kept.solver = _kept.program = None  # kept again only once the solve passes every check
+        if warm:
+            solver.changeColsCost(self._cols.size, self._cols, cost)
         else:
-            self._solver.changeColsCost(self._cols.size, self._cols, cost)
-        try:
-            return _result(self._solver, self._solver.run(), self._rows)
-        except LpError:
-            self._solver = None
-            raise
+            solver = _load(solver or _solver(), self._rows, cost)
+        out = _result(solver, solver.run(), self._rows.upper, self._equal)
+        _kept.solver, _kept.program = solver, self
+        return out
 
 
 def _solver():
@@ -235,8 +237,11 @@ def _load(solver, rows: _Csc, cost: np.ndarray):
     return solver
 
 
-def _result(solver, run_status, rows: _Csc) -> tuple[np.ndarray, float]:
-    """The checked (solution, optimal value) of a run() over rows that returned run_status, as solve_lp returns them."""
+def _result(solver, run_status, upper: np.ndarray, equal: np.ndarray) -> tuple[np.ndarray, float]:
+    """The checked (solution, optimal value) of a run() that returned run_status, as solve_lp returns them.
+
+    upper holds the rows' upper bounds and equal marks the equality rows.
+    """
     ran = run_status != _highs.HighsStatus.kError
     status = solver.getModelStatus()
     if not ran or status != _highs.HighsModelStatus.kOptimal:
@@ -250,13 +255,24 @@ def _result(solver, run_status, rows: _Csc) -> tuple[np.ndarray, float]:
     solution = solver.getSolution()
     x = np.array(solution.col_value)
     fun = solver.getObjectiveValue()
-    slack = rows.upper - solution.row_value  # equality rows: the residual
-    # Positive tests: every comparison with NaN is false, so NaN fails each one.
-    if not (fun == fun and ((x >= -_RESULT_TOL) & (x <= 1.0 + _RESULT_TOL)).all()
-            and (slack >= -_RESULT_TOL).all() and (np.abs(slack[rows.lower == rows.upper]) <= _RESULT_TOL).all()):
+    slack = upper - solution.row_value  # equality rows: the residual
+    # Positive tests: every comparison with NaN is false, and min and max
+    # return NaN when any entry is NaN, so NaN fails each one.
+    if not (fun == fun and x.min(initial=0.0) >= -_RESULT_TOL and x.max(initial=1.0) <= 1.0 + _RESULT_TOL
+            and slack.min(initial=0.0) >= -_RESULT_TOL and np.abs(slack[equal]).max(initial=0.0) <= _RESULT_TOL):
         raise LpError(f"linear program failed: the solution misses the constraints by more "
                       f"than {_RESULT_TOL:.2E}")
     return x, float(-fun)
+
+
+class _Kept(threading.local):
+    """The calling thread's kept HiGHS solver and the _Lp it last solved; None on a new thread."""
+
+    solver = None
+    program = None
+
+
+_kept = _Kept()
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +298,7 @@ def _snap(x: np.ndarray, budget: np.ndarray) -> np.ndarray:
     Clips to [0, 1], then scales each volunteer's row by 1 / max(1, peak load),
     so solver tolerance can never leave a load above 1.
     """
-    x = np.clip(x, 0.0, 1.0)
+    x = x.clip(0.0, 1.0)
     return x / np.maximum(1.0, (x @ budget.T).max(axis=1))[:, None]
 
 
@@ -312,7 +328,8 @@ def _volunteer_oracle(budget: np.ndarray, rows: _Csc):
     """costs -> the snapped maximizer of costs @ x over one volunteer's rows (_volunteer_rows) and the unit box.
 
     The program is built once; each call only swaps the costs, so every
-    solve after the first is warm-started. Costs are divided by their
+    solve after the first is warm-started (_Lp), as AA and SQ solve no
+    other program in between. Costs are divided by their
     largest magnitude first: the maximizer is the same, and HiGHS fails on
     some cost vectors that span many magnitudes below 1.
     """
@@ -449,24 +466,11 @@ class _Benchmark:
         return [future.result() for future in futures]
 
     def _window(self, match_probs: np.ndarray) -> np.ndarray:
-        """The tensor() of one set's model, built, loaded, run and checked on this thread's kept solver.
-
-        passModel clears the solver's earlier model, basis and solution, so
-        each window is a fresh solve whatever thread it runs on. A solver
-        whose solve failed is dropped, so the thread's next window gets a
-        new one.
-        """
+        """The tensor() of one set's model, solved on this thread's kept solver: a fresh load (_Lp)."""
         c, rows = self.model(match_probs)
-        solver = getattr(_kept, "solver", None) or _solver()
-        _kept.solver = None  # kept again only once its solve passes every check
-        _load(solver, rows, -c)
-        sol, _ = _result(solver, solver.run(), rows)
-        solver.clearSolver()  # a kept solver holds no solve data: about 0.25 MB
-        _kept.solver = solver
-        return self.tensor(sol, len(match_probs))
+        return self.tensor(_Lp(rows).solve(c)[0], len(match_probs))
 
 
-_kept = threading.local()  # .solver: the HiGHS solver a pool thread keeps between windows
 _MAX_WORKERS = 3
 
 
@@ -477,17 +481,23 @@ def _pool() -> ThreadPoolExecutor:
     run() releases the interpreter lock, so the windows of a batch overlap
     each other's HiGHS runs and model building. The calling thread only
     waits, so the pool has one thread per CPU the process may use, at most
-    _MAX_WORKERS; each thread keeps one HiGHS solver, its own HiGHS
-    scheduler and malloc arena, about 1 MB. Two threads that make it at
+    _MAX_WORKERS; each thread keeps one HiGHS solver (_kept), its own HiGHS
+    scheduler and malloc arena, about 1 MB, plus the work arrays of the
+    largest window its solver solved. Two threads that make the pool at
     once may make one each; the one not kept ends with its windows.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return ThreadPoolExecutor(min(cpus, _MAX_WORKERS), thread_name_prefix="volnotify-highs")
 
 
+def _after_fork_in_child() -> None:
+    """A forked child has none of its parent's threads: it makes a pool and a solver of its own."""
+    _pool.cache_clear()
+    _kept.solver = _kept.program = None
+
+
 if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
-    # A forked child has none of its parent's threads, so it makes a pool of its own.
-    os.register_at_fork(after_in_child=_pool.cache_clear)
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 # ---------------------------------------------------------------------------

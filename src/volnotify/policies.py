@@ -22,9 +22,9 @@ from .core import (
     Geometric,
     Instance,
     ValidationError,
-    check_feasible,
+    check_feasible,  # unread here, but bench/spans.py wraps this module's binding
     duration_table,
-    notification_load,
+    _feasibility,
 )
 from . import exante
 
@@ -48,12 +48,13 @@ __all__ = [
 ]
 
 
-def _require_feasible(instance: Instance, x_star: FractionalSolution) -> np.ndarray:
-    report = check_feasible(instance, x_star)
+def _require_feasible(instance: Instance, x_star: FractionalSolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x_star's tensor and its notification_load (w, load), once check_feasible would report nothing."""
+    report, weights, load = _feasibility(instance, x_star)
     if report:
         raise ValidationError(
             f"ex-ante solution is infeasible ({len(report)} violations; first: {report[0]})")
-    return x_star.x
+    return x_star.x, weights, load
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +86,7 @@ def sn_offline(instance: Instance, x_star: FractionalSolution) -> SNPlan:
     past the horizon earn nothing, and periods without an arrival contribute
     the no-arrival mass times the next period's value.
     """
-    x = _require_feasible(instance, x_star)
+    x = _require_feasible(instance, x_star)[0]
     V, S, T = instance.V, instance.S, instance.T
     lam = instance.arrival_rates
     lam0 = instance.no_arrival_rates()
@@ -141,10 +142,9 @@ def sdn_offline(instance: Instance, x_star: FractionalSolution) -> SDNPlan:
     either beyond 1e-9 is an error. beta - mu is the dual certificate's alpha
     (bounds); the probabilities are clipped to [0, 1].
     """
-    x = _require_feasible(instance, x_star)
+    x, weights, load = _require_feasible(instance, x_star)
     q = instance.dist.mdhr()
     mu = 1.0 / (2.0 - q)
-    weights, load = notification_load(instance, x)
     beta = 1.0 - mu * (load - weights)
     floor = mu - (1.0 - mu) * FEASIBILITY_TOL - 1e-9
     if np.any(beta < floor):
@@ -402,6 +402,8 @@ class RollingHorizonPolicy(BeliefPolicy):
 
     def _solve(self, t: int, subsets: list) -> list:
         """The first-period columns of the window at t for each eligible set; None for an empty one."""
+        if not any(subsets):  # no window to build
+            return [None] * len(subsets)
         p = self.instance.match_probs
         window = Instance(arrival_rates=self.instance.arrival_rates[t - 1:t + self.horizon - 1],
                           match_probs=p, dist=self.instance.dist)

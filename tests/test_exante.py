@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -287,6 +288,16 @@ class TestSolveLp:
             with pytest.raises(LpInfeasibleError):
                 solve_lp([1.0], np.zeros((0, 1)), np.zeros(0), [[1.0]], [2.0])
 
+    def test_zero_row_program(self, monkeypatch):
+        for _ in on_each_path(monkeypatch):
+            for _ in range(2):  # a new program after another: loaded afresh
+                sol, value = solve_lp([1, 2], np.zeros((0, 2)), [])
+                assert (sol.tolist(), value) == ([1.0, 1.0], 3.0)
+            lp = exante._Lp(_dense_rows(np.zeros((0, 2)), []))
+            for objective in ([1, 2], [2, 1]):  # a load, then a warm rerun
+                sol, value = lp.solve(objective)
+                assert (sol.tolist(), value) == ([1.0, 1.0], 3.0)
+
     def test_bad_objective_leaves_the_program_usable(self, monkeypatch):
         # Shape and finiteness are checked before the solver is touched, on
         # the first solve and on a warm one.
@@ -310,21 +321,29 @@ class TestSolveLp:
         ([0.5, 0.5], [1.1, 0.0], -1.0),  # negative slack
         ([0.5, 0.5], [1.0, -0.1], -1.0),  # equality residual with positive slack
     ])
-    def test_result_checks_reject_a_bad_solution(self, x, rows, fun):
+    def test_result_checks_reject_a_bad_solution(self, x, rows, fun, monkeypatch):
         # max x1 + x2, x1 + x2 <= 1, x1 - x2 == 0; a solver returns the given
-        # solution, row values and objective with an optimal status.
+        # solution, row values and objective with an optimal status. The fake
+        # stands in for the thread's kept solver, which lp solved last, so
+        # the next solve of lp runs it warm.
         if exante._highs is None:
             pytest.skip("scipy has no HiGHS binding")
+        # the thread's own solver and program come back after the test
+        monkeypatch.setattr(exante._kept, "solver", exante._kept.solver)
+        monkeypatch.setattr(exante._kept, "program", exante._kept.program)
         lp = exante._Lp(_dense_rows([[1.0, 1.0]], [1.0], [[1.0, -1.0]], [0.0]))
         assert lp.solve([1.0, 1.0])[1] == pytest.approx(1.0, abs=1e-9)
-        lp._solver = FakeSolver([0.5, 0.5], [1.0, 0.0], -1.0)
+        assert exante._kept.program is lp
+        exante._kept.solver = FakeSolver([0.5, 0.5], [1.0, 0.0], -1.0)
         sol, value = lp.solve([1.0, 1.0])  # the fake's good answer passes
         assert sol.tolist() == [0.5, 0.5] and value == 1.0
-        lp._solver = FakeSolver(x, rows, fun)
+        exante._kept.solver = FakeSolver(x, rows, fun)
         with pytest.raises(LpError, match="misses the constraints"):
             lp.solve([1.0, 1.0])
-        assert lp._solver is None  # the failed solver is dropped
+        # the failed solver is dropped
+        assert exante._kept.solver is None and exante._kept.program is None
         assert lp.solve([1.0, 1.0])[1] == pytest.approx(1.0, abs=1e-9)  # a fresh one solves
+        assert isinstance(exante._kept.solver, exante._highs._Highs)
 
 
 class TestKernelMatchesLinprog:
@@ -433,6 +452,134 @@ class TestKernelMatchesLinprog:
             assert first.solution.x.tobytes() == second.solution.x.tobytes()
             assert (first.tag, first.f_value, first.lp_value) == \
                 (second.tag, second.f_value, second.lp_value)
+
+
+def solver_per_program(monkeypatch):
+    """Patches _Lp.solve to a reference lifecycle: each _Lp keeps a HiGHS solver of its own.
+
+    Its first solve loads a new solver; each later one changes the costs
+    and reruns that solver, whatever was solved in between.
+    """
+    def solve(self, objective):
+        cost = -np.asarray(objective, dtype=float).reshape(-1)
+        own = self.__dict__.get("own")
+        if own is None:
+            own = self.own = exante._load(exante._solver(), self._rows, cost)
+        else:
+            own.changeColsCost(cost.size, np.arange(cost.size, dtype=np.int32), cost)
+        return exante._result(own, own.run(), self._rows.upper, self._rows.lower == self._rows.upper)
+
+    monkeypatch.setattr(exante._Lp, "solve", solve)
+
+
+def _pipeline_bits(inst, m=20):
+    """The bytes of benchmark_lp, frank_wolfe_aa, sequential_sq and select_ex_ante on inst."""
+    bench, selected = benchmark_lp(inst), select_ex_ante(inst, m)
+    return (bench.x_lp.x.tobytes(), np.float64(bench.lp_value).tobytes(), frank_wolfe_aa(inst, m).x.tobytes(),
+            sequential_sq(inst).x.tobytes(), selected.solution.x.tobytes(), selected.tag,
+            np.float64(selected.f_value).tobytes(), np.float64(selected.lp_value).tobytes())
+
+
+@pytest.mark.skipif(exante._highs is None, reason="scipy has no HiGHS binding")
+class TestKeptSolver:
+    # Every LP runs on its thread's one kept solver: a load unless the same
+    # program was the thread's last, a warm rerun if it was.
+    def test_matches_a_solver_per_program_bitwise(self, monkeypatch):
+        rng = random.Random(23)
+        instances = [make_i2(4), make_i6(), make_instance(parse_canonical_spec("I3:n=3")), make_i4()]
+        instances += [random_instance(rng, max_v=4, max_s=3, max_t=8, variant=v) for v in VARIANTS]
+        instances += fuzz_draws(12)
+        # the programs of two instances alternate on this thread
+        order = instances + [instances[1], instances[0], instances[1], instances[0]]
+        kept = [_pipeline_bits(inst) for inst in order]
+        with monkeypatch.context() as m:
+            solver_per_program(m)
+            reference = [_pipeline_bits(inst) for inst in order]
+        assert kept == reference
+        assert {bits[5] for bits in kept} == {"LP", "AA", "SQ"}
+
+    def test_alternating_oracles_load_each_solve(self, monkeypatch):
+        # Two AA/SQ oracles called in turn on one thread: neither program is
+        # the thread's last, so every call is a fresh load, bitwise the first
+        # solve of a new oracle with a solver of its own.
+        rng = random.Random(29)
+        pairs = [(random_instance(rng, max_v=3, max_s=3, max_t=8, variant=v),
+                  random_instance(rng, max_v=3, max_s=3, max_t=8, variant=w))
+                 for v, w in zip(VARIANTS, VARIANTS[1:] + VARIANTS[:1])]
+        loads, load = [], exante._load
+
+        def counted(*args):
+            loads.append(args[1])
+            return load(*args)
+
+        for pair in pairs:
+            args = []
+            for inst in pair:
+                ts, ss, budget = _slots(inst)
+                args.append((budget, _volunteer_rows(inst, ts, ss, budget)))
+            calls = [(i, np.array([rng.uniform(-1.0, 1.0) for _ in range(args[i][0].shape[1])]))
+                     for _ in range(4) for i in (0, 1)]
+            oracles = [_volunteer_oracle(*a) for a in args]
+            with monkeypatch.context() as m:
+                m.setattr(exante, "_load", counted)
+                del loads[:]
+                kept = [oracles[i](costs) for i, costs in calls]
+                assert len(loads) == len(calls)
+            with monkeypatch.context() as m:
+                solver_per_program(m)
+                fresh = [_volunteer_oracle(*args[i])(costs) for i, costs in calls]
+            assert [x.tobytes() for x in kept] == [x.tobytes() for x in fresh]
+
+    def test_a_window_between_two_solves_reloads(self, monkeypatch):
+        inst = random_instance(random.Random(31), max_v=4, max_s=3, max_t=8, variant="geometric")
+        ts, ss, budget = _slots(inst)
+        lp = exante._Lp(_volunteer_rows(inst, ts, ss, budget))
+        costs = [np.array([random.Random(k).uniform(-1.0, 1.0) for _ in range(lp._cols.size)]) for k in range(3)]
+        loads, load = [], exante._load
+
+        def counted(*args):
+            loads.append(args[1])
+            return load(*args)
+
+        monkeypatch.setattr(exante, "_load", counted)
+        lp.solve(costs[0])
+        lp.solve(costs[1])
+        assert loads == [lp._rows] and exante._kept.program is lp  # the second solve is warm
+        window = _Benchmark(inst)._window(inst.match_probs)  # on this thread, not the pool
+        assert len(loads) == 2 and exante._kept.program is not lp
+        after = lp.solve(costs[2])
+        assert len(loads) == 3 and loads[2] is lp._rows  # a fresh load
+        assert _same_bits(after, exante._Lp(lp._rows).solve(costs[2]))
+        assert window.tobytes() == benchmark_lp(inst).x_lp.x.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork is POSIX only")
+    def test_forked_child_starts_without_the_kept_solver(self):
+        import warnings
+
+        solve_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
+        assert exante._kept.solver is not None
+        with warnings.catch_warnings():  # forking with pool threads alive warns on Python 3.12+
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child: exit 0 only if it starts clean and solves
+            code = 1
+            try:
+                if exante._kept.solver is None and exante._kept.program is None:
+                    sol, value = solve_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
+                    code = 0 if (sol.tolist(), value) == ([0.0, 1.0], 2.0) else 2
+            finally:
+                os._exit(code)
+        for _ in range(600):  # at most 60 s
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.1)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not exit within 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert exante._kept.solver is not None  # the parent's stays
 
 
 class TestBenchmark:

@@ -765,6 +765,28 @@ class TestRollingWindowBatches:
                 solved += 1
             assert solved > 20
 
+    def test_no_window_when_every_eligible_set_is_empty(self, monkeypatch):
+        # A period whose missing eligible sets are all empty builds no window
+        # instance and no _Benchmark; it caches None for each.
+        inst = self.instance(random.Random(2003), Geometric(0.25))
+        built, benchmark, calls, solve = [], exante._Benchmark, [], RollingHorizonPolicy._solve
+
+        def counted(window):
+            built.append(window)
+            return benchmark(window)
+
+        def recording(policy, t, subsets):
+            calls.append(subsets)
+            return solve(policy, t, subsets)
+
+        monkeypatch.setattr(exante, "_Benchmark", counted)
+        monkeypatch.setattr(RollingHorizonPolicy, "_solve", recording)
+        policy = make_policy("rolling", inst)
+        simulate(inst, policy, 10, 5)
+        empty = [subsets for subsets in calls if not any(subsets)]
+        assert empty and len(built) == len(calls) - len(empty)
+        assert all(policy._cache[key] is None for key in policy._cache if not key[1])
+
     def test_any_pool_size_agrees(self, monkeypatch):
         # One pool thread, and three that share each _Benchmark and switch often.
         rng = random.Random(2002)
