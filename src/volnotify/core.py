@@ -65,9 +65,13 @@ class InterActivityDistribution:
     `_masses(n)`: the pmf and the cdf at durations 1..n, which every caller
     reads through duration_table. Beside them it gives `mdhr` (the minimum
     discrete hazard rate, 0/0 hazards counting as 1), `mean`, `support_max`
-    (None when unbounded) and `sample`, which maps an array of uniforms in
-    [0, 1) to the durations that invert the cdf at them, as floats of the
-    same shape (a geometric duration can exceed every integer dtype).
+    (None when unbounded) and `sample(u, out=None)`, which maps an array of
+    uniforms in [0, 1) to the durations that invert the cdf at them, as
+    floats of the same shape (a geometric duration can exceed every integer
+    dtype). Given `out`, a float array of u's shape that may be u itself,
+    sample writes the durations there elementwise and returns it; the
+    simulator turns a chunk's duration uniforms into return periods in place
+    this way, and draws no duration uniforms at all for a Deterministic law.
     """
 
 
@@ -98,13 +102,18 @@ class Geometric(InterActivityDistribution):
 
     support_max = None
 
-    def sample(self, u: np.ndarray) -> np.ndarray:
+    def sample(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(np.shape(u))
         if self.q >= 1.0:
-            return np.ones(np.shape(u))
+            out[...] = 1.0
+            return out
         # Smallest z >= 1 with cdf(z) > u; untruncated, so no integer dtype holds
         # every z, and below q ~ 1e-307 a z beyond the float range is inf.
         with np.errstate(over="ignore"):
-            return np.maximum(np.ceil(np.log1p(-u) / math.log1p(-self.q)), 1.0)
+            np.log1p(np.negative(u, out=out), out=out)
+            np.divide(out, math.log1p(-self.q), out=out)
+            return np.maximum(np.ceil(out, out=out), 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -133,8 +142,11 @@ class Deterministic(InterActivityDistribution):
     def support_max(self) -> int:
         return self.d
 
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(u), float(self.d))
+    def sample(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(np.shape(u))
+        out[...] = float(self.d)
+        return out
 
 
 @dataclass(frozen=True)
@@ -179,9 +191,9 @@ class Tabulated(InterActivityDistribution):
     def support_max(self) -> int:
         return max(tau for tau, p in enumerate(self.probs, start=1) if p > 0.0)
 
-    def sample(self, u: np.ndarray) -> np.ndarray:
+    def sample(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # The first tau with u < cum[tau]; the last cum entry is exactly 1.
-        return np.searchsorted(self._cum, u, side="right") + 1.0
+        return np.add(np.searchsorted(self._cum, u, side="right"), 1.0, out=out)
 
 
 class DurationTable(NamedTuple):

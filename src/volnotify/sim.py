@@ -16,9 +16,10 @@ PCG64DXSM(seed).jumped(g). So episode k's draws never depend on which other
 episodes run, any episode can be replayed alone, and a run draws only the
 groups it reads: a plain StaticPlanPolicy never draws the policy group.
 A 64-bit output w becomes the uniform (w >> 11) * 2**-53. A slot a period
-does not need (no arrival, a volunteer not notified or inactive, a fixed
-duration) is skipped, never handed to the next draw, so every policy sees
-the same arrivals and coins on the same seed. Notifying an inactive
+does not need (no arrival, a volunteer not notified or inactive) is skipped,
+never handed to the next draw, so every policy sees the same arrivals and
+coins on the same seed; a fixed (Deterministic) duration needs no uniforms,
+so its run does not draw group 3 at all. Notifying an inactive
 volunteer changes nothing. A volunteer whose inactivity ends at period t
 can be notified at t. Seeds and episode indices must lie in [0, 2**64);
 anything else is a ValidationError.
@@ -34,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Instance, ValidationError, duration_table
+from .core import Deterministic, Instance, ValidationError, duration_table
 from .policies import Policy, StaticPlanPolicy
 
 __all__ = [
@@ -54,13 +55,16 @@ __all__ = [
 _DRAW_BUDGET = 2**20
 # numpy's jumped() stride: group g starts g * _JUMP outputs into the stream.
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
-# Most 64-bit elements (64 KiB) the engine draws or derives in one array,
-# once E * V allows. glibc serves blocks below its mmap threshold (128 KiB
-# until it adapts, or where pinned) from its heap, recycled from call to
-# call, but maps each larger block afresh and page-faults it in: on runs of
-# 25 episodes those faults took about a tenth of the time, and a varying
-# tenth, since their cost follows the load of the host. For the same reason
-# the chunk's uniforms go to a buffer kept per thread (see _uniforms).
+# Most 64-bit elements (64 KiB) of any array the engine derives from its
+# uniforms (response coins, a law's sampling temporaries), once V allows.
+# glibc serves blocks below its mmap threshold (128 KiB until it adapts, or
+# where pinned) from its heap, recycled from call to call, but maps each
+# larger block afresh and page-faults it in: on runs of 25 episodes those
+# faults took about a tenth of the time, and a varying tenth, since their
+# cost follows the load of the host. For the same reason the chunk's
+# uniforms go to a buffer kept per thread (see _uniforms), filled there by
+# the generator without any staging array, and its return periods are
+# written over its duration uniforms (see _return_periods).
 _PIECE = 2**13
 _spare = threading.local()
 
@@ -103,11 +107,13 @@ def _uniforms(bitgen: np.random.PCG64DXSM, origin: dict, start: int, E: int, T: 
 
     Group g, widths[g] draws per period, is the E * T * widths[g] outputs w
     of the stream from (g * _JUMP + start * T * widths[g]) mod 2**128 on,
-    each as the uniform (w >> 11) * 2**-53; bitgen is reset to the stream's
-    origin state and advanced once per group. The uniforms are written into
-    the calling thread's spare buffer, which the caller hands back
-    (_spare.buffer = out.base) once it has read them; a nested call finds no
-    spare and allocates its own. The raw words are drawn _PIECE at a time.
+    each as the uniform (w >> 11) * 2**-53; a group of width 0 is not drawn
+    and takes no room. For each drawn group bitgen is reset to the stream's
+    origin state, advanced once, and a numpy Generator on it fills the
+    group's slice of the calling thread's spare buffer in place: its
+    random() on a PCG64DXSM is that uniform bit for bit. The caller hands
+    the buffer back (_spare.buffer = out.base) once it has read the
+    uniforms; a nested call finds no spare and allocates its own.
     """
     n = E * T * sum(widths)
     buf = getattr(_spare, "buffer", None)
@@ -115,17 +121,34 @@ def _uniforms(bitgen: np.random.PCG64DXSM, origin: dict, start: int, E: int, T: 
     if buf is None or buf.size < n:
         buf = np.empty(n)
     out = buf[:n]
+    fill = np.random.Generator(bitgen).random
     lo = 0
     for g, width in enumerate(widths):
-        bitgen.state = origin
-        bitgen.advance((g * _JUMP + start * T * width) % 2**128)
-        end = lo + E * T * width
-        while lo < end:
-            words = bitgen.random_raw(min(_PIECE, end - lo))
-            words >>= 11
-            np.multiply(words, 2.0**-53, out=out[lo:lo + len(words)])
-            lo += len(words)
+        if width:
+            bitgen.state = origin
+            bitgen.advance((g * _JUMP + start * T * width) % 2**128)
+            fill(out=out[lo:lo + E * T * width])
+            lo += E * T * width
     return out
+
+
+def _return_periods(dist, u: np.ndarray, periods: np.ndarray) -> None:
+    """Turn u, a chunk's (E, T, V) duration uniforms, into return periods in place.
+
+    The uniform of episode e, period t and volunteer v becomes t +
+    dist.sample(u), bit for bit. u is rewritten a contiguous block at a
+    time, of whole episodes or, where one episode outgrows _PIECE elements,
+    of periods of one episode, so no derived array outgrows a piece; periods
+    is the (T, 1) column 1 .. T.
+    """
+    E, T, V = u.shape
+    rows = max(1, _PIECE // V)  # periods of V uniforms in one block
+    k, step = (rows // T, T) if rows >= T else (1, rows)
+    for e0 in range(0, E, k):
+        for i0 in range(0, T, step):
+            block = u[e0:e0 + k, i0:i0 + step]
+            dist.sample(block, out=block)
+            block += periods[i0:i0 + step]
 
 
 def _chunks(instance: Instance, policy: Policy, seed: int, first: int, episodes: int):
@@ -163,19 +186,30 @@ def _chunks(instance: Instance, policy: Policy, seed: int, first: int, episodes:
         plan[:, :S] = policy.probs.transpose(2, 1, 0)
         plan = plan.reshape(T * (S + 1), V)
         first_row = np.arange(0, T * (S + 1), S + 1)[:, None]
-        widths = (1, V, V, V)  # no policy draws
     else:
         plan = None
-        widths = (1, V, V, V, V)
+    fixed = isinstance(instance.dist, Deterministic)
+    # arrival, notification, response and duration draws, then the policy's;
+    # a fixed duration is not drawn, nor the policy group of a plain plan
+    widths = (1, V, V, 0 if fixed else V) + ((V,) if plan is None else ())
     bitgen = np.random.PCG64DXSM(seed)
     origin = bitgen.state
     for start in range(first, first + episodes, size):
         E = min(size, first + episodes - start)
         tape = _uniforms(bitgen, origin, start, E, T, widths)
-        # (groups - 1, T, E, V): notification, response, duration and policy draws
-        groups = tape[E * T:].reshape(len(widths) - 1, E, T, V).transpose(0, 2, 1, 3)
-        notify_u, respond_u, duration_u = groups[:3]
-        types0 = (tape[:E * T].reshape(E, T).T[:, :, None] >= cum).sum(axis=2)  # (T, E); S: no task
+        groups = []  # (E, T, n_g) views of the tape, in group order
+        lo = 0
+        for width in widths:
+            groups.append(tape[lo:lo + E * T * width].reshape(E, T, width))
+            lo += E * T * width
+        arrival_u, notify_u, respond_u = (g.transpose(1, 0, 2) for g in groups[:3])  # (T, E, n_g)
+        # ends[i]: the period until which a volunteer notified at period i + 1 is inactive
+        if fixed:
+            ends = periods[:, :, None] + float(instance.dist.d)  # (T, 1, 1)
+        else:
+            _return_periods(instance.dist, groups[3], periods)
+            ends = groups[3].transpose(1, 0, 2)
+        types0 = (arrival_u >= cum).sum(axis=2)  # (T, E); S: no task
         arrivals = np.where(types0 < S, types0 + 1, 0)
         arriving = arrivals[:, :, None] > 0
         any_arrival = arrivals.any(axis=1).tolist()
@@ -187,14 +221,12 @@ def _chunks(instance: Instance, policy: Policy, seed: int, first: int, episodes:
             state = policy.new_state()
         else:
             rows = types0 + first_row  # (T, E) rows of plan
-        # Response coins and return periods are derived `step` periods at a
-        # time, so that no array of them outgrows a piece.
+        # Response coins are derived `step` periods at a time, so that no
+        # array of them outgrows a piece.
         step = max(1, _PIECE // (E * V))
         for i0 in range(0, T, step):
             i1 = min(i0 + step, T)
             would_respond = respond_u[i0:i1] < match[types0[i0:i1]]
-            # inactive until then
-            ends = instance.dist.sample(duration_u[i0:i1]) + periods[i0:i1, :, None]
             if plan is not None:
                 np.less(notify_u[i0:i1], plan[rows[i0:i1]], out=notified[i0:i1])
             else:
@@ -204,7 +236,7 @@ def _chunks(instance: Instance, policy: Policy, seed: int, first: int, episodes:
                         state = policy.advance(state, t)
                     if not any_arrival[i]:
                         continue
-                    probs = policy.decide(state, t, arrivals[i], groups[3, i])
+                    probs = policy.decide(state, t, arrivals[i], groups[4][:, i])
                     if np.shape(probs) != (E, V):
                         raise ValidationError(
                             f"policy returned probabilities of shape {np.shape(probs)} for "
@@ -216,8 +248,8 @@ def _chunks(instance: Instance, policy: Policy, seed: int, first: int, episodes:
             # the piece's notifications; responded[i] holds period i's fresh
             # notifications until the response coins are applied to the piece.
             for t, now, went, fresh, back, arrived in zip(
-                    times[i0:i1], active[i0:i1], notified[i0:i1], responded[i0:i1], ends,
-                    any_arrival[i0:i1]):
+                    times[i0:i1], active[i0:i1], notified[i0:i1], responded[i0:i1],
+                    ends[i0:i1], any_arrival[i0:i1]):
                 np.less_equal(until, t, out=now)
                 if arrived:
                     np.logical_and(went, now, out=fresh)

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,82 @@ class TestEngineContract:
         tape = sim._uniforms(bitgen, bitgen.state, 0, E, T, (1, V, V, V))
         corr = np.corrcoef(tape[E * T:].reshape(3, n))
         assert np.all(np.abs(corr[np.triu_indices(3, 1)]) <= 4 / math.sqrt(n))
+
+    @pytest.mark.parametrize("widths", [(1, 3, 3, 3), (1, 3, 3, 3, 3),
+                                        (1, 3, 3, 0), (1, 3, 3, 0, 3)])
+    @pytest.mark.parametrize("start", [0, 7])
+    def test_uniforms_follow_the_raw_word_formula(self, monkeypatch, widths, start):
+        # Group g of episodes start .. start + E - 1 is PCG64DXSM(seed).jumped(g)
+        # advanced by start T n_g outputs, each output w read as (w >> 11) * 2**-53,
+        # written into the thread's kept buffer; a group of width 0 takes no room.
+        E, T, seed = 5, 4, 2026
+        kept = np.full(10**4, np.nan)
+        monkeypatch.setattr(sim._spare, "buffer", kept, raising=False)
+        bitgen = np.random.PCG64DXSM(seed)
+        tape = sim._uniforms(bitgen, bitgen.state, start, E, T, widths)
+        expected = []
+        for g, width in enumerate(widths):
+            words = np.random.PCG64DXSM(seed).jumped(g)
+            words.advance(start * T * width)
+            expected.append((words.random_raw(E * T * width) >> 11) * 2.0**-53)
+        assert tape.base is kept
+        assert tape.tobytes() == np.concatenate(expected).tobytes()
+
+    @pytest.mark.parametrize("dist", [Geometric(0.3), Geometric(1.0), Geometric(1e-300),
+                                      Geometric(1e-310), Deterministic(3),
+                                      Tabulated((0.1, 0.0, 0.5, 0.4)),
+                                      Tabulated((0.5, 0.4999999995, 0.0))], ids=repr)
+    def test_return_periods_in_place_are_sample_plus_period(self, monkeypatch, dist):
+        # Blocks of several episodes (piece 20: 6 periods of 3 volunteers
+        # against T = 5) and of a few periods of one episode (piece 7: 2 of
+        # them), each edge crossed; the extreme uniforms 0 and 1 - 2**-53 too.
+        # q = 1e-300 reaches durations near 1e301; below q ~ 1e-307 most overflow.
+        E, T, V = 7, 5, 3
+        u = np.random.Generator(np.random.PCG64DXSM(11)).random((E, T, V))
+        u[0, 0] = [0.0, 2.0**-53, 1.0 - 2.0**-53]
+        periods = np.arange(1.0, T + 1.0)[:, None]
+        with np.errstate(over="ignore"):
+            expected = dist.sample(u) + periods
+        blocks = []
+
+        class Recorded:  # the law, noting the size of each contiguous block it rewrites
+            def sample(self, block, out):
+                assert out is block and block.flags.c_contiguous
+                blocks.append(block.size)
+                return dist.sample(block, out=out)
+
+        for piece in (1, 7, 20, sim._PIECE):
+            monkeypatch.setattr(sim, "_PIECE", piece)
+            ends = u.copy()
+            blocks.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sim._return_periods(Recorded(), ends, periods)
+            assert ends.tobytes() == expected.tobytes(), piece
+            assert sum(blocks) == u.size and max(blocks) <= max(piece, V), piece
+        if dist == Geometric(1e-300):
+            assert np.isfinite(expected).all() and expected.max() > 1e300
+        if dist == Geometric(1e-310):
+            assert np.isinf(expected).any() and np.isfinite(expected).any()
+
+    def test_fixed_durations_are_not_drawn(self, monkeypatch):
+        # Group 3 of a Deterministic law has width 0 on both engine paths;
+        # every other group keeps its width.
+        drawn = []
+        draw = sim._uniforms
+
+        def uniforms(bitgen, origin, start, E, T, widths):
+            drawn.append(widths)
+            return draw(bitgen, origin, start, E, T, widths)
+
+        monkeypatch.setattr(sim, "_uniforms", uniforms)
+        for dist, width in ((Deterministic(2), 0), (Geometric(0.3), 3), (Tabulated((0.5, 0.5)), 3)):
+            inst = Instance(arrival_rates=np.full((6, 2), 0.4), match_probs=np.full((3, 2), 0.5),
+                            dist=dist)
+            simulate(inst, make_policy("all", inst), 10, 1)
+            simulate(inst, make_policy("best:2", inst), 10, 1)
+            assert drawn == [(1, 3, 3, width), (1, 3, 3, width, 3)], dist
+            drawn.clear()
 
     def test_both_engine_paths_see_common_random_numbers(self, monkeypatch):
         # A plain all-ones plan never draws the policy group; best:V at
