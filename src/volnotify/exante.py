@@ -187,6 +187,19 @@ class _Lp:
         self._equal = rows.lower == rows.upper
 
     def solve(self, objective) -> tuple[np.ndarray, float]:
+        return self.start(objective)()
+
+    def start(self, objective, pool: ThreadPoolExecutor | None = None):
+        """Begin solve(objective); returns the function that ends it and returns what solve returns.
+
+        Everything but HiGHS run() happens on the calling thread: the checks
+        and the load here, the result's checks in the returned function.
+        run() goes to pool when one is given, so the caller may work until
+        it ends the solve, which waits for the run; otherwise it runs here.
+        The solver is taken from the thread (_kept) and kept again once the
+        result passes every check, unless the thread has made another solver
+        in the meantime. Without scipy's HiGHS binding, linprog solves here.
+        """
         # Every check comes before the solver is touched: the binding crashes
         # on a model run without costs.
         cost = -np.asarray(objective, dtype=float).reshape(-1)
@@ -201,16 +214,24 @@ class _Lp:
                 raise LpInfeasibleError(f"infeasible linear program: {res.message}")
             if res.status != 0 or res.x is None:
                 raise LpError(f"linear program failed: {res.message}")
-            return np.asarray(res.x), float(-res.fun)
+            out = np.asarray(res.x), float(-res.fun)
+            return lambda: out
         solver, warm = _kept.solver, _kept.program is self
         _kept.solver = _kept.program = None  # kept again only once the solve passes every check
         if warm:
             solver.changeColsCost(self._cols.size, self._cols, cost)
         else:
             solver = _load(solver or _solver(), self._rows, cost)
-        out = _result(solver, solver.run(), self._rows.upper, self._equal)
-        _kept.solver, _kept.program = solver, self
-        return out
+        run = pool.submit(solver.run) if pool is not None else None
+        status = solver.run() if run is None else None
+
+        def finish() -> tuple[np.ndarray, float]:
+            out = _result(solver, status if run is None else run.result(), self._rows.upper, self._equal)
+            if _kept.solver is None:
+                _kept.solver, _kept.program = solver, self
+            return out
+
+        return finish
 
 
 def _solver():
@@ -476,15 +497,18 @@ _MAX_WORKERS = 3
 
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
-    """The process's pool for rolling windows (_Benchmark._window), made on first use.
+    """The process's pool for rolling windows (_Benchmark._window) and select_ex_ante's LP run, made on first use.
 
     run() releases the interpreter lock, so the windows of a batch overlap
-    each other's HiGHS runs and model building. The calling thread only
-    waits, so the pool has one thread per CPU the process may use, at most
-    _MAX_WORKERS; each thread keeps one HiGHS solver (_kept), its own HiGHS
-    scheduler and malloc arena, about 1 MB, plus the work arrays of the
-    largest window its solver solved. Two threads that make the pool at
-    once may make one each; the one not kept ends with its windows.
+    each other's HiGHS runs and model building, and the LP candidate's run
+    overlaps the AA and SQ candidates on the calling thread. While windows
+    solve the calling thread only waits, so the pool has one thread per CPU
+    the process may use, at most _MAX_WORKERS; each thread keeps one HiGHS
+    solver (_kept), its own HiGHS scheduler and malloc arena, about 1 MB,
+    plus the work arrays of the largest window its solver solved. The LP
+    candidate's run uses the calling thread's solver, so no pool thread
+    keeps it. Two threads that make the pool at once may make one each;
+    the one not kept ends with its work.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return ThreadPoolExecutor(min(cpus, _MAX_WORKERS), thread_name_prefix="volnotify-highs")
@@ -586,20 +610,28 @@ class ExAnteSolution:
 def select_ex_ante(instance: Instance, m: int = DEFAULT_STEP_COUNT) -> ExAnteSolution:
     """Evaluate all three candidates on the true objective and keep the best.
 
-    Ties break in the order LP, AA, SQ.
+    Ties break in the order LP, AA, SQ. The LP candidate is benchmark_lp's
+    solve, bit for bit, but only its HiGHS run() goes to a thread of
+    _pool(), on the calling thread's kept solver (_Lp.start), while the
+    calling thread computes AA and SQ on a solver it keeps afterwards. A
+    failure surfaces in the order LP, AA, SQ, once the run has ended.
+    Without scipy's HiGHS binding, the three are solved in turn.
     """
     if m < 1:
         raise ValidationError(f"step count must be >= 1, got {m}")
-    bench = benchmark_lp(instance)
-    candidates = [
-        ("LP", bench.x_lp),
-        ("AA", frank_wolfe_aa(instance, m)),
-        ("SQ", sequential_sq(instance)),
-    ]
+    lp, finish = _Benchmark(instance), None
+    if lp.ts.size:  # else no LP, as in benchmark_lp
+        c, rows = lp.model(instance.match_probs)
+        finish = _Lp(rows).start(c, _pool())
+    try:
+        aa, sq = frank_wolfe_aa(instance, m), sequential_sq(instance)
+    finally:  # the run ends first, and an LP failure replaces AA's or SQ's
+        sol, lp_value = finish() if finish else (None, 0.0)
+    candidates = [("LP", FractionalSolution(lp.tensor(sol, instance.V))), ("AA", aa), ("SQ", sq)]
     values = [evaluate_f(instance, sol) for _, sol in candidates]
     best = values.index(max(values))  # the first of equal values
     return ExAnteSolution(solution=candidates[best][1], tag=candidates[best][0],
-                          f_value=values[best], lp_value=bench.lp_value)
+                          f_value=values[best], lp_value=lp_value)
 
 
 def solution_to_triples(solution: FractionalSolution) -> list[dict]:

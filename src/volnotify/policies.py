@@ -462,8 +462,12 @@ def parse_policy_spec(text: str) -> tuple[str, dict]:
 
 
 def default_rolling_horizon(instance: Instance) -> int:
-    """Mean inactivity duration rounded to the nearest integer, at least 1."""
-    return max(1, int(instance.dist.mean() + 0.5))
+    """Mean inactivity duration rounded to the nearest integer, at least 1 and at most T.
+
+    A window already stops at T, so the cap changes no window; it keeps an
+    infinite geometric mean (q below about 5.6e-309) from the rounding.
+    """
+    return max(1, int(min(instance.dist.mean(), instance.T) + 0.5))
 
 
 def make_policy(text: str, instance: Instance, x_star: FractionalSolution | None = None,

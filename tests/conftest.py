@@ -51,6 +51,18 @@ def fuzz_draws(count: int) -> list[Instance]:
     return [random_instance(rng, max_v=8, max_s=4, max_t=30) for _ in range(count)]
 
 
+class RecordingPool:
+    """Stands in for exante's pool (exante._pool): submits to pool and keeps every callable and future."""
+
+    def __init__(self, pool):
+        self.pool, self.calls, self.futures = pool, [], []
+
+    def submit(self, fn, *args):
+        self.calls.append(fn)
+        self.futures.append(self.pool.submit(fn, *args))
+        return self.futures[-1]
+
+
 def random_tensor(rng: random.Random, instance: Instance) -> np.ndarray:
     shape = (instance.V, instance.S, instance.T)
     return np.array([rng.random() for _ in range(int(np.prod(shape)))]).reshape(shape)

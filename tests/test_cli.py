@@ -474,18 +474,18 @@ class TestMain:
             assert "error:" in capsys.readouterr().err
 
     def test_one_benchmark_solve_per_command(self, tmp_path, monkeypatch):
-        import volnotify.cli as cli
         import volnotify.exante as exante
 
         calls = []
 
-        def counted(instance):
-            calls.append(instance)
-            return real(instance)
+        def counted(lp, match_probs):
+            calls.append(match_probs)
+            return real(lp, match_probs)
 
-        real = exante.benchmark_lp
-        monkeypatch.setattr(exante, "benchmark_lp", counted)  # read by select_ex_ante
-        monkeypatch.setattr(cli, "benchmark_lp", counted)
+        # Each benchmark solve, benchmark_lp's or select_ex_ante's LP candidate,
+        # builds the model once.
+        real = exante._Benchmark.model
+        monkeypatch.setattr(exante._Benchmark, "model", counted)
         sim = ["simulate", "I4:q=0.2,eps=1e-3", "--episodes", "20", "--seed", "1", "--m", "3"]
         out = ["--out", str(tmp_path / "s.csv")]
         # a bad spec or theta fails before anything is solved

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import scipy.sparse
 from scipy.sparse import coo_array, csc_array
 
 import volnotify
-from conftest import VARIANTS, feasible_tensor, fuzz_draws, random_instance
+from conftest import VARIANTS, RecordingPool, feasible_tensor, fuzz_draws, random_instance
 from volnotify.bounds import make_instance, parse_canonical_spec, verify_dual_certificate
 from volnotify.core import (
     Deterministic,
@@ -759,6 +760,88 @@ class TestSelect:
             assert res.lp_value == lp  # the LP candidate's own solve, not a second one
             assert res.f_value >= (1.0 - 1.0 / math.e) * lp - 1e-6
             assert check_feasible(inst, res.solution) == []
+
+
+def _in_turn(inst, m):
+    """select_ex_ante's candidates computed one after another and picked as it picks: the reference."""
+    bench = benchmark_lp(inst)
+    candidates = [("LP", bench.x_lp), ("AA", frank_wolfe_aa(inst, m)), ("SQ", sequential_sq(inst))]
+    values = [evaluate_f(inst, sol) for _, sol in candidates]
+    best = values.index(max(values))
+    return (candidates[best][0], np.float64(values[best]).tobytes(), np.float64(bench.lp_value).tobytes(),
+            candidates[best][1].x.tobytes())
+
+
+def _select_bits(selected):
+    return (selected.tag, np.float64(selected.f_value).tobytes(), np.float64(selected.lp_value).tobytes(),
+            selected.solution.x.tobytes())
+
+
+class TestSelectOverlapsTheLpRun:
+    # select_ex_ante sends only the LP candidate's HiGHS run() to the pool
+    # and computes AA and SQ meanwhile; nothing of the result may change.
+    LADDER = [f"I{k}:n={n}" for k in (2, 3) for n in (4, 10)]
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        return fuzz_draws(200) + [make_instance(parse_canonical_spec(spec)) for spec in self.LADDER]
+
+    @pytest.mark.skipif(exante._highs is None, reason="scipy has no HiGHS binding")
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_equals_the_candidates_in_turn_bitwise(self, instances, workers, monkeypatch):
+        with ThreadPoolExecutor(workers) as executor:
+            pool = RecordingPool(executor)
+            monkeypatch.setattr(exante, "_pool", lambda: pool)
+            for inst in instances:
+                pool.calls.clear()
+                assert _select_bits(select_ex_ante(inst, 5)) == _in_turn(inst, 5)
+                # one run() on the pool for a program with slots, none for one without
+                assert len(pool.calls) == bool(_slots(inst)[0].size)
+                assert all(fn.__name__ == "run" for fn in pool.calls)
+
+    def test_without_highs_equals_the_candidates_in_turn_bitwise(self, instances, monkeypatch):
+        monkeypatch.setattr(exante, "_highs", None)
+        with ThreadPoolExecutor(1) as executor:
+            pool = RecordingPool(executor)
+            monkeypatch.setattr(exante, "_pool", lambda: pool)
+            for inst in instances:  # one step: each linprog call costs about 2.5 ms
+                assert _select_bits(select_ex_ante(inst, 1)) == _in_turn(inst, 1)
+        assert pool.calls == []  # linprog solves on the calling thread
+
+    @pytest.mark.skipif(exante._highs is None, reason="scipy has no HiGHS binding")
+    def test_lp_failure_surfaces_first_and_its_solver_is_dropped(self, monkeypatch):
+        inst = make_instance(parse_canonical_spec("I3:n=4"))
+        reference = _in_turn(inst, 5)
+        made, new_solver = [], exante._solver
+
+        def failing(solver, *args):
+            # the LP's check comes last, after AA's first check has failed
+            if solver is pool.calls[-1].__self__:
+                raise LpError("linear program failed: injected LP")
+            raise LpError("linear program failed: injected AA")
+
+        def counted():
+            made.append(new_solver())
+            return made[-1]
+
+        with ThreadPoolExecutor(1) as executor:
+            pool = RecordingPool(executor)
+            monkeypatch.setattr(exante, "_pool", lambda: pool)
+            kept = exante._kept.solver
+            with monkeypatch.context() as m:
+                m.setattr(exante, "_result", failing)
+                with pytest.raises(LpError, match="injected LP") as raised:
+                    select_ex_ante(inst, 5)
+                assert "injected AA" in str(raised.value.__context__)
+                assert len(pool.futures) == 1 and pool.futures[0].done()
+            assert pool.calls[0].__self__ is kept  # the LP ran on the thread's kept solver
+            assert exante._kept.solver is None  # neither failed solver is kept
+            monkeypatch.setattr(exante, "_solver", counted)
+            assert _select_bits(select_ex_ante(inst, 5)) == reference
+            lp_solver = pool.calls[-1].__self__
+        # the AA and SQ chains made one solver and kept it; the LP's is dropped
+        assert len(made) == 2 and made[0] is lp_solver
+        assert exante._kept.solver is made[1] and exante._kept.solver is not lp_solver
 
 
 class TestExport:

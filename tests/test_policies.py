@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import feasible_tensor, fuzz_draws, random_instance, slack_solutions
+from conftest import RecordingPool, feasible_tensor, fuzz_draws, random_instance, slack_solutions
 from volnotify.bounds import make_instance, parse_canonical_spec
 from volnotify.core import (
     Deterministic,
@@ -717,18 +717,6 @@ class TestFilterDecisions:
         assert simulate(inst, shipped, episodes, 17) == simulate(inst, reference, episodes, 17)
 
 
-class RecordingPool:
-    """Stands in for exante's window pool: submits to pool and keeps every callable and future."""
-
-    def __init__(self, pool):
-        self.pool, self.calls, self.futures = pool, [], []
-
-    def submit(self, fn, *args):
-        self.calls.append(fn)
-        self.futures.append(self.pool.submit(fn, *args))
-        return self.futures[-1]
-
-
 def os_threads():
     """The process's thread count, where the system shows it."""
     try:
@@ -930,12 +918,27 @@ class TestPolicyFactory:
         assert parse_policy_spec("upto:1") == ("upto", {"rho": 1.0})
 
     def test_default_rolling_horizon_is_mean_duration(self):
-        inst = Instance(arrival_rates=np.zeros((3, 1)), match_probs=np.full((1, 1), 0.5),
-                        dist=Deterministic(7))
-        assert default_rolling_horizon(inst) == 7
-        geo = Instance(arrival_rates=np.zeros((3, 1)), match_probs=np.full((1, 1), 0.5),
-                       dist=Geometric(1.0 / 7.0))
-        assert default_rolling_horizon(geo) == 7
+        # the mean duration, 7, up to T; a window stops at T, so T caps it
+        for T, horizon in ((10, 7), (3, 3)):
+            inst = Instance(arrival_rates=np.zeros((T, 1)), match_probs=np.full((1, 1), 0.5),
+                            dist=Deterministic(7))
+            assert default_rolling_horizon(inst) == horizon
+            geo = Instance(arrival_rates=np.zeros((T, 1)), match_probs=np.full((1, 1), 0.5),
+                           dist=Geometric(1.0 / 7.0))
+            assert default_rolling_horizon(geo) == horizon
+
+    def test_default_rolling_horizon_of_an_overflowing_mean(self):
+        # 1 / q overflows to inf below q of about 5.6e-309; the horizon caps at T,
+        # where every window already stops, so the run is rolling:T's.
+        arrivals = np.array([[0.3 + 0.02 * (t % 5), 0.2] for t in range(20)])
+        p = np.array([[0.5, 0.2], [0.3, 0.7], [0.6, 0.6], [0.4, 0.1]])
+        for q in (1e-300, 1e-310):
+            inst = Instance(arrival_rates=arrivals, match_probs=p, dist=Geometric(q))
+            policy = make_policy("rolling", inst)
+            assert policy.horizon == inst.T == 20
+            stats, capped = simulate(inst, policy, 300, 1), simulate(inst, make_policy("rolling:20", inst), 300, 1)
+            assert stats == capped
+            assert np.array(stats.attribution).tobytes() == np.array(capped.attribution).tobytes()
 
     def test_make_policy_kinds(self):
         inst = make_i4()
