@@ -6,7 +6,9 @@ why directly following an ex-ante solution fails), two homogeneous many-
 volunteer instances behind the hardness curve, and two small instances that
 separate the three ex-ante candidates. The kappa curve caps the competitive
 ratio of every online policy as a function of the minimum discrete hazard
-rate; the dual certificate verifies the per-volunteer value-to-go floor.
+rate. The dual certificate of the per-volunteer value-to-go floor is read
+off SDN's activity pass in policies: alpha = beta - mu, feasible where SDN's
+own floor check passes.
 """
 
 from __future__ import annotations
@@ -16,15 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import policies
 from .core import (
-    FEASIBILITY_TOL,
     Deterministic,
     FractionalSolution,
     Geometric,
     Instance,
     ValidationError,
     check_feasible,  # unread here, but bench/spans.py wraps this module's binding
-    _feasibility,
 )
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "kappa",
     "sn_guarantee",
     "kappa_grid",
-    "DualCertificate",
     "verify_dual_certificate",
 ]
 
@@ -208,36 +208,16 @@ def kappa_grid(step: float = 0.05) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualCertificate:
-    """Certificate for the per-volunteer value-to-go floor.
-
-    mu = 1/(2-q); gamma is constant at mu; alpha = beta - mu, beta being the
-    volunteer's row of SDN's activity (sdn_offline). Feasibility means every
-    alpha entry is at least -(1 - mu) FEASIBILITY_TOL (within 1e-9), which
-    is SDN's floor and holds for any solution check_feasible accepts.
-    """
-
-    mu: float
-    gamma: np.ndarray
-    alpha: np.ndarray
-
-    @property
-    def feasible(self) -> bool:
-        return bool(np.all(self.alpha >= -(1.0 - self.mu) * FEASIBILITY_TOL - 1e-9))
-
-
 def verify_dual_certificate(instance: Instance, solution: FractionalSolution,
-                            v: int) -> tuple[DualCertificate, bool]:
-    """Construct the dual certificate for volunteer v (1-based) and report feasibility."""
-    report, weights, load = _feasibility(instance, solution)
-    if report:
-        raise ValidationError(
-            f"solution must be feasible to certify ({len(report)} violations)")
+                            v: int) -> tuple[np.ndarray, bool]:
+    """Volunteer v's (1-based) dual certificate alpha and whether it is feasible.
+
+    alpha = beta - mu, beta being v's row of SDN's activity (sdn_offline) and
+    mu = 1/(2-q); the dual's gamma is constant at mu. The certificate is
+    feasible exactly when v's row passes SDN's floor, which every solution
+    check_feasible accepts does: alpha may sit (1 - mu) FEASIBILITY_TOL below 0.
+    """
     if not 1 <= v <= instance.V:
         raise ValidationError(f"volunteer index {v} out of range 1..{instance.V}")
-    mu = 1.0 / (2.0 - instance.dist.mdhr())
-    # every volunteer's row, as sdn_offline computes it: a one-row product rounds differently
-    alpha = (1.0 - mu * (load - weights))[v - 1] - mu
-    cert = DualCertificate(mu=mu, gamma=np.full(instance.T, mu), alpha=alpha)
-    return cert, cert.feasible
+    _, _, mu, beta, low = policies._activity(instance, solution)
+    return beta[v - 1] - mu, not low[v - 1].any()

@@ -7,6 +7,7 @@ Commands
     compare <config>                               per-policy batch CSV + JSON summary
     bounds [--grid STEP]                           hazard-rate bound curve (CSV)
     perturb <config> --target p|lambda --width W --replicates R   robustness CSV
+    export <instance>                              the instance as JSON
 
 Instances are JSON files or canonical specs like "I4:q=0.1,eps=1e-3". Exit
 codes: 0 success, 1 validation error, 2 solver or capacity error. Tabular
@@ -31,7 +32,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .bounds import kappa_grid, make_instance, parse_canonical_spec
+from .bounds import PARAMS, kappa_grid, make_instance, parse_canonical_spec
 from .core import (
     Instance,
     ValidationError,
@@ -165,8 +166,10 @@ class ExperimentConfig:
         if missing:
             raise ValidationError(f"config missing fields: {missing}")
         values = {**defaults, **doc}
+        if not isinstance(values["policies"], list):
+            raise ValidationError(f"config policies must be a JSON list of policy specs, "
+                                  f"got {values['policies']!r}")
         try:
-            values["policies"] = tuple(values["policies"])
             values["theta"] = json_real(values["theta"], "theta")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed config field: {exc}") from None
@@ -207,8 +210,10 @@ def load_instance(source: str) -> tuple[Instance, str]:
             inst = instance_from_json(fh.read())
         stem = os.path.splitext(os.path.basename(source))[0]
         return inst, stem
-    spec = parse_canonical_spec(source)
-    return make_instance(spec), source.strip()
+    if source.strip().partition(":")[0].upper() not in PARAMS:
+        raise ValidationError(f"no instance file {source!r}, and not a canonical instance "
+                              f"({', '.join(PARAMS)})")
+    return make_instance(parse_canonical_spec(source)), source.strip()
 
 
 def perturb_instance(instance: Instance, spec: PerturbationSpec, replicate: int) -> Instance:

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 FEASIBILITY_TOL = 1e-7  # absolute slack granted to solver output
+EXHAUSTED_SF = 1e-12  # survival at or below this counts as exhausted: the rest of the mass is back
 
 __all__ = [
     "ValidationError",
@@ -179,7 +180,7 @@ class Tabulated(InterActivityDistribution):
         # mdhr scales the SDN plan.
         best, surv = 1.0, 1.0
         for p in self.probs:
-            if surv > 1e-12:
+            if surv > EXHAUSTED_SF:
                 best = min(best, p / surv)
             surv -= p
         return max(best, 0.0)
@@ -208,13 +209,13 @@ class DurationTable(NamedTuple):
 def duration_table(dist: InterActivityDistribution, n: int) -> DurationTable:
     """The pmf, survival (1 - cdf) and hazard of dist._masses(n) for durations 0..n, built once per (dist, n).
 
-    Survival at or below 1e-12 counts as exhausted: the hazard is 1 for a
-    duration whose own or prior survival is exhausted (this also settles the
-    0/0 case) and min(pmf[e] / sf[e-1], 1) otherwise.
+    Survival at or below EXHAUSTED_SF counts as exhausted: the hazard is 1
+    for a duration whose own or prior survival is exhausted (this also
+    settles the 0/0 case) and min(pmf[e] / sf[e-1], 1) otherwise.
     """
     pmf, cdf = dist._masses(n)
     pmf, sf = np.array([0.0] + pmf), 1.0 - np.array([0.0] + cdf)
-    exhausted = sf <= 1e-12
+    exhausted = sf <= EXHAUSTED_SF
     hazard = np.zeros(n + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         hazard[1:] = np.where(exhausted[1:] | exhausted[:-1], 1.0,
@@ -222,6 +223,13 @@ def duration_table(dist: InterActivityDistribution, n: int) -> DurationTable:
     for arr in (pmf, sf, hazard):
         arr.setflags(write=False)
     return DurationTable(pmf, sf, hazard)
+
+
+def exhausted_age(table: DurationTable) -> int:
+    """The first age of table whose survival is exhausted, where every remaining mass returns;
+    len(table.sf) when none is."""
+    exhausted = np.flatnonzero(table.sf <= EXHAUSTED_SF)
+    return int(exhausted[0]) if exhausted.size else len(table.sf)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .core import (
     ValidationError,
     check_feasible,  # unread here, but bench/spans.py wraps this module's binding
     duration_table,
+    exhausted_age,
     _feasibility,
 )
 from . import exante
@@ -48,13 +49,18 @@ __all__ = [
 ]
 
 
-def _require_feasible(instance: Instance, x_star: FractionalSolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x_star's tensor and its notification_load (w, load), once check_feasible would report nothing."""
+def _activity(instance: Instance, x_star: FractionalSolution) -> tuple[np.ndarray, float, float, np.ndarray, np.ndarray]:
+    """SDN's activity, once check_feasible would report nothing: x_star's tensor, q = mdhr,
+    mu = 1/(2 - q), beta = 1 - mu (load - w) ((w, load) being notification_load) and the
+    (V, T) mask of the entries below beta's floor mu - (1 - mu) FEASIBILITY_TOL - 1e-9."""
     report, weights, load = _feasibility(instance, x_star)
     if report:
         raise ValidationError(
             f"ex-ante solution is infeasible ({len(report)} violations; first: {report[0]})")
-    return x_star.x, weights, load
+    q = instance.dist.mdhr()
+    mu = 1.0 / (2.0 - q)
+    beta = 1.0 - mu * (load - weights)
+    return x_star.x, q, mu, beta, beta < mu - (1.0 - mu) * FEASIBILITY_TOL - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +92,7 @@ def sn_offline(instance: Instance, x_star: FractionalSolution) -> SNPlan:
     past the horizon earn nothing, and periods without an arrival contribute
     the no-arrival mass times the next period's value.
     """
-    x = _require_feasible(instance, x_star)[0]
+    x = _activity(instance, x_star)[0]
     V, S, T = instance.V, instance.S, instance.T
     lam = instance.arrival_rates
     lam0 = instance.no_arrival_rates()
@@ -140,15 +146,11 @@ def sdn_offline(instance: Instance, x_star: FractionalSolution) -> SDNPlan:
     load - w <= (1 - q)(1 + tol), tol being FEASIBILITY_TOL, so beta >= mu - (1 - mu) tol
     and x / ((2 - q) beta) <= (1 + tol) / (1 - (1 - q) tol); a violation of
     either beyond 1e-9 is an error. beta - mu is the dual certificate's alpha
-    (bounds); the probabilities are clipped to [0, 1].
+    (bounds.verify_dual_certificate); the probabilities are clipped to [0, 1].
     """
-    x, weights, load = _require_feasible(instance, x_star)
-    q = instance.dist.mdhr()
-    mu = 1.0 / (2.0 - q)
-    beta = 1.0 - mu * (load - weights)
-    floor = mu - (1.0 - mu) * FEASIBILITY_TOL - 1e-9
-    if np.any(beta < floor):
-        v, t = np.argwhere(beta < floor)[0]
+    x, q, mu, beta, low = _activity(instance, x_star)
+    if low.any():
+        v, t = np.argwhere(low)[0]
         raise ValidationError(
             f"activity probability beta[{v + 1}, {t + 1}] = {beta[v, t]:.12g} "
             f"fell below 1/(2-q) = {mu:.12g}")
@@ -189,14 +191,12 @@ class BeliefState:
     @classmethod
     def all_active(cls, instance: Instance) -> "BeliefState":
         """Before any notification. A finite law keeps the span between its youngest and oldest ages
-        of positive hazard, up to the first whose survival is at or below 1e-12, where the hazard is
-        1 and every mass is back."""
+        of positive hazard, up to its exhausted_age, where the hazard is 1 and every mass is back."""
         dist, V, T = instance.dist, instance.V, instance.T
         if isinstance(dist, Geometric):
             return cls(np.ones((1, V)), np.zeros((1, V, 1)), None, dist.q)
         table = duration_table(dist, T)
-        exhausted = np.flatnonzero(table.sf <= 1e-12)
-        kept = np.flatnonzero(table.hazard[:exhausted[0] + 1 if exhausted.size else None])
+        kept = np.flatnonzero(table.hazard[:exhausted_age(table) + 1])
         ages = range(kept[-1], kept[0] - 1, -1) if kept.size else range(0)
         return cls(np.ones((1, V)), np.zeros((1, V, T)), ages, table.hazard[ages])
 

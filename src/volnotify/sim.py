@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Deterministic, Instance, ValidationError, duration_table
+from .core import Deterministic, Instance, ValidationError, duration_table, exhausted_age
 from .policies import Policy, StaticPlanPolicy
 
 __all__ = [
@@ -362,9 +362,9 @@ def brute_force_optimal_online(instance: Instance, max_states: int = 10**6) -> f
     finite-support duration distributions are supported, and the joint state
     count tau_max^V must stay within max_states.
 
-    Durations run to tau_max, the first age whose survival is at or below
-    1e-12 (as in the belief filter). Masses that sum to just under 1 leave
-    survival past the support, and it returns at tau_max.
+    Durations run to tau_max, the law's exhausted_age (as in the belief
+    filter). Masses that sum to just under 1 leave survival past the
+    support, and it returns at tau_max.
     """
     dist, V, S, T = instance.dist, instance.V, instance.S, instance.T
     if dist.support_max is None:
@@ -373,8 +373,7 @@ def brute_force_optimal_online(instance: Instance, max_states: int = 10**6) -> f
     # the cap admits none past its V-th root, so no longer table is read
     longest = int(dist.sample(np.array([np.nextafter(1.0, 0.0)]))[0])
     table = duration_table(dist, min(longest, int(max_states ** (1.0 / V)) + 1))
-    exhausted = np.flatnonzero(table.sf <= 1e-12)
-    tau_max = int(exhausted[0]) if exhausted.size else len(table.sf)
+    tau_max = exhausted_age(table)
     nstates = tau_max ** V
     if nstates > max_states:
         raise CapacityError(f"at least {nstates} joint states exceed the cap of {max_states}")

@@ -136,6 +136,14 @@ class TestConfig:
             with pytest.raises(ValidationError):
                 ExperimentConfig.from_json(text)
 
+    @pytest.mark.parametrize("policies", ['"sn"', '"best:2"', '{"sn": 1}', "null"])
+    def test_policies_must_be_a_json_list(self, policies):
+        # a string once became its characters ("sn" the specs "s" and "n"), and
+        # an object its keys
+        text = f'{{"instance": "I6", "policies": {policies}, "episodes": 5, "seed": 1}}'
+        with pytest.raises(ValidationError, match="config policies must be a JSON list"):
+            ExperimentConfig.from_json(text)
+
 
 class TestInstanceLoading:
     def test_canonical(self):
@@ -154,6 +162,14 @@ class TestInstanceLoading:
     def test_unknown(self):
         with pytest.raises(ValidationError):
             load_instance("I9:n=2")
+
+    def test_missing_file_is_named(self, tmp_path, capsys):
+        # neither a file nor a canonical kind: the error says both, not that
+        # the upper-cased path is an unknown canonical instance
+        missing = str(tmp_path / "missing.json")
+        assert main(["bench", missing]) == 1
+        err = capsys.readouterr().err
+        assert "no instance file" in err and "missing.json" in err and "MISSING" not in err
 
 
 class TestPerturbation:

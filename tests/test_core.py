@@ -247,6 +247,64 @@ class TestDurationTable:
         assert hazard[4:].tolist() == [1.0, 1.0, 1.0]
 
 
+def _one_volunteer(inst, dist=None):
+    return Instance(arrival_rates=inst.arrival_rates, match_probs=inst.match_probs[:1],
+                    dist=dist or inst.dist)
+
+
+class TestExhaustion:
+    """The belief filter and the exact oracle both stop at a law's first exhausted age.
+
+    Pinned at the bits they had while each searched duration_table's survival
+    for that age itself: the filter's kept ages and hazard, and the oracle's
+    value on a one-volunteer instance.
+    """
+
+    QUIET = Instance(arrival_rates=np.full((6, 1), 0.7), match_probs=np.array([[0.9]]),
+                     dist=Deterministic(1))
+    LAWS = [
+        # sums to just under 1 and ends in a zero: the residual returns at age 3
+        (Tabulated((0.5, 0.4999999995, 0.0)), [3, 2, 1], [1.0, 0.999999999, 0.5], "0x1.75dba2b624ec2p+1"),
+        (Tabulated((0.1, 0.0, 0.5, 0.4)), [4, 3, 2, 1], [1.0, 0.5555555555555556, 0.0, 0.1],
+         "0x1.c7524e1000523p+0"),
+        (Deterministic(1), [1], [1.0], "0x1.e3d70a3d70a3cp+1"),
+        (Deterministic(2), [2], [1.0], "0x1.2dd893aa6c4fbp+1"),
+        (Deterministic(3), [3], [1.0], "0x1.b958f99659734p+0"),
+        (Deterministic(4), [4], [1.0], "0x1.9add9a7a6a297p+0"),
+    ]
+    # sha256 over each finite law of fuzz draws 1-200 (126 of them), in draw
+    # order: the kept ages as int64, the kept hazard, the oracle's value
+    FUZZ_SHA256 = "e7857e854a41dc0d46e829758bd1e7439ccc0fec51cc14912a49e19f68f2c36f"
+
+    @pytest.mark.parametrize("dist, ages, hazard, optimum", LAWS, ids=[repr(law[0]) for law in LAWS])
+    def test_named_laws(self, dist, ages, hazard, optimum):
+        from volnotify.policies import BeliefState
+        from volnotify.sim import brute_force_optimal_online
+
+        inst = _one_volunteer(self.QUIET, dist)
+        state = BeliefState.all_active(inst)
+        assert list(state.ages) == ages
+        assert state.hazard.tolist() == hazard
+        assert brute_force_optimal_online(inst).hex() == optimum
+
+    def test_fuzz_laws(self):
+        from conftest import fuzz_draws
+        from volnotify.policies import BeliefState
+        from volnotify.sim import brute_force_optimal_online
+
+        digest, laws = hashlib.sha256(), 0
+        for inst in fuzz_draws(200):
+            if inst.dist.support_max is None:
+                continue
+            laws += 1
+            state = BeliefState.all_active(inst)
+            digest.update(np.array(list(state.ages), dtype=np.int64).tobytes())
+            digest.update(state.hazard.tobytes())
+            digest.update(np.float64(brute_force_optimal_online(_one_volunteer(inst))).tobytes())
+        assert laws == 126
+        assert digest.hexdigest() == self.FUZZ_SHA256
+
+
 class TestInstance:
     def test_row_sum_rejected(self):
         lam = np.array([[0.7, 0.4]])
