@@ -345,23 +345,31 @@ def _volunteer_rows(instance: Instance, ts: np.ndarray, ss: np.ndarray, budget: 
                 np.zeros(T), np.zeros(T))
 
 
-def _volunteer_oracle(budget: np.ndarray, rows: _Csc):
-    """costs -> the snapped maximizer of costs @ x over one volunteer's rows (_volunteer_rows) and the unit box.
+def _volunteer_oracle(budget: np.ndarray, rows: _Csc, group: int = 1):
+    """costs -> the snapped maximizers of costs[j] @ x over one volunteer's rows (_volunteer_rows) and the unit box.
 
-    The program is built once; each call only swaps the costs, so every
-    solve after the first is warm-started (_Lp), as AA and SQ solve no
-    other program in between. Costs are divided by their
-    largest magnitude first: the maximizer is the same, and HiGHS fails on
-    some cost vectors that span many magnitudes below 1.
+    The program is block diagonal: group copies of rows, copy j's columns
+    from j * n and its rows from j * m for rows of m rows and n columns, so
+    its maximizer is each block's own maximizer. It is built once; a call
+    takes the (r, K) costs of r <= group volunteers, the rest of the blocks
+    getting zero costs, and returns their (r, K) rows, snapped (_snap).
+    Each call only swaps the costs, so every solve after the first is
+    warm-started (_Lp) from the previous call's basis, block by block, as
+    AA and SQ solve no other program in between. Each volunteer's costs are
+    divided by their largest magnitude first: its maximizer is the same,
+    and HiGHS fails on some cost vectors that span many magnitudes below 1.
     """
-    K = budget.shape[1]
-    pad = np.zeros(rows.start.size - 1 - K)  # the load columns' costs
-    lp = _Lp(rows)
+    K, n = budget.shape[1], rows.start.size - 1
+    copy = np.arange(group)[:, None]
+    lp = _Lp(_Csc(np.concatenate([[0], (rows.start[1:] + copy * rows.start[-1]).ravel()]),
+                  (rows.index + copy * rows.lower.size).ravel(), np.tile(rows.value, group),
+                  np.tile(rows.lower, group), np.tile(rows.upper, group)))
 
     def oracle(costs):
-        peak = np.abs(costs).max()
-        scaled = costs / peak if peak > 0.0 else costs
-        return _snap(lp.solve(np.concatenate([scaled, pad]))[0][None, :K], budget)[0]
+        peak = np.abs(costs).max(axis=1, keepdims=True)
+        objective = np.zeros((group, n))  # the load columns' and the spare blocks' costs stay 0
+        objective[:len(costs), :K] = costs / np.where(peak > 0.0, peak, 1.0)
+        return _snap(lp.solve(objective.ravel())[0].reshape(group, n)[:len(costs), :K], budget)
 
     return oracle
 
@@ -546,24 +554,47 @@ def objective_gradient(instance: Instance, x: np.ndarray) -> np.ndarray:
     return instance.arrival_rates.T[None, :, :] * instance.match_probs[:, :, None] * prefix * suffix
 
 
+# Nonzeros of AA's oracle program at most, where one volunteer's rows have
+# fewer: the program then holds as many volunteers as fit, up to all V. A
+# Frank-Wolfe step is one HiGHS run per group of volunteers, and on small
+# programs a run is mostly fixed cost: a warm run of one volunteer's program
+# took about 95 us on a 2-core host, for about 3 simplex iterations, on the
+# benchmark's fuzz draws at m = 5. Without the cap, the program of all 40 volunteers of
+# I3:n=40 raised AA's peak RSS from 99 to 400 MB at m = 20. At 2**12 the
+# programs of those fuzz draws and of V=10, S=5, T=50 hold every volunteer,
+# and those of I2:n=40 and I3:n=40 one each.
+_ORACLE_NNZ = 2**12
+
+
+def _step_count(m) -> int:
+    """m as the int step count of a conditional-gradient run; ValidationError unless it is an integer >= 1."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValidationError(f"step count must be an integer >= 1, got {m!r}")
+    return int(m)
+
+
 def frank_wolfe_aa(instance: Instance, m: int = DEFAULT_STEP_COUNT) -> FractionalSolution:
     """Conditional-gradient ascent with fixed step 1/m on the true objective.
 
     Starts from zero and adds one m-th of a feasible-set vertex per step, so
     the result is an average of feasible points and itself feasible. The
     budgets couple slots only within a volunteer, so the linear oracle over
-    the joint feasible set splits exactly into one program per volunteer.
+    the joint feasible set is a block-diagonal program, one block per
+    volunteer. A step solves it a group of volunteers at a time, on one
+    program of as many blocks as fit in _ORACLE_NNZ nonzeros; the last
+    group's spare blocks get zero costs.
     """
-    if m < 1:
-        raise ValidationError(f"step count must be >= 1, got {m}")
+    m = _step_count(m)
     ts, ss, budget = _slots(instance)
     x = np.zeros((instance.V, instance.S, instance.T))
     if ts.size == 0:
         return FractionalSolution(x)
-    oracle = _volunteer_oracle(budget, _volunteer_rows(instance, ts, ss, budget))
+    rows = _volunteer_rows(instance, ts, ss, budget)
+    group = min(instance.V, max(1, _ORACLE_NNZ // int(rows.start[-1])))
+    oracle = _volunteer_oracle(budget, rows, group)
     for _ in range(m):
         costs = objective_gradient(instance, x)[:, ss, ts]
-        x[:, ss, ts] += np.array([oracle(c) for c in costs]) / m
+        x[:, ss, ts] += np.concatenate([oracle(costs[v:v + group]) for v in range(0, instance.V, group)]) / m
     return FractionalSolution(x)
 
 
@@ -587,7 +618,7 @@ def sequential_sq(instance: Instance) -> FractionalSolution:
     prefix = np.ones((instance.S, instance.T))
     oracle = _volunteer_oracle(budget, _volunteer_rows(instance, ts, ss, budget))
     for v in range(instance.V):
-        x[v, ss, ts] = oracle(lam * prefix[ss, ts] * p[v, ss])
+        x[v, ss, ts] = oracle((lam * prefix[ss, ts] * p[v, ss])[None])[0]
         prefix = prefix * (1.0 - p[v][:, None] * x[v])
     return FractionalSolution(x)
 
@@ -617,8 +648,7 @@ def select_ex_ante(instance: Instance, m: int = DEFAULT_STEP_COUNT) -> ExAnteSol
     failure surfaces in the order LP, AA, SQ, once the run has ended.
     Without scipy's HiGHS binding, the three are solved in turn.
     """
-    if m < 1:
-        raise ValidationError(f"step count must be >= 1, got {m}")
+    m = _step_count(m)
     lp, finish = _Benchmark(instance), None
     if lp.ts.size:  # else no LP, as in benchmark_lp
         c, rows = lp.model(instance.match_probs)

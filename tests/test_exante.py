@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -38,7 +39,6 @@ from volnotify.exante import (
     _volunteer_rows,
     benchmark_lp,
     frank_wolfe_aa,
-    objective_gradient,
     select_ex_ante,
     sequential_sq,
     solution_to_triples,
@@ -367,7 +367,10 @@ class TestKernelMatchesLinprog:
         # Each AA/SQ oracle model is built once per call. Its first solve is
         # fresh and must return linprog's bits; each later solve starts from
         # the previous basis and must reach a fresh solve's value within 1e-9
-        # relative, with a feasible snapped row.
+        # relative, with a feasible snapped row in each volunteer's block.
+        # AA solves one model of all these volunteers per step, so it runs
+        # 8 steps for as many warm solves as 4 steps of one solve per
+        # volunteer gave.
         calls = []
         solve = exante._Lp.solve
 
@@ -382,14 +385,15 @@ class TestKernelMatchesLinprog:
             for variant in VARIANTS * 2:
                 inst = random_instance(rng, max_v=4, max_s=3, max_t=8, variant=variant)
                 budget = _slots(inst)[2]
-                frank_wolfe_aa(inst, 4)
+                frank_wolfe_aa(inst, 8)
                 sequential_sq(inst)
         seen = set()
         for lp, costs, budget, (x, value) in calls:
             if id(lp) in seen:
                 assert value == pytest.approx(exante._Lp(lp._rows).solve(costs)[1], rel=1e-9)
-                row = _snap(x[None, :budget.shape[1]], budget)
-                assert row.min() >= 0.0 and (row @ budget.T).max() <= 1.0 + 1e-12
+                blocks = lp._rows.lower.size // budget.shape[0]  # T rows per volunteer
+                rows = _snap(x.reshape(blocks, -1)[:, :budget.shape[1]], budget)
+                assert rows.min() >= 0.0 and (rows @ budget.T).max() <= 1.0 + 1e-12
             else:
                 seen.add(id(lp))
                 with monkeypatch.context() as m:
@@ -524,11 +528,11 @@ class TestKeptSolver:
             with monkeypatch.context() as m:
                 m.setattr(exante, "_load", counted)
                 del loads[:]
-                kept = [oracles[i](costs) for i, costs in calls]
+                kept = [oracles[i](costs[None]) for i, costs in calls]
                 assert len(loads) == len(calls)
             with monkeypatch.context() as m:
                 solver_per_program(m)
-                fresh = [_volunteer_oracle(*args[i])(costs) for i, costs in calls]
+                fresh = [_volunteer_oracle(*args[i])(costs[None]) for i, costs in calls]
             assert [x.tobytes() for x in kept] == [x.tobytes() for x in fresh]
 
     def test_a_window_between_two_solves_reloads(self, monkeypatch):
@@ -680,22 +684,86 @@ class TestFrankWolfe:
         with pytest.raises(ValidationError):
             frank_wolfe_aa(make_i5(), m=0)
 
-    def test_argmax_decomposition_matches_joint_lp(self):
-        # Per-volunteer argmax must equal one joint LP over all volunteers.
-        rng = random.Random(53)
-        for _ in range(5):
-            inst = random_instance(rng, max_v=4, max_s=3, max_t=6)
-            ts, ss, budget = _slots(inst)
-            if not ts.size:
-                continue
-            weights = objective_gradient(inst, feasible_tensor(rng, inst))
-            costs = weights[:, ss, ts]
-            oracle = _volunteer_oracle(budget, _volunteer_rows(inst, ts, ss, budget))
-            split_obj = sum(float(c @ oracle(c)) for c in costs)
+    def test_step_count_must_be_an_integer(self, monkeypatch):
+        # A bool or a non-integer step count is refused before the slots or
+        # the LP candidate's program are built; numpy integers are step counts.
+        def refuse(*args):
+            raise AssertionError("built before the step count was checked")
 
-            joint = np.kron(np.eye(inst.V), budget)
-            _, joint_obj = solve_lp(costs.ravel(), joint, np.ones(inst.V * inst.T))
-            assert split_obj == pytest.approx(joint_obj, abs=1e-6)
+        inst = make_i6()
+        expected = frank_wolfe_aa(inst, 3).x.tobytes(), _select_bits(select_ex_ante(inst, 3))
+        assert (frank_wolfe_aa(inst, np.int64(3)).x.tobytes(),
+                _select_bits(select_ex_ante(inst, np.int32(3)))) == expected
+        with ThreadPoolExecutor(1) as executor:
+            pool = RecordingPool(executor)
+            monkeypatch.setattr(exante, "_pool", lambda: pool)
+            monkeypatch.setattr(exante, "_slots", refuse)
+            monkeypatch.setattr(exante, "_Benchmark", refuse)
+            for m in (True, False, np.bool_(True), 2.5, 3.0, np.float64(3.0), "3", None):
+                for candidate in (frank_wolfe_aa, select_ex_ante):
+                    with pytest.raises(ValidationError, match="step count"):
+                        candidate(inst, m)
+        assert pool.calls == []
+
+    @pytest.mark.skipif(exante._highs is None, reason="scipy has no HiGHS binding")
+    def test_one_volunteer_per_program_is_the_per_volunteer_chain(self, monkeypatch):
+        # Capped at one volunteer per oracle program, AA solves each
+        # volunteer in turn on one warm program: the bytes of the chain
+        # before the oracle solved groups, recorded from it at m = 5.
+        monkeypatch.setattr(exante, "_ORACLE_NNZ", 1)
+        digest = hashlib.sha256()
+        for inst in fuzz_draws(50) + [make_instance(parse_canonical_spec(spec))
+                                      for spec in ("I2:n=4", "I3:n=3", "I6")]:
+            digest.update(frank_wolfe_aa(inst, 5).x.tobytes())
+        assert digest.hexdigest() == "e22ea74cb8e46705eba225b016f22ef794ea19a2c4471f181d2f753137f9bcd4"
+
+    @pytest.mark.skipif(exante._highs is None, reason="scipy has no HiGHS binding")
+    def test_group_blocks_reach_each_volunteers_lp_value(self, monkeypatch):
+        # Two volunteers per oracle program on V = 5: each step runs groups of
+        # 2, 2 and 1 volunteers, the last with a spare block of zero costs.
+        # The program is loaded once per AA call, it is scipy's CSC of the
+        # block-diagonal rows, and each block reaches the value of its own
+        # volunteer's program within 1e-9 relative.
+        rng = random.Random(53)
+        loads, load = [], exante._load
+        runs, solve = [], exante._Lp.solve
+
+        def counted(*args):
+            loads.append(args[1])
+            return load(*args)
+
+        def recording(self, objective):
+            out = solve(self, objective)
+            runs.append((np.array(objective), out[0]))
+            return out
+
+        for variant in VARIANTS:
+            drawn = random_instance(rng, max_s=3, max_t=8, variant=variant)
+            inst = Instance(arrival_rates=drawn.arrival_rates, dist=drawn.dist,
+                            match_probs=np.array([[rng.random() for _ in range(drawn.S)] for _ in range(5)]))
+            ts, ss, budget = _slots(inst)
+            one = _volunteer_rows(inst, ts, ss, budget)
+            n = one.start.size - 1
+            with monkeypatch.context() as m:
+                m.setattr(exante, "_ORACLE_NNZ", 2 * one.start[-1])
+                m.setattr(exante, "_load", counted)
+                m.setattr(exante._Lp, "solve", recording)
+                del loads[:], runs[:]
+                x = frank_wolfe_aa(inst, 3)
+            assert check_feasible(inst, x) == []
+            assert len(loads) == 1 and len(runs) == 3 * 3
+            A_ub, b_ub, A_eq, b_eq = volunteer_problem(inst)
+            pair = [None if a is None else np.kron(np.eye(2), a) for a in (A_ub, A_eq)]
+            reference = _scipy_model(pair[0], np.tile(b_ub, 2), pair[1], None if A_eq is None else np.tile(b_eq, 2))
+            for got, want in zip(loads[0], reference):
+                assert np.asarray(got, dtype=want.dtype).tobytes() == want.tobytes()
+            for k, (objective, sol) in enumerate(runs):
+                blocks, sols = objective.reshape(2, n), sol.reshape(2, n)
+                volunteers = 1 if k % 3 == 2 else 2
+                assert not blocks[volunteers:].any()
+                for j in range(volunteers):
+                    own = exante._Lp(one).solve(blocks[j])[1]
+                    assert blocks[j] @ sols[j] == pytest.approx(own, rel=1e-9)
 
 
 class TestSequential:
@@ -905,7 +973,7 @@ class TestSolverOutputSnapped:
         costs = lam * prefix[ss, ts] * p[7, ss]
         assert costs.max() == pytest.approx(7.44e-4, rel=1e-3)
         assert costs[costs > 0.0].min() == pytest.approx(1.17e-10, rel=1e-2)
-        row = _volunteer_oracle(budget, _dense_rows(budget, np.ones(inst.T)))(costs)
+        row = _volunteer_oracle(budget, _dense_rows(budget, np.ones(inst.T)))(costs[None])
         assert row.min() >= 0.0 and (row @ budget.T).max() <= 1.0 + 1e-12
 
     def test_candidate_loads_within_budget(self, instances):
