@@ -26,6 +26,8 @@ from .core import (
     Instance,
     ValidationError,
     check_feasible,  # unread here, but bench/spans.py wraps this module's binding
+    json_int,
+    json_real,
 )
 
 __all__ = [
@@ -88,29 +90,20 @@ def make_instance(spec: CanonicalInstanceSpec) -> Instance:
         if not 0.0 < eps <= (1.0 - q) / 100.0:
             raise ValidationError(f"I1 needs 0 < eps <= (1-q)/100, got eps={eps}")
         if q == 0.0:
-            det = int(p.get("det_length", 2))
-            if det < 2:
-                raise ValidationError("the zero-hazard I1 variant needs det_length >= 2")
-            dist = Deterministic(det)
+            dist = Deterministic(json_int(p.get("det_length", 2), "I1 det_length", 2))
         else:
             dist = Geometric(q)
         return _two_period(1.0, eps / (1.0 - q), [eps, 1.0], dist)
 
     if kind == "I2":
-        n = p.get("n", 4)
-        if not (float(n).is_integer() and int(n) >= 1):
-            raise ValidationError(f"I2 needs an integer volunteer count n >= 1, got {n}")
-        n = int(n)
+        n = json_int(p.get("n", 4), "I2 volunteer count n", 1)
         q = 1.0 / n
         lam = np.full((n * n + 1, 1), q)
         lam[0, 0] = 1.0
         return Instance(arrival_rates=lam, match_probs=np.full((n, 1), q), dist=Geometric(q))
 
     if kind == "I3":
-        n = p.get("n", 20)
-        if not (float(n).is_integer() and int(n) >= 2):
-            raise ValidationError(f"I3 needs an integer volunteer count n >= 2, got {n}")
-        n = int(n)
+        n = json_int(p.get("n", 20), "I3 volunteer count n", 2)
         lam = np.full((n * n, 1), 1.0 / n)
         return Instance(arrival_rates=lam, match_probs=np.full((n, 1), 1.0 / n),
                         dist=Deterministic(n))
@@ -174,6 +167,7 @@ def kappa(q: float) -> float:
     (zero hazard) and 1 (unit hazard). Values of q below 1/16 outside {1/n}
     are evaluated by the same formula as an extrapolation.
     """
+    q = json_real(q, "hazard rate")
     if not 0.0 <= q <= 1.0:
         raise ValidationError(f"hazard rate must lie in [0, 1], got {q}")
     if q == 0.0:
@@ -188,6 +182,7 @@ def kappa(q: float) -> float:
 
 def sn_guarantee(q: float) -> float:
     """Competitive ratio guaranteed by the sparse-notification policy."""
+    q = json_real(q, "hazard rate")
     if not 0.0 <= q <= 1.0:
         raise ValidationError(f"hazard rate must lie in [0, 1], got {q}")
     return (1.0 - math.exp(-1.0)) / (2.0 - q)
@@ -195,6 +190,7 @@ def sn_guarantee(q: float) -> float:
 
 def kappa_grid(step: float = 0.05) -> list[dict]:
     """Rows (q, sn_lower, kappa) over the grid {0, step, 2 step, ..., 1}."""
+    step = json_real(step, "grid step")
     if not 0.0 < step <= 1.0:
         raise ValidationError(f"grid step must lie in (0, 1], got {step}")
     qs = []
@@ -217,7 +213,6 @@ def verify_dual_certificate(instance: Instance, solution: FractionalSolution,
     feasible exactly when v's row passes SDN's floor, which every solution
     check_feasible accepts does: alpha may sit (1 - mu) FEASIBILITY_TOL below 0.
     """
-    if not 1 <= v <= instance.V:
-        raise ValidationError(f"volunteer index {v} out of range 1..{instance.V}")
+    i = json_int(v, "volunteer index", 1, instance.V) - 1
     _, _, mu, beta, low = policies._activity(instance, solution)
-    return beta[v - 1] - mu, not low[v - 1].any()
+    return beta[i] - mu, not low[i].any()

@@ -9,11 +9,13 @@ Commands
     perturb <config> --target p|lambda --width W --replicates R   robustness CSV
     export <instance>                              the instance as JSON
 
-Instances are JSON files or canonical specs like "I4:q=0.1,eps=1e-3". Exit
-codes: 0 success, 1 validation error, 2 solver or capacity error. Tabular
-output is CSV with a header row and 10-significant-digit decimals; summaries
-are JSON. Outputs contain nothing run-dependent, so identical inputs produce
-byte-identical artifacts.
+Instances are JSON files or canonical specs like "I4:q=0.1,eps=1e-3". A run
+command (simulate, compare, perturb) checks its whole run, every count, seed,
+policy spec and theta, before it solves anything. Exit codes: 0 success, 1
+validation error, 2 solver or capacity error. Tabular output is CSV with a
+header row and 10-significant-digit decimals; summaries are JSON. Outputs
+contain nothing run-dependent, so identical inputs produce byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def _write(path: str | None, text: str) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs of a comparison or robustness run; round-trips through JSON unchanged."""
+    """Inputs of a simulate, compare or perturb run, checked whole; round-trips through JSON unchanged."""
 
     instance: str
     policies: tuple
@@ -139,14 +141,9 @@ class ExperimentConfig:
             raise ValidationError("config needs at least one policy")
         for text in self.policies:
             parse_policy_spec(text)
-        for name in ("episodes", "seed", "m"):
-            json_int(getattr(self, name), name)
-        if self.episodes < 1:
-            raise ValidationError(f"episodes must be >= 1, got {self.episodes}")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must be an unsigned 64-bit integer")
-        if self.m < 1:
-            raise ValidationError(f"ex-ante step count must be >= 1, got {self.m}")
+        for name, least, most in (("episodes", 1, None), ("seed", 0, 2**64 - 1), ("m", 1, None)):
+            object.__setattr__(self, name, json_int(getattr(self, name), name, least, most))
+        object.__setattr__(self, "theta", json_real(self.theta, "theta"))
         if not 0.0 <= self.theta <= 1.0:
             raise ValidationError(f"theta must be in [0, 1], got {self.theta}")
 
@@ -169,10 +166,6 @@ class ExperimentConfig:
         if not isinstance(values["policies"], list):
             raise ValidationError(f"config policies must be a JSON list of policy specs, "
                                   f"got {values['policies']!r}")
-        try:
-            values["theta"] = json_real(values["theta"], "theta")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"malformed config field: {exc}") from None
         return cls(**values)
 
     def to_json(self) -> str:
@@ -197,10 +190,8 @@ class PerturbationSpec:
             raise ValidationError(f"unknown perturbation target {self.target!r}")
         if not 0.0 <= self.width < 1.0:
             raise ValidationError(f"perturbation width must lie in [0, 1), got {self.width}")
-        if self.replicates < 1:
-            raise ValidationError(f"replicate count must be >= 1, got {self.replicates}")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must be an unsigned 64-bit integer")
+        object.__setattr__(self, "replicates", json_int(self.replicates, "replicates", 1))
+        object.__setattr__(self, "seed", json_int(self.seed, "seed", 0, 2**64 - 1))
 
 
 def load_instance(source: str) -> tuple[Instance, str]:
@@ -223,9 +214,7 @@ def perturb_instance(instance: Instance, spec: PerturbationSpec, replicate: int)
     above total mass 1 is rescaled to sum exactly 1, with a warning, since
     such rows no longer describe a single-arrival period.
     """
-    if not 0 <= replicate < spec.replicates:
-        raise ValidationError(
-            f"replicate {replicate} out of range 0..{spec.replicates - 1}")
+    replicate = json_int(replicate, "replicate", 0, spec.replicates - 1)
     code = 1 if spec.target == "match_probs" else 2
     rng = random.Random((((spec.seed << 8) | code) << 64) | replicate)
     lam = np.array(instance.arrival_rates, copy=True)
@@ -250,16 +239,12 @@ def perturb_instance(instance: Instance, spec: PerturbationSpec, replicate: int)
 # ---------------------------------------------------------------------------
 
 
-def _build_policies(instance: Instance, specs, m: int, theta: float):
-    """The policies of specs and the ex-ante selection they share (None without a plan kind).
-
-    Every spec and theta are checked before anything is solved.
-    """
-    plans = [parse_policy_spec(text)[0] in PLAN_POLICIES for text in specs]
-    if not 0.0 <= theta <= 1.0:
-        raise ValidationError(f"theta must be in [0, 1], got {theta}")
-    ex = select_ex_ante(instance, m) if any(plans) else None
-    return [make_policy(text, instance, ex.solution if ex else None, theta) for text in specs], ex
+def _build_policies(instance: Instance, config: ExperimentConfig):
+    """config's policies on instance and the ex-ante selection they share (None without a plan kind)."""
+    plans = any(parse_policy_spec(text)[0] in PLAN_POLICIES for text in config.policies)
+    ex = select_ex_ante(instance, config.m) if plans else None
+    return [make_policy(text, instance, ex.solution if ex else None, config.theta)
+            for text in config.policies], ex
 
 
 def run_compare(config: ExperimentConfig) -> tuple[str, dict]:
@@ -270,7 +255,7 @@ def run_compare(config: ExperimentConfig) -> tuple[str, dict]:
     batch) and a JSON-ready summary with per-policy mean ratios.
     """
     instance, instance_id = load_instance(config.instance)
-    policies, ex = _build_policies(instance, config.policies, config.m, config.theta)
+    policies, ex = _build_policies(instance, config)
     lp_value = ex.lp_value if ex else benchmark_lp(instance).lp_value
     rows = []
     summary_policies = {}
@@ -304,14 +289,14 @@ def run_robustness(config: ExperimentConfig, spec: PerturbationSpec) -> tuple[st
     """
     instance, _ = load_instance(config.instance)
     baseline = {}
-    for policy in _build_policies(instance, config.policies, config.m, config.theta)[0]:
+    for policy in _build_policies(instance, config)[0]:
         stats = simulate(instance, policy, config.episodes, config.seed)
         baseline[policy.name] = stats.mean_completed
 
     perturbed_means: dict[str, list[float]] = {name: [] for name in baseline}
     for replicate in range(spec.replicates):
         shifted = perturb_instance(instance, spec, replicate)
-        for policy in _build_policies(shifted, config.policies, config.m, config.theta)[0]:
+        for policy in _build_policies(shifted, config)[0]:
             stats = simulate(instance, policy, config.episodes, config.seed)
             perturbed_means[policy.name].append(stats.mean_completed)
 
@@ -356,10 +341,11 @@ def _cmd_exante(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    instance, instance_id = load_instance(args.instance)
-    (policy,), ex = _build_policies(instance, [args.policy], args.m, args.theta)
+    config = ExperimentConfig(args.instance, (args.policy,), args.episodes, args.seed, args.m, args.theta)
+    instance, instance_id = load_instance(config.instance)
+    (policy,), ex = _build_policies(instance, config)
     lp_value = ex.lp_value if ex else benchmark_lp(instance).lp_value
-    stats = simulate(instance, policy, args.episodes, args.seed, lp_value=lp_value)
+    stats = simulate(instance, policy, config.episodes, config.seed, lp_value=lp_value)
     row = {
         "policy": policy.name,
         "instance_id": instance_id,

@@ -124,9 +124,7 @@ class Deterministic(InterActivityDistribution):
     d: int
 
     def __post_init__(self):
-        if isinstance(self.d, bool) or not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
-            raise ValidationError(f"deterministic length must be an integer >= 1, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", json_int(self.d, "deterministic length", 1))
 
     def _masses(self, n: int) -> tuple[list, list]:
         return ([float(tau == self.d) for tau in range(1, n + 1)],
@@ -394,9 +392,7 @@ def evaluate_fv(instance: Instance, solution: FractionalSolution, v: int) -> flo
     summing contributions over all v recovers evaluate_f.
     """
     x = _require_shape(instance, solution)
-    if not 1 <= v <= instance.V:
-        raise ValidationError(f"volunteer index {v} out of range 1..{instance.V}")
-    i = v - 1
+    i = json_int(v, "volunteer index", 1, instance.V) - 1
     prefix = np.prod(1.0 - x[:i] * instance.match_probs[:i, :, None], axis=0)  # (S, T)
     own = x[i] * instance.match_probs[i][:, None]  # (S, T)
     return float(np.sum(instance.arrival_rates * (prefix * own).T))
@@ -426,7 +422,7 @@ def dist_from_dict(data: dict) -> InterActivityDistribution:
         if kind == "geometric":
             return Geometric(json_real(data["q"], "q"))
         if kind == "deterministic":
-            return Deterministic(json_int(data["d"], "d"))
+            return Deterministic(data["d"])
         if kind == "tabulated":
             return Tabulated(tuple(json_reals(data["probs"], "probs")))
     except ValidationError:
@@ -462,11 +458,19 @@ def instance_to_json(instance: Instance, indent: int | None = None) -> str:
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 
-def json_int(value, name: str) -> int:
-    """An integer field as is; a float, string or boolean is rejected, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return value
+def json_int(value, name: str, least: int | None = None, most: int | None = None) -> int:
+    """A Python or numpy integer in [least, most] as a plain int; anything else is a ValidationError.
+
+    The one rule for every count, seed and index a caller hands the package:
+    a bool, float, string or null is rejected, never truncated or converted.
+    A bound of None is open.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        number = int(value)
+        if (least is None or number >= least) and (most is None or number <= most):
+            return number
+    bound = "" if least is None else f" >= {least}" if most is None else f" in [{least}, {most}]"
+    raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def json_real(value, name: str) -> float:
@@ -494,7 +498,7 @@ def instance_from_json(text: str) -> Instance:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid instance JSON: {exc}") from None
     try:
-        T, V, S = (json_int(doc[key], key) for key in ("T", "V", "S"))
+        T, V, S = (json_int(doc[key], key, 1) for key in ("T", "V", "S"))
         arrivals = doc["arrivals"]
         p = json_reals(doc["match"], "match")
         dist = dist_from_dict(doc["dist"])
@@ -503,9 +507,7 @@ def instance_from_json(text: str) -> Instance:
         if all(len(row) == 3 for row in arrivals) and (T, S) != (len(arrivals), 3):
             seen = set()
             for t, s, rate in arrivals:
-                t, s = json_int(t, "arrival period"), json_int(s, "arrival type")
-                if not (1 <= t <= T and 1 <= s <= S):
-                    raise ValidationError(f"arrival triple ({t}, {s}) out of range")
+                t, s = json_int(t, "arrival period", 1, T), json_int(s, "arrival type", 1, S)
                 if (t, s) in seen:
                     raise ValidationError(f"duplicate arrival triple for period {t}, type {s}")
                 seen.add((t, s))

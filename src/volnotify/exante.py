@@ -68,8 +68,8 @@ from .core import (
     FractionalSolution,
     Geometric,
     Instance,
-    ValidationError,
     evaluate_f,
+    json_int,
     survival_matrix,
 )
 
@@ -566,13 +566,6 @@ def objective_gradient(instance: Instance, x: np.ndarray) -> np.ndarray:
 _ORACLE_NNZ = 2**12
 
 
-def _step_count(m) -> int:
-    """m as the int step count of a conditional-gradient run; ValidationError unless it is an integer >= 1."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValidationError(f"step count must be an integer >= 1, got {m!r}")
-    return int(m)
-
-
 def frank_wolfe_aa(instance: Instance, m: int = DEFAULT_STEP_COUNT) -> FractionalSolution:
     """Conditional-gradient ascent with fixed step 1/m on the true objective.
 
@@ -584,7 +577,7 @@ def frank_wolfe_aa(instance: Instance, m: int = DEFAULT_STEP_COUNT) -> Fractiona
     program of as many blocks as fit in _ORACLE_NNZ nonzeros; the last
     group's spare blocks get zero costs.
     """
-    m = _step_count(m)
+    m = json_int(m, "step count", 1)
     ts, ss, budget = _slots(instance)
     x = np.zeros((instance.V, instance.S, instance.T))
     if ts.size == 0:
@@ -648,7 +641,7 @@ def select_ex_ante(instance: Instance, m: int = DEFAULT_STEP_COUNT) -> ExAnteSol
     failure surfaces in the order LP, AA, SQ, once the run has ended.
     Without scipy's HiGHS binding, the three are solved in turn.
     """
-    m = _step_count(m)
+    m = json_int(m, "step count", 1)
     lp, finish = _Benchmark(instance), None
     if lp.ts.size:  # else no LP, as in benchmark_lp
         c, rows = lp.model(instance.match_probs)

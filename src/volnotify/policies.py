@@ -25,6 +25,7 @@ from .core import (
     check_feasible,  # unread here, but bench/spans.py wraps this module's binding
     duration_table,
     exhausted_age,
+    json_real,
     _feasibility,
 )
 from . import exante
@@ -479,6 +480,7 @@ def make_policy(text: str, instance: Instance, x_star: FractionalSolution | None
     heuristic needs before it notifies, must lie in [0, 1].
     """
     kind, params = parse_policy_spec(text)
+    theta = json_real(theta, "theta")
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta must be in [0, 1], got {theta}")
     if kind in _STATIC_KINDS:

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Deterministic, Instance, ValidationError, duration_table, exhausted_age
+from .core import Deterministic, Instance, ValidationError, duration_table, exhausted_age, json_int
 from .policies import Policy, StaticPlanPolicy
 
 __all__ = [
@@ -164,12 +164,9 @@ def _chunks(instance: Instance, policy: Policy, seed: int, first: int, episodes:
     are in. A StaticPlanPolicy, plain or subclassed, whose tensor is not
     (V, S, T) is a ValidationError before anything is drawn.
     """
-    if episodes < 1:
-        raise ValidationError(f"episode count must be >= 1, got {episodes}")
-    if not (0 <= seed < 2**64 and 0 <= first and first + episodes <= 2**64):
-        raise ValidationError(
-            f"seed and episode indices must lie in [0, 2**64), got seed {seed} "
-            f"and episodes {first} .. {first + episodes - 1}")
+    episodes = json_int(episodes, "episode count", 1)
+    seed = json_int(seed, "seed", 0, 2**64 - 1)
+    first = json_int(first, "first episode index", 0, 2**64 - episodes)
     V, S, T = instance.V, instance.S, instance.T
     if isinstance(policy, StaticPlanPolicy) and policy.probs.shape != (V, S, T):
         raise ValidationError(
@@ -301,7 +298,7 @@ def _aggregate(seed, lp_value, completed, attr) -> SimStats:
         attribution=tuple(a / episodes for a in attr.tolist()),
         lp_value=lp_value,
         ratio=ratio,
-        seed=seed,
+        seed=int(seed),
     )
 
 
@@ -325,8 +322,7 @@ def simulate_batched(instance: Instance, policy: Policy, episodes: int, seed: in
     (SimStats, rows) where each row carries the batch index (1-based), its
     episode count, its mean completions, and its ratio to lp_value.
     """
-    if nbatches < 1:
-        raise ValidationError(f"batch count must be >= 1, got {nbatches}")
+    nbatches = json_int(nbatches, "batch count", 1)
     completed, attr = _drive(instance, policy, episodes, seed)
     rows = []
     for b, batch in enumerate(np.array_split(completed, min(nbatches, episodes))):

@@ -132,6 +132,14 @@ class TestKappa:
             with pytest.raises(ValidationError):
                 kappa(q)
 
+    def test_real_arguments_only(self):
+        # a bool is not a hazard rate or a grid step (kappa(True) read 1.0)
+        for fn in (kappa, sn_guarantee, kappa_grid):
+            for bad in (True, False, np.bool_(True), "0.5", None):
+                with pytest.raises(ValidationError, match="must be a real number"):
+                    fn(bad)
+        assert (kappa(1), sn_guarantee(0), kappa_grid(1)) == (1.0, sn_guarantee(0.0), kappa_grid(1.0))
+
     def test_grid_monotone_and_dominates_guarantee(self):
         rows = kappa_grid(0.05)
         assert len(rows) == 21

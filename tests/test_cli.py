@@ -108,6 +108,17 @@ class TestConfig:
         assert again == cfg
         assert ExperimentConfig.from_json(again.to_json()) == again
 
+    def test_theta_is_kept_as_the_float_it_reads_as(self):
+        # theta = 1 was written as 1 and read back as 1.0, and theta = True
+        # was taken but its JSON refused
+        cfg = ExperimentConfig(instance="I6", policies=("best:1",), episodes=2, seed=1, theta=1)
+        assert type(cfg.theta) is float and cfg.theta == 1.0
+        assert ExperimentConfig.from_json(cfg.to_json()).to_json() == cfg.to_json()
+        for theta in (True, False, np.bool_(True), "1", None):
+            with pytest.raises(ValidationError, match="theta must be a real number"):
+                ExperimentConfig(instance="I6", policies=("best:1",), episodes=2, seed=1,
+                                 theta=theta)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(instance="I6", policies=(), episodes=10, seed=1)
@@ -516,6 +527,23 @@ class TestMain:
                                     out=str(tmp_path / "c.csv"))
             assert main(["compare", str(cfg_path)]) == 0
             assert len(calls) == 1
+
+    def test_simulate_checks_its_whole_run_before_it_solves(self, monkeypatch, capsys):
+        # a bad episode count, seed or step count exits 1 with one error line
+        # and no plan solved, for a belief kind too (its --m was ignored)
+        import volnotify.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("the ex-ante plan was solved before the run was checked")
+
+        monkeypatch.setattr(cli, "select_ex_ante", refuse)
+        for policy, episodes, seed, m in (("sn", "0", "1", "5"), ("sn", "-2", "1", "5"),
+                                          ("sn", "10", "-1", "5"), ("sn", "10", str(2**64), "5"),
+                                          ("sn", "10", "1", "0"), ("best:2", "10", "1", "0")):
+            assert main(["simulate", "I3:n=4", "--policy", policy, "--episodes", episodes,
+                         "--seed", seed, "--m", m]) == 1
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and "must be an integer" in err
 
     def test_module_entry_points(self):
         outputs = []

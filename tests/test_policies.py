@@ -952,6 +952,16 @@ class TestPolicyFactory:
             assert isinstance(policy, BeliefPolicy) == (cls is not StaticPlanPolicy)
             assert policy.name == text
 
+    def test_theta_is_a_real_number(self):
+        # a bool is not an activity belief, and a bad theta is refused for
+        # every kind, a plan kind too
+        inst = make_i4()
+        for kind in ("best:1", "all"):
+            for theta in (True, False, np.bool_(True), "1", None):
+                with pytest.raises(ValidationError, match="theta must be a real number"):
+                    make_policy(kind, inst, theta=theta)
+        assert make_policy("best:1", inst, theta=1).theta == 1.0
+
     def test_plan_kinds_need_x_star(self):
         inst = make_i4()
         for text in ("sn", "sdn", "exante"):
