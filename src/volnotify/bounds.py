@@ -83,12 +83,11 @@ def make_instance(spec: CanonicalInstanceSpec) -> Instance:
     kind = spec.kind
 
     if kind == "I1":
-        q = float(p.get("q", 0.5))
-        eps = float(p.get("eps", 1e-3))
+        q, eps = json_real(p.get("q", 0.5), "I1 q"), json_real(p.get("eps", 1e-3), "I1 eps")
         if not 0.0 <= q < 1.0:
-            raise ValidationError(f"I1 needs q in [0, 1), got {q}")
+            raise ValidationError(f"I1 q must lie in [0, 1), got {q}")
         if not 0.0 < eps <= (1.0 - q) / 100.0:
-            raise ValidationError(f"I1 needs 0 < eps <= (1-q)/100, got eps={eps}")
+            raise ValidationError(f"I1 eps must lie in (0, (1-q)/100], got {eps}")
         if q == 0.0:
             dist = Deterministic(json_int(p.get("det_length", 2), "I1 det_length", 2))
         else:
@@ -109,18 +108,17 @@ def make_instance(spec: CanonicalInstanceSpec) -> Instance:
                         dist=Deterministic(n))
 
     if kind == "I4":
-        q = float(p.get("q", 0.1))
-        eps = float(p.get("eps", 1e-3))
+        q, eps = json_real(p.get("q", 0.1), "I4 q"), json_real(p.get("eps", 1e-3), "I4 eps")
         if not 0.0 < q <= 1.0:
-            raise ValidationError(f"I4 needs q in (0, 1], got {q}")
+            raise ValidationError(f"I4 q must lie in (0, 1], got {q}")
         if not 0.0 < eps <= q / 10.0:
-            raise ValidationError(f"I4 needs 0 < eps <= q/10, got eps={eps}")
+            raise ValidationError(f"I4 eps must lie in (0, q/10], got {eps}")
         return _two_period(1.0, q, [eps, 1.0], Geometric(q))
 
     if kind == "I5":
-        eps = float(p.get("eps", 1e-3))
+        eps = json_real(p.get("eps", 1e-3), "I5 eps")
         if not 0.0 < eps < 0.5:
-            raise ValidationError(f"I5 needs eps in (0, 0.5), got {eps}")
+            raise ValidationError(f"I5 eps must lie in (0, 0.5), got {eps}")
         lam = np.array([[1.0, 0.0], [0.0, 1.0]])
         probs = np.array([[0.5, 0.0], [0.5, 0.5 - eps]])
         return Instance(arrival_rates=lam, match_probs=probs, dist=Deterministic(2))
@@ -167,9 +165,7 @@ def kappa(q: float) -> float:
     (zero hazard) and 1 (unit hazard). Values of q below 1/16 outside {1/n}
     are evaluated by the same formula as an extrapolation.
     """
-    q = json_real(q, "hazard rate")
-    if not 0.0 <= q <= 1.0:
-        raise ValidationError(f"hazard rate must lie in [0, 1], got {q}")
+    q = json_real(q, "hazard rate", 0, 1)
     if q == 0.0:
         return 0.334
     if q == 1.0:
@@ -182,10 +178,7 @@ def kappa(q: float) -> float:
 
 def sn_guarantee(q: float) -> float:
     """Competitive ratio guaranteed by the sparse-notification policy."""
-    q = json_real(q, "hazard rate")
-    if not 0.0 <= q <= 1.0:
-        raise ValidationError(f"hazard rate must lie in [0, 1], got {q}")
-    return (1.0 - math.exp(-1.0)) / (2.0 - q)
+    return (1.0 - math.exp(-1.0)) / (2.0 - json_real(q, "hazard rate", 0, 1))
 
 
 def kappa_grid(step: float = 0.05) -> list[dict]:

@@ -143,9 +143,7 @@ class ExperimentConfig:
             parse_policy_spec(text)
         for name, least, most in (("episodes", 1, None), ("seed", 0, 2**64 - 1), ("m", 1, None)):
             object.__setattr__(self, name, json_int(getattr(self, name), name, least, most))
-        object.__setattr__(self, "theta", json_real(self.theta, "theta"))
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValidationError(f"theta must be in [0, 1], got {self.theta}")
+        object.__setattr__(self, "theta", json_real(self.theta, "theta", 0, 1))
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -188,6 +186,7 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.target not in ("match_probs", "arrival_rates"):
             raise ValidationError(f"unknown perturbation target {self.target!r}")
+        object.__setattr__(self, "width", json_real(self.width, "perturbation width"))
         if not 0.0 <= self.width < 1.0:
             raise ValidationError(f"perturbation width must lie in [0, 1), got {self.width}")
         object.__setattr__(self, "replicates", json_int(self.replicates, "replicates", 1))

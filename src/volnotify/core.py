@@ -473,11 +473,14 @@ def json_int(value, name: str, least: int | None = None, most: int | None = None
     raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
 
 
-def json_real(value, name: str) -> float:
-    """A real number (a JSON number field) as a float; a boolean, string or null is rejected, never converted."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+def json_real(value, name: str, least: float | None = None, most: float | None = None) -> float:
+    """json_int's rule for every real: a real number in [least, most] as a float; a bound refuses nan."""
+    if not isinstance(value, (bool, np.bool_)) and isinstance(value, numbers.Real):
+        number = float(value)
+        if (least is None or number >= least) and (most is None or number <= most):
+            return number
+    bound = "" if least is None else f" >= {least}" if most is None else f" in [{least}, {most}]"
+    raise ValidationError(f"{name} must be a real number{bound}, got {value!r}")
 
 
 def json_reals(values, name: str) -> np.ndarray:

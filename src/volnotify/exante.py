@@ -102,14 +102,11 @@ def solve_lp(objective, A_ub, b_ub, A_eq=None, b_eq=None) -> tuple[np.ndarray, f
 
     A_ub and A_eq are dense 2-D arrays (or nested sequences; pass a
     scipy.sparse matrix as its .toarray()); the equality rows are optional.
-    A_ub may also be the package's own _Csc rows, which carry their bounds:
-    b_ub, A_eq and b_eq are then None.
     Deterministic for identical inputs; returns (solution, optimal value)
     with constraints met within 1e-7 and the objective within 1e-6 of
     optimal. Raises LpInfeasibleError or LpError.
     """
-    rows = A_ub if isinstance(A_ub, _Csc) else _dense_rows(A_ub, b_ub, A_eq, b_eq)
-    return _Lp(rows).solve(objective)
+    return _Lp(_dense_rows(A_ub, b_ub, A_eq, b_eq)).solve(objective)
 
 
 # linprog's post-solve feasibility tolerance: sqrt of its 1e-9 default, times 10.
@@ -400,10 +397,7 @@ def benchmark_lp(instance: Instance) -> BenchmarkResult:
     variables and their tensor entries stay 0.
     """
     lp = _Benchmark(instance)
-    if lp.ts.size == 0:
-        return BenchmarkResult(FractionalSolution(lp.tensor(None, instance.V)), 0.0)
-    c, rows = lp.model(instance.match_probs)
-    sol, value = solve_lp(c, rows, None)
+    sol, value = lp.start(instance.match_probs)()
     return BenchmarkResult(FractionalSolution(lp.tensor(sol, instance.V)), value)
 
 
@@ -468,6 +462,13 @@ class _Benchmark:
                        np.concatenate([value, np.ones(K), load_value[:loads[-1]]]),
                        self._slot.lower[:m], self._slot.upper[:m])
 
+    def start(self, match_probs: np.ndarray, pool: ThreadPoolExecutor | None = None):
+        """_Lp.start of model(match_probs), a fresh load; with no arrival slot, its end gives (None, 0.0)."""
+        if not self.ts.size:
+            return lambda: (None, 0.0)
+        c, rows = self.model(match_probs)
+        return _Lp(rows).start(c, pool)
+
     def tensor(self, sol: np.ndarray | None, n: int) -> np.ndarray:
         """The (n, S, T) notification tensor of a solution of n volunteers' model, snapped (_snap)."""
         K = self.ts.size
@@ -482,22 +483,19 @@ class _Benchmark:
         Each is a fresh solve, bitwise the same as benchmark_lp's on an
         instance of that set, run as one _window on a thread of _pool().
         The first failure, in order, raises here once every window has
-        ended. Without scipy's HiGHS binding, each set goes to solve_lp in
-        turn on the calling thread.
+        ended. Without scipy's HiGHS binding, or with no arrival slot, the
+        windows run in turn on the calling thread.
         """
-        if not self.ts.size:
-            return [self.tensor(None, len(p)) for p in match_probs]
-        if _highs is None:
-            return [self.tensor(solve_lp(*self.model(p), None)[0], len(p)) for p in match_probs]
+        if _highs is None or not self.ts.size:
+            return [self._window(p) for p in match_probs]
         pool = _pool()
         futures = [pool.submit(self._window, p) for p in match_probs]
         wait(futures)
         return [future.result() for future in futures]
 
     def _window(self, match_probs: np.ndarray) -> np.ndarray:
-        """The tensor() of one set's model, solved on this thread's kept solver: a fresh load (_Lp)."""
-        c, rows = self.model(match_probs)
-        return self.tensor(_Lp(rows).solve(c)[0], len(match_probs))
+        """The tensor() of one set's model, solved on this thread (start)."""
+        return self.tensor(self.start(match_probs)()[0], len(match_probs))
 
 
 _MAX_WORKERS = 3
@@ -636,20 +634,18 @@ def select_ex_ante(instance: Instance, m: int = DEFAULT_STEP_COUNT) -> ExAnteSol
 
     Ties break in the order LP, AA, SQ. The LP candidate is benchmark_lp's
     solve, bit for bit, but only its HiGHS run() goes to a thread of
-    _pool(), on the calling thread's kept solver (_Lp.start), while the
+    _pool(), on the calling thread's kept solver (_Benchmark.start), while the
     calling thread computes AA and SQ on a solver it keeps afterwards. A
     failure surfaces in the order LP, AA, SQ, once the run has ended.
     Without scipy's HiGHS binding, the three are solved in turn.
     """
     m = json_int(m, "step count", 1)
-    lp, finish = _Benchmark(instance), None
-    if lp.ts.size:  # else no LP, as in benchmark_lp
-        c, rows = lp.model(instance.match_probs)
-        finish = _Lp(rows).start(c, _pool())
+    lp = _Benchmark(instance)
+    finish = lp.start(instance.match_probs, _pool())
     try:
         aa, sq = frank_wolfe_aa(instance, m), sequential_sq(instance)
     finally:  # the run ends first, and an LP failure replaces AA's or SQ's
-        sol, lp_value = finish() if finish else (None, 0.0)
+        sol, lp_value = finish()
     candidates = [("LP", FractionalSolution(lp.tensor(sol, instance.V))), ("AA", aa), ("SQ", sq)]
     values = [evaluate_f(instance, sol) for _, sol in candidates]
     best = values.index(max(values))  # the first of equal values

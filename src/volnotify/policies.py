@@ -11,7 +11,7 @@ per-episode belief filter over each volunteer's hidden active/inactive state.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +25,7 @@ from .core import (
     check_feasible,  # unread here, but bench/spans.py wraps this module's binding
     duration_table,
     exhausted_age,
+    json_int,
     json_real,
     _feasibility,
 )
@@ -290,7 +291,7 @@ class BeliefPolicy(Policy):
     def __init__(self, name: str, instance: Instance, theta: float = 1.0):
         self.name = name
         self.instance = instance
-        self.theta = theta
+        self.theta = _theta(theta)
         self._order = np.argsort(-instance.match_probs.T, axis=1, kind="stable")  # (S, V)
 
     def new_state(self):
@@ -325,7 +326,7 @@ class RandomNPolicy(BeliefPolicy):
 
     def __init__(self, name: str, instance: Instance, n: int, theta: float = 1.0):
         super().__init__(name, instance, theta)
-        self.n = n
+        self.n = _parameter("random", n)
 
     def decide(self, state, t: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
         eligible, rows = self._eligible(state, len(s)), np.arange(len(s))[:, None]
@@ -338,7 +339,7 @@ class BestNPolicy(BeliefPolicy):
 
     def __init__(self, name: str, instance: Instance, n: int, theta: float = 1.0):
         super().__init__(name, instance, theta)
-        self.n = n
+        self.n = _parameter("best", n)
 
     def decide(self, state, t: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
         order, rows = self._order[s - 1], np.arange(len(s))[:, None]
@@ -356,7 +357,7 @@ class UpToRhoPolicy(BeliefPolicy):
 
     def __init__(self, name: str, instance: Instance, rho: float, theta: float = 1.0):
         super().__init__(name, instance, theta)
-        self.rho = rho
+        self.rho = _parameter("upto", rho)
 
     def decide(self, state, t: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
         order, rows = self._order[s - 1], np.arange(len(s))[:, None]
@@ -384,7 +385,7 @@ class RollingHorizonPolicy(BeliefPolicy):
     def __init__(self, name: str, instance: Instance, horizon: int | None = None,
                  theta: float = 1.0):
         super().__init__(name, instance, theta)
-        self.horizon = default_rolling_horizon(instance) if horizon is None else horizon
+        self.horizon = default_rolling_horizon(instance) if horizon is None else _parameter("rolling", horizon)
         self._cache: dict = {}
 
     def decide(self, state, t: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -426,20 +427,31 @@ _STATIC_KINDS = {
     "all": (False, lambda instance, x_star: np.ones((instance.V, instance.S, instance.T))),
 }
 PLAN_POLICIES = tuple(kind for kind, (needs_x, _) in _STATIC_KINDS.items() if needs_x)
-# belief kind -> (class, parameter, type, least value, greatest value)
+# belief kind -> (class, parameter, its rule, least value, greatest value or None):
+# the one range both parse_policy_spec and the class's constructor check
 _BELIEF_KINDS = {
-    "random": (RandomNPolicy, "n", int, 1, math.inf),
-    "best": (BestNPolicy, "n", int, 1, math.inf),
-    "upto": (UpToRhoPolicy, "rho", float, 0.0, 1.0),
-    "rolling": (RollingHorizonPolicy, "horizon", int, 1, math.inf),
+    "random": (RandomNPolicy, "n", json_int, 1, None),
+    "best": (BestNPolicy, "n", json_int, 1, None),
+    "upto": (UpToRhoPolicy, "rho", json_real, 0, 1),
+    "rolling": (RollingHorizonPolicy, "horizon", json_int, 1, None),
 }
+
+
+def _parameter(kind: str, value):
+    """value as the parameter of belief kind kind, read by its rule and range (_BELIEF_KINDS)."""
+    _, key, rule, least, most = _BELIEF_KINDS[kind]
+    return rule(value, f"{kind}:{key}", least, most)
+
+
+# theta, the activity belief a heuristic needs before it notifies
+_theta = functools.partial(json_real, name="theta", least=0, most=1)
 
 
 def parse_policy_spec(text: str) -> tuple[str, dict]:
     """Parse a policy spec string into (kind, params); see POLICY_GRAMMAR.
 
-    n and H must be at least 1 and rho must lie in [0, 1]; a bare "rolling"
-    leaves the horizon to make_policy.
+    n and H must be integers of at least 1 and rho a real in [0, 1]
+    (_BELIEF_KINDS); a bare "rolling" leaves the horizon to make_policy.
     """
     head, _, arg = text.strip().partition(":")
     head = head.lower()
@@ -451,15 +463,12 @@ def parse_policy_spec(text: str) -> tuple[str, dict]:
         raise ValidationError(f"unknown policy spec {text!r}; grammar: {POLICY_GRAMMAR}")
     if head == "rolling" and not arg:
         return head, {}
-    _, key, convert, least, greatest = _BELIEF_KINDS[head]
+    _, key, rule, _, _ = _BELIEF_KINDS[head]
     try:
-        value = convert(arg)
+        value = (int if rule is json_int else float)(arg)
     except ValueError:
         raise ValidationError(f"bad parameter in policy spec {text!r}") from None
-    if not least <= value <= greatest:
-        raise ValidationError(
-            f"policy {head!r} needs {key} in [{least}, {greatest}], got {arg.strip()}")
-    return head, {key: value}
+    return head, {key: _parameter(head, value)}
 
 
 def default_rolling_horizon(instance: Instance) -> int:
@@ -480,9 +489,7 @@ def make_policy(text: str, instance: Instance, x_star: FractionalSolution | None
     heuristic needs before it notifies, must lie in [0, 1].
     """
     kind, params = parse_policy_spec(text)
-    theta = json_real(theta, "theta")
-    if not 0.0 <= theta <= 1.0:
-        raise ValidationError(f"theta must be in [0, 1], got {theta}")
+    theta = _theta(theta)
     if kind in _STATIC_KINDS:
         needs_x, build = _STATIC_KINDS[kind]
         if needs_x and x_star is None:

@@ -398,7 +398,7 @@ class TestKernelMatchesLinprog:
                 seen.add(id(lp))
                 with monkeypatch.context() as m:
                     m.setattr(exante, "_highs", None)
-                    assert _same_bits((x, value), solve_lp(costs, lp._rows, None))
+                    assert _same_bits((x, value), exante._Lp(lp._rows).solve(costs))
         assert len(seen) >= 10 and len(calls) - len(seen) > 40
 
     def test_model_is_scipys_csc(self):

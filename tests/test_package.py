@@ -111,7 +111,20 @@ INTEGER_SITES = {
                               lambda seed: cli.PerturbationSpec("match_probs", 0.1, 2, seed).seed),
     "perturb_instance.replicate": ("replicate", 0, 1, 1,
                                    lambda r: _drop(cli.perturb_instance(_I6, _SPEC, r))),
+    "RandomNPolicy.n": ("random:n", 1, None, 2, lambda n: policies.RandomNPolicy("x", _I6, n).n),
+    "BestNPolicy.n": ("best:n", 1, None, 2, lambda n: policies.BestNPolicy("x", _I6, n).n),
 }
+
+
+def _refuse_work(monkeypatch, site):
+    """Patches program building, instance making, draws and the LP pool to fail the test if reached."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{site}: work began before the argument was checked")
+
+    for module, attr in ((exante, "_slots"), (exante, "_Benchmark"), (exante, "_pool"),
+                         (sim, "_uniforms"), (policies, "_activity"), (core, "Instance"),
+                         (bounds, "Instance"), (cli, "Instance")):
+        monkeypatch.setattr(module, attr, refuse)
 
 
 @pytest.mark.parametrize("site", sorted(INTEGER_SITES))
@@ -122,17 +135,56 @@ def test_every_count_seed_and_index_reads_the_integer_rule(site, monkeypatch):
     name, least, most, valid, call = INTEGER_SITES[site]
     kept = call(np.int64(valid))
     assert kept is None or (type(kept) is int and kept == valid)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{site}: work began before the integer was checked")
-
-    for module, attr in ((exante, "_slots"), (exante, "_Benchmark"), (exante, "_pool"),
-                         (sim, "_uniforms"), (policies, "_activity"), (core, "Instance"),
-                         (bounds, "Instance"), (cli, "Instance")):
-        monkeypatch.setattr(module, attr, refuse)
+    _refuse_work(monkeypatch, site)
     bound = f" >= {least}" if most is None else f" in [{least}, {most}]"
     bad = [True, 2.5, "3", None, least - 1] + ([] if most is None else [most + 1])
     for value in bad:
         message = f"{name} must be an integer{bound}, got {value!r}"
         with pytest.raises(core.ValidationError, match=f"^{re.escape(message)}$"):
             call(value)
+
+
+# The real rule (core.json_real) at every real a caller hands the package:
+# (name the message begins with, a value the site takes, a value out of its
+# range, the call at the site). A call returns the value as the site keeps
+# it, or None where nothing keeps it.
+REAL_SITES = {
+    "kappa.q": ("hazard rate", 0.5, 1.5, lambda q: _drop(bounds.kappa(q))),
+    "sn_guarantee.q": ("hazard rate", 0.5, -0.5, lambda q: _drop(bounds.sn_guarantee(q))),
+    "kappa_grid.step": ("grid step", 0.5, 0.0, lambda step: _drop(bounds.kappa_grid(step))),
+    "Geometric.q": ("geometric success probability", 0.5, 0.0, lambda q: core.Geometric(q).q),
+    "make_policy.theta": ("theta", 0.5, 1.5,
+                          lambda theta: policies.make_policy("best:1", _I6, theta=theta).theta),
+    "BeliefPolicy.theta": ("theta", 0.5, -0.5,
+                           lambda theta: policies.BeliefPolicy("x", _I6, theta=theta).theta),
+    "UpToRhoPolicy.rho": ("upto:rho", 0.5, 1.5, lambda rho: policies.UpToRhoPolicy("x", _I6, rho).rho),
+    "ExperimentConfig.theta": ("theta", 0.5, 1.5,
+                               lambda theta: cli.ExperimentConfig("I6", ("all",), 2, 1, theta=theta).theta),
+    "PerturbationSpec.width": ("perturbation width", 0.5, 1.0,
+                               lambda w: cli.PerturbationSpec("match_probs", w, 2, 1).width),
+    "make_instance.I1.q": ("I1 q", 0.5, 1.0, lambda q: _drop(_canonical("I1", q=q))),
+    "make_instance.I1.eps": ("I1 eps", 1e-3, 0.1, lambda eps: _drop(_canonical("I1", eps=eps))),
+    "make_instance.I4.q": ("I4 q", 0.5, 0.0, lambda q: _drop(_canonical("I4", q=q))),
+    "make_instance.I4.eps": ("I4 eps", 1e-3, 0.5, lambda eps: _drop(_canonical("I4", eps=eps))),
+    "make_instance.I5.eps": ("I5 eps", 1e-3, 0.5, lambda eps: _drop(_canonical("I5", eps=eps))),
+}
+
+
+@pytest.mark.parametrize("site", sorted(REAL_SITES))
+def test_every_real_reads_the_real_rule(site, monkeypatch):
+    # A numpy float is taken and kept as a plain float; a bool, a string or
+    # None is a ValidationError in the rule's words, and a value out of the
+    # site's range one that names the field, before any program is built,
+    # any instance made or any draw taken.
+    name, valid, outside, call = REAL_SITES[site]
+    kept = call(np.float64(valid))
+    assert kept is None or (type(kept) is float and kept == valid)
+    _refuse_work(monkeypatch, site)
+    for value in (True, False, np.bool_(True), "0.5", None):
+        # "must be a real number, got ..." or, with a closed range, "... in [0, 1], got ..."
+        pattern = f"^{re.escape(name)} must be a real number( in \\[.*\\])?, got {re.escape(repr(value))}$"
+        with pytest.raises(core.ValidationError, match=pattern):
+            call(value)
+    pattern = f"^{re.escape(name)} must .*, got {re.escape(repr(outside))}$"
+    with pytest.raises(core.ValidationError, match=pattern):
+        call(outside)

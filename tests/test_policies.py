@@ -893,8 +893,9 @@ class TestRollingWindowBatches:
                     m.setattr(module, name, recording)
                 if not kernel:
                     m.setattr(exante, "_highs", None)
+                    select_ex_ante(inst, 5)
                     simulate(inst, make_policy("rolling", inst), 3, 7)
-                    assert threads  # each window is a solve_lp call
+                    assert threads
                 else:
                     select_ex_ante(inst, 5)
                     simulate(inst, make_policy("rolling", inst), 10, 7)
@@ -916,6 +917,24 @@ class TestPolicyFactory:
                 make_policy(bad, make_i4(), x_star=i4_ones())
         assert parse_policy_spec("upto:0") == ("upto", {"rho": 0.0})
         assert parse_policy_spec("upto:1") == ("upto", {"rho": 1.0})
+
+    def test_constructors_check_the_ranges_the_grammar_checks(self):
+        # A heuristic built directly refuses what its spec string would: both
+        # read one range per kind, and say so in the same words.
+        inst = make_i4()
+        for cls, spec, kwargs in ((RandomNPolicy, "random:0", {"n": 0}), (BestNPolicy, "best:0", {"n": 0}),
+                                  (UpToRhoPolicy, "upto:5", {"rho": 5.0}),
+                                  (RollingHorizonPolicy, "rolling:0", {"horizon": 0})):
+            with pytest.raises(ValidationError) as parsed:
+                parse_policy_spec(spec)
+            with pytest.raises(ValidationError) as built:
+                cls("x", inst, **kwargs)
+            assert str(built.value) == str(parsed.value)
+        # tests/test_package.py runs the other kinds' rows; a horizon of None is the default
+        for horizon in (2.0, True, "3"):
+            with pytest.raises(ValidationError, match="^rolling:horizon must be an integer >= 1"):
+                RollingHorizonPolicy("x", inst, horizon)
+        assert RollingHorizonPolicy("x", inst).horizon == default_rolling_horizon(inst)
 
     def test_default_rolling_horizon_is_mean_duration(self):
         # the mean duration, 7, up to T; a window stops at T, so T caps it
